@@ -2,8 +2,8 @@
 
 Every subcommand writes deterministic CSV (stdout by default, --out FILE
 otherwise; TILEDAG_OUTDIR overrides the output directory).  --check
-re-derives golden values where they exist and exits 2 on flag errors,
-1 on check mismatches.
+re-derives golden values where they exist.  Flag errors exit 2; check
+mismatches and invalid instances exit 1.
 """
 
 from __future__ import annotations
@@ -36,11 +36,21 @@ def _write(args, text, suffix=""):
         sys.stdout.write(text)
 
 
-def _parse_procs(spec):
-    if ".." in spec:
-        lo, hi = spec.split("..")
-        return list(range(int(lo), int(hi) + 1))
-    return [int(x) for x in spec.split(",")]
+def _procs(spec):
+    """argparse type of --procs: 'lo..hi' or a comma list of positive
+    processor counts."""
+    try:
+        if ".." in spec:
+            lo, hi = spec.split("..")
+            procs = list(range(int(lo), int(hi) + 1))
+        else:
+            procs = [int(x) for x in spec.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"malformed processor list {spec!r}") from None
+    if not procs or min(procs) < 1:
+        raise argparse.ArgumentTypeError(
+            f"processor list {spec!r} is empty or has a count below 1")
+    return procs
 
 
 def _fail_cells(cells):
@@ -86,8 +96,7 @@ def cmd_chol_bounds(args):
     trace = cholesky.gen_chol_fact(args.t, "right")
     graph = build_from_trace(trace)
     wc = WeightModel.cholesky()
-    procs = _parse_procs(args.procs)
-    rows = sched.bounds_table(graph, wc, procs)
+    rows = sched.bounds_table(graph, wc, args.procs)
     lines = ["p,LA,T_alap,T_rooftop,speedup,efficiency"]
     for r in rows:
         lines.append(f"{r.p},{r.lost_area},{_fmt2(r.t_alap)},{_fmt2(r.t_roof)},"
@@ -182,7 +191,7 @@ def cmd_qr_bounds(args):
     build = qr.build_tree(args.p, args.q, args.algo, bs=args.bs)
     graph = build_from_trace(build.trace)
     w = WeightModel.qr_tt()
-    rows = sched.bounds_table(graph, w, _parse_procs(args.procs))
+    rows = sched.bounds_table(graph, w, args.procs)
     lines = ["p,LA,T_alap,T_rooftop,speedup,efficiency"]
     for r in rows:
         lines.append(f"{r.p},{r.lost_area},{_fmt2(r.t_alap)},{_fmt2(r.t_roof)},"
@@ -201,7 +210,7 @@ def cmd_sched(args):
         weights = WeightModel.qr_tt()
     graph = build_from_trace(trace)
     results = []
-    for p in _parse_procs(args.procs):
+    for p in args.procs:
         s = sched.list_schedule(graph, weights, p, args.policy, seed=args.seed)
         sched.check_schedule(graph, weights, s)
         results.append((p, s))
@@ -300,7 +309,7 @@ def main(argv=None):
 
     p = add("chol-bounds", cmd_chol_bounds, help="Lost-Area/ALAP and Rooftop bound table")
     p.add_argument("--t", type=int, required=True)
-    p.add_argument("--procs", default="1..10")
+    p.add_argument("--procs", type=_procs, default="1..10")
 
     p = add("qr-coarse", cmd_qr_coarse, help="coarse time-step table")
     p.add_argument("--p", type=int, required=True)
@@ -326,7 +335,7 @@ def main(argv=None):
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--algo", default="grasap", choices=list(qr.TREE_ALGOS))
     p.add_argument("--bs", type=int)
-    p.add_argument("--procs", default="1..14")
+    p.add_argument("--procs", type=_procs, default="1..14")
 
     p = add("sched", cmd_sched, help="bounded-processor list scheduling")
     p.add_argument("--algo", default="cholesky",
@@ -335,7 +344,7 @@ def main(argv=None):
     p.add_argument("--p", type=int, default=5)
     p.add_argument("--q", type=int, default=5)
     p.add_argument("--bs", type=int)
-    p.add_argument("--procs", default="1..8")
+    p.add_argument("--procs", type=_procs, default="1..8")
     p.add_argument("--policy", default="max", choices=["max", "min", "random"])
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--gantt", action="store_true", help="write gantt CSV for the last row")
@@ -364,6 +373,8 @@ def main(argv=None):
 
     try:
         args = ap.parse_args(argv)
+        if "bs" in args and args.algo == "plasmatree" and args.bs is None:
+            ap.error("--algo plasmatree needs --bs")
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:

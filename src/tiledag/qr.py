@@ -17,19 +17,18 @@ import heapq
 from bisect import insort
 from dataclasses import dataclass
 from math import ceil
+from typing import NamedTuple
 
 from .taskgraph import (
     GEQRT, TSMQR, TSQRT, TTMQR, TTQRT, UNMQR,
     Task, TileRef, WeightModel,
 )
 
-COARSE_ALGOS = ("sameh-kuck", "fibonacci", "greedy")
 TREE_ALGOS = ("flattree", "fibonacci", "greedy", "binarytree", "plasmatree",
               "asap", "grasap")
 
 
-@dataclass(frozen=True)
-class ElimEntry:
+class ElimEntry(NamedTuple):
     """elim(i, piv, k): zero tile (i,k) by combining rows i and piv."""
 
     i: int
@@ -158,13 +157,6 @@ class CoarseTable:
     def cp(self):
         return max(self.steps.values(), default=0)
 
-    def groups(self):
-        """(step, col) -> sorted rows zeroed together."""
-        g = {}
-        for (i, k), s in self.steps.items():
-            g.setdefault((s, k), []).append(i)
-        return {key: sorted(rows) for key, rows in g.items()}
-
     def validate(self, elim: EliminationList):
         """The dependency relations of the coarse model: a tile's own and
         its pivot's previous-column eliminations precede it, and the
@@ -252,26 +244,33 @@ def _coarse_fibonacci(p, q):
 
 
 def _coarse_greedy(p, q):
-    steps = {}
+    """At every step each column zeroes the bottom half of its available
+    rows; a row zeroed at step s is available in the next column from
+    step s+1."""
     qq = min(p, q)
+    avail = [[] for _ in range(qq + 2)]   # column -> available rows, ascending
+    avail[1] = list(range(1, p + 1))
+    steps = {}
+    groups = {}
     remaining = sum(p - k for k in range(1, qq + 1))
     s = 0
     while remaining:
         s += 1
+        moved = []
         for k in range(1, qq + 1):
-            avail = [i for i in range(k, p + 1)
-                     if (i, k) not in steps and i > k - 1
-                     and (k == 1 or steps.get((i, k - 1), s) <= s - 1)]
-            z = len(avail) // 2
+            rows = avail[k]
+            z = len(rows) // 2
             if z == 0:
                 continue
-            for i in avail[-z:]:
+            done = groups[(s, k)] = rows[-z:]
+            del rows[-z:]
+            for i in done:
                 steps[(i, k)] = s
             remaining -= z
-    groups = {}
-    for (i, k), st in steps.items():
-        groups.setdefault((st, k), []).append(i)
-    entries = _pair_groups({key: sorted(v) for key, v in groups.items()})
+            moved.append((k + 1, done))
+        for k, done in moved:
+            avail[k] = sorted(avail[k] + done)
+    entries = _pair_groups(groups)
     entries.sort(key=lambda e: (e.step, e.k, e.i))
     return steps, entries
 
@@ -369,8 +368,21 @@ def binary_tree_list(p, q):
 # ---------------------------------------------------------------------------
 # tiled builder
 
-def _tile(m, i, j):
-    return TileRef(m, i, j)
+_T = TileRef
+
+# The tiles each kernel reads and writes, keyed by kind and called with the
+# kernel's indices; the trace is built from this table alone.  A tile both
+# read and written is one object.
+KERNEL_TILES = {
+    GEQRT: lambda i, k: ((_T("D", i, k),), (_T("R", i, k), _T("V", i, k))),
+    UNMQR: lambda i, k, j: ((_T("V", i, k), d := _T("D", i, j)), (d,)),
+    TTQRT: lambda i, piv, k: ((_T("R", i, k), r := _T("R", piv, k)), (r, _T("T", i, k))),
+    TSQRT: lambda i, piv, k: ((_T("D", i, k), r := _T("R", piv, k)), (r, _T("S", i, k))),
+    TTMQR: lambda i, piv, k, j: ((_T("T", i, k), a := _T("D", i, j), b := _T("D", piv, j)),
+                                 (a, b)),
+    TSMQR: lambda i, piv, k, j: ((_T("S", i, k), a := _T("D", i, j), b := _T("D", piv, j)),
+                                 (a, b)),
+}
 
 
 class QrBuild:
@@ -381,6 +393,11 @@ class QrBuild:
     (the zeroed-time tables); cp is the overall critical path.
     With keep_trace the full Task trace is retained; record_updates keeps
     per-update TTMQR finish times for the translation theorem checks.
+
+    Times are kept per bundle (a factor kernel and its updates along the
+    row): _data[i][j] is the finish of the last write to data tile (i,j),
+    _tri[(i,k)] that of the triangle in tile (i,k).  TraceTimer over the
+    trace (tiles from KERNEL_TILES) reproduces these times.
     """
 
     def __init__(self, p, q, family="TT", weights=None, keep_trace=True,
@@ -401,91 +418,53 @@ class QrBuild:
         self.counts = {GEQRT: 0, TTQRT: 0, TSQRT: 0, UNMQR: 0, TTMQR: 0, TSMQR: 0}
         self.total_weight = 0
         self.elim = None
-        self._R = {}   # (i,k) -> finish of last write to the triangle
-        self._V = {}   # (i,k) -> GEQRT finish (reflectors)
-        self._VE = {}  # (i,k) -> elimination-kernel finish (TT/TS reflectors)
-        self._D = {}   # (i,j) -> finish of last write to the data tile
-        self._tri = set()
+        self._data = [[0] * (q + 1) for _ in range(p + 1)]
+        self._tri = {}
 
-    def _rec(self, kind, idx, reads, writes, start):
+    def _bundle(self, kind, update, idx, start, k, row, other=None):
+        """Run factor kernel `kind` on column k from time start, then its
+        `update` kernel on columns k+1..q of data row `row` (and `other`);
+        return the factor's finish."""
         w = self.weights[kind]
-        fin = start + w
-        self.counts[kind] += 1
+        fin = last = start + w
+        q = self.q
+        counts = self.counts
+        counts[kind] += 1
+        if k < q:
+            counts[update] += q - k
+            u = self.weights[update]
+            w += (q - k) * u
+            if other is None:
+                row[k + 1:] = new = [(d if d > fin else fin) + u for d in row[k + 1:]]
+            else:
+                row[k + 1:] = other[k + 1:] = new = [
+                    (x if x > fin else fin) + u
+                    for x in [x if x > y else y for x, y in zip(row[k + 1:], other[k + 1:])]]
+            last = max(new)
         self.total_weight += w
-        if fin > self.cp:
-            self.cp = fin
-        if self.trace is not None:
-            self.trace.append(Task(len(self.trace), kind, idx, reads, writes))
+        if last > self.cp:
+            self.cp = last
+        trace = self.trace
+        if trace is not None:
+            trace.append(Task(len(trace), kind, idx, *KERNEL_TILES[kind](*idx)))
+            tiles = KERNEL_TILES[update]
+            for j in range(k + 1, q + 1):
+                ix = idx + (j,)
+                trace.append(Task(len(trace), update, ix, *tiles(*ix)))
         return fin
-
-    def geqrt(self, i, k):
-        start = self._D.get((i, k), 0)
-        fin = self._rec(GEQRT, (i, k),
-                        [_tile("D", i, k)], [_tile("R", i, k), _tile("V", i, k)],
-                        start)
-        self._R[(i, k)] = fin
-        self._V[(i, k)] = fin
-        self._tri.add((i, k))
-        return fin
-
-    def unmqr(self, i, k, j):
-        start = max(self._V[(i, k)], self._D.get((i, j), 0))
-        fin = self._rec(UNMQR, (i, k, j),
-                        [_tile("V", i, k), _tile("D", i, j)], [_tile("D", i, j)],
-                        start)
-        self._D[(i, j)] = fin
-        return fin
-
-    def ttqrt(self, i, piv, k):
-        start = max(self._R[(i, k)], self._R[(piv, k)])
-        fin = self._rec(TTQRT, (i, piv, k),
-                        [_tile("R", i, k), _tile("R", piv, k)],
-                        [_tile("R", piv, k), _tile("T", i, k)],
-                        start)
-        self._R[(piv, k)] = fin
-        self._VE[(i, k)] = fin
-        self.zeroed[(i, k)] = fin
-        return fin
-
-    def ttmqr(self, i, piv, k, j):
-        start = max(self._VE[(i, k)], self._D.get((i, j), 0), self._D.get((piv, j), 0))
-        fin = self._rec(TTMQR, (i, piv, k, j),
-                        [_tile("T", i, k), _tile("D", i, j), _tile("D", piv, j)],
-                        [_tile("D", i, j), _tile("D", piv, j)],
-                        start)
-        self._D[(i, j)] = fin
-        self._D[(piv, j)] = fin
-        if self.record_updates:
-            self.updates.setdefault((i, k), {})[j] = fin
-        return fin
-
-    def tsqrt(self, i, piv, k):
-        start = max(self._D.get((i, k), 0), self._R[(piv, k)])
-        fin = self._rec(TSQRT, (i, piv, k),
-                        [_tile("D", i, k), _tile("R", piv, k)],
-                        [_tile("R", piv, k), _tile("S", i, k)],
-                        start)
-        self._R[(piv, k)] = fin
-        self._VE[(i, k)] = fin
-        self.zeroed[(i, k)] = fin
-        return fin
-
-    def tsmqr(self, i, piv, k, j):
-        start = max(self._VE[(i, k)], self._D.get((i, j), 0), self._D.get((piv, j), 0))
-        fin = self._rec(TSMQR, (i, piv, k, j),
-                        [_tile("S", i, k), _tile("D", i, j), _tile("D", piv, j)],
-                        [_tile("D", i, j), _tile("D", piv, j)],
-                        start)
-        self._D[(i, j)] = fin
-        self._D[(piv, j)] = fin
-        return fin
-
-    # -- bundles -----------------------------------------------------------
 
     def _triangularize(self, i, k):
-        self.geqrt(i, k)
-        for j in range(k + 1, self.q + 1):
-            self.unmqr(i, k, j)
+        """GEQRT on tile (i,k), then UNMQR along the rest of row i."""
+        row = self._data[i]
+        self._tri[(i, k)] = self._bundle(GEQRT, UNMQR, (i, k), row[k], k, row)
+
+    def _eliminate(self, kind, update, i, piv, k, start):
+        data = self._data
+        fin = self._bundle(kind, update, (i, piv, k), start, k, data[i], data[piv])
+        self._tri[(piv, k)] = self.zeroed[(i, k)] = fin
+        if update == TTMQR and self.record_updates and k < self.q:
+            self.updates[(i, k)] = dict(zip(range(k + 1, self.q + 1), data[i][k + 1:]))
+        return fin
 
     def preprocess_tt(self):
         for i in range(1, self.p + 1):
@@ -494,10 +473,9 @@ class QrBuild:
     def elim_tt(self, i, piv, k):
         """TT elimination bundle: zero (i,k), update both rows, then move
         row i into the next column as a fresh triangle."""
-        fin = self.ttqrt(i, piv, k)
-        for j in range(k + 1, self.q + 1):
-            self.ttmqr(i, piv, k, j)
-        if k + 1 <= self.q:
+        tri = self._tri
+        fin = self._eliminate(TTQRT, TTMQR, i, piv, k, max(tri[(i, k)], tri[(piv, k)]))
+        if k < self.q:
             self._triangularize(i, k + 1)
         return fin
 
@@ -505,17 +483,13 @@ class QrBuild:
         """TS elimination bundle: pivots are triangularized lazily on first
         use; a target that already holds a triangle (an ex-pivot) falls
         back to the TT kernels."""
-        if (piv, k) not in self._tri:
+        tri = self._tri
+        if (piv, k) not in tri:
             self._triangularize(piv, k)
-        if (i, k) in self._tri:
-            fin = self.ttqrt(i, piv, k)
-            for j in range(k + 1, self.q + 1):
-                self.ttmqr(i, piv, k, j)
-        else:
-            fin = self.tsqrt(i, piv, k)
-            for j in range(k + 1, self.q + 1):
-                self.tsmqr(i, piv, k, j)
-        return fin
+        if (i, k) in tri:
+            return self._eliminate(TTQRT, TTMQR, i, piv, k, max(tri[(i, k)], tri[(piv, k)]))
+        return self._eliminate(TSQRT, TSMQR, i, piv, k,
+                               max(self._data[i][k], tri[(piv, k)]))
 
     def run_list(self, elim: EliminationList):
         self.elim = elim
@@ -536,8 +510,7 @@ def tiled_build(elim: EliminationList, family="TT", weights=None,
                 keep_trace=True, record_updates=False, validate=True) -> QrBuild:
     if validate:
         elim.validate()
-    b = QrBuild(elim.p, elim.q, family, weights, keep_trace, record_updates)
-    return b.run_list(elim)
+    return QrBuild(elim.p, elim.q, family, weights, keep_trace, record_updates).run_list(elim)
 
 
 def tiled_graph(elim: EliminationList, family="TT"):
@@ -579,14 +552,14 @@ def _run_asap_columns(build: QrBuild, first_col, seeds):
                 entries.append(ElimEntry(tgt, piv, k))
                 heapq.heappush(heap, (fin, k, piv))
                 if k + 1 <= q:
-                    heapq.heappush(heap, (build._V[(tgt, k + 1)], k + 1, tgt))
+                    heapq.heappush(heap, (build._tri[(tgt, k + 1)], k + 1, tgt))
     return entries
 
 
 def asap_build(p, q, weights=None, keep_trace=True, record_updates=False) -> QrBuild:
     b = QrBuild(p, q, "TT", weights, keep_trace, record_updates)
     b.preprocess_tt()
-    seeds = [(b._V[(i, 1)], 1, i) for i in range(1, p + 1)]
+    seeds = [(b._tri[(i, 1)], 1, i) for i in range(1, p + 1)]
     entries = _run_asap_columns(b, 1, seeds)
     b.elim = EliminationList(p, q, entries).with_steps()
     return b
@@ -605,18 +578,10 @@ def grasap_build(p, q, i=1, weights=None, keep_trace=True, record_updates=False)
     for e in static:
         b.elim_tt(e.i, e.piv, e.k)
     first_dyn = q - i + 1
-    seeds = [(b._V[(r, first_dyn)], first_dyn, r) for r in range(first_dyn, p + 1)]
+    seeds = [(b._tri[(r, first_dyn)], first_dyn, r) for r in range(first_dyn, p + 1)]
     dyn = _run_asap_columns(b, first_dyn, seeds)
     b.elim = EliminationList(p, q, static + dyn).with_steps()
     return b
-
-
-def asap_graph(p, q):
-    return asap_build(p, q).trace
-
-
-def grasap_graph(p, q, i=1):
-    return grasap_build(p, q, i).trace
 
 
 def build_tree(p, q, algo, family="TT", bs=None, grasap_i=1, weights=None,
@@ -643,10 +608,7 @@ def build_tree(p, q, algo, family="TT", bs=None, grasap_i=1, weights=None,
         elim = plasmatree_list(p, q, bs)
     else:
         raise ValueError(f"unknown algorithm {algo!r}")
-    b = QrBuild(p, q, family, weights, keep_trace, record_updates)
-    b.run_list(elim)
-    b.elim = elim
-    return b
+    return QrBuild(p, q, family, weights, keep_trace, record_updates).run_list(elim)
 
 
 def zeroed_table_csv(build: QrBuild):

@@ -324,7 +324,8 @@ def alpha_min(t: int, p_cap=None):
     weights = WeightModel.cholesky()
     ann = annotate_cp(graph, weights)
     target = 9 * t - 10
-    assert ann.cp_length == target
+    if ann.cp_length != target:
+        raise AssertionError(f"critical path {ann.cp_length} != 9t-10 = {target}")
     cap = p_cap or (t - 1) ** 2
     for p in range(1, cap + 1):
         ms = list_schedule(graph, weights, p, MAX_CP, annotation=ann).makespan

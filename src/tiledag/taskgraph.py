@@ -375,14 +375,6 @@ class AlapProfile:
     makespan: int
     t_seq: int
 
-    def active_at(self, time):
-        count = 0
-        for t, c in self.steps:
-            if t > time:
-                break
-            count = c
-        return count
-
     def area(self):
         total = 0
         for (t0, c), (t1, _) in zip(self.steps, self.steps[1:] + [(self.makespan, 0)]):

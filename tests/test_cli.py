@@ -150,6 +150,20 @@ def test_bad_flags_exit_2(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("procs", ["abc", "5..3", "0..3", "", "2,,4", "-1", "1..x"])
+def test_bad_procs_exit_2(capsys, procs):
+    assert main(["chol-bounds", "--t", "4", "--procs", procs]) == 2
+    assert main(["sched", "--t", "3", "--procs", procs]) == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("cmd", ["qr-tiled", "qr-bounds", "sched"])
+def test_plasmatree_needs_bs_exit_2(capsys, cmd):
+    assert main([cmd, "--algo", "plasmatree", "--p", "6", "--q", "3"]) == 2
+    assert "--bs" in capsys.readouterr().err
+    assert main([cmd, "--algo", "plasmatree", "--p", "6", "--q", "3", "--bs", "2"]) == 0
+
+
 def test_internal_error_exit_1(capsys):
     assert main(["qr-coarse", "--p", "3", "--q", "5"]) == 1   # p < q
     err = capsys.readouterr().err

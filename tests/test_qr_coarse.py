@@ -60,6 +60,23 @@ def test_oracles():
         coarse_cp_oracle(4, 4, "nope")
 
 
+def test_greedy_matches_full_rescan():
+    # reference: rescan every column at every step for its available rows
+    def rescan(p, q):
+        steps, s = {}, 0
+        while len(steps) < sum(p - k for k in range(1, min(p, q) + 1)):
+            s += 1
+            for k in range(1, min(p, q) + 1):
+                avail = [i for i in range(k, p + 1) if (i, k) not in steps
+                         and (k == 1 or steps.get((i, k - 1), s) <= s - 1)]
+                for i in avail[len(avail) - len(avail) // 2:]:
+                    steps[(i, k)] = s
+        return steps
+    for p in range(1, 31):
+        for q in range(1, p + 1, 2):
+            assert coarse_schedule(p, q, "greedy")[0].steps == rescan(p, q), (p, q)
+
+
 def test_elimination_lists_valid_and_normalized():
     for p in (2, 4, 7, 12, 15):
         for q in range(1, p + 1):

@@ -1,12 +1,16 @@
+import hashlib
+import random
 from collections import Counter
 
 import pytest
 
 from tiledag import (
-    WeightModel, annotate_cp, asap_times, build_from_trace, build_tree,
-    coarse_schedule, eager_coarse, elim_weight, fibonacci_cp_bounds,
-    fibonacci_x, flattree_cp_composed, flattree_cp_oracle, plasmatree_list,
-    tiled_build, tiled_graph, tiled_translation, total_weight, verify_weight,
+    GEQRT, TSMQR, TSQRT, TTMQR, TTQRT, UNMQR,
+    ElimEntry, EliminationList, QrBuild, TraceTimer, WeightModel, annotate_cp,
+    asap_times, build_from_trace, build_tree, coarse_schedule, eager_coarse,
+    elim_weight, fibonacci_cp_bounds, fibonacci_x, flattree_cp_composed,
+    flattree_cp_oracle, plasmatree_list, tiled_build, tiled_graph,
+    tiled_translation, total_weight, verify_weight,
 )
 
 # Tiled zeroed-time tables for 15 x 6 (rows 2..15).
@@ -303,3 +307,89 @@ def test_tiled_graph_entry_point():
     bad = type(elim)(4, 3, elim.entries[:2])
     with pytest.raises(ValueError):
         tiled_graph(bad, "TT")
+
+
+def random_elim_list(p, q, rng):
+    """A random valid elimination list: any ready target below the column's
+    diagonal against any other ready row, so reverse eliminations (pivot
+    below target) and ex-pivot targets occur."""
+    qq = min(p, q)
+    ready = [[] for _ in range(qq + 2)]
+    ready[1] = list(range(1, p + 1))
+    entries = []
+    while True:
+        cols = [k for k in range(1, qq + 1) if len(ready[k]) >= 2]
+        if not cols:
+            return EliminationList(p, q, entries)
+        k = rng.choice(cols)
+        i = rng.choice([r for r in ready[k] if r > k])
+        piv = rng.choice([r for r in ready[k] if r != i])
+        ready[k].remove(i)
+        ready[k + 1].append(i)
+        entries.append(ElimEntry(i, piv, k))
+
+
+# distinct weights, so that a kernel timed with another's weight shows
+SKEWED = WeightModel.custom({GEQRT: 3, UNMQR: 5, TTQRT: 1, TTMQR: 7, TSQRT: 2, TSMQR: 11})
+TT_ONLY = WeightModel.custom({GEQRT: 4, UNMQR: 6, TTQRT: 2, TTMQR: 6})
+
+
+def _engine_cases():
+    rng = random.Random(2013)
+    for n in range(80):
+        p = rng.randint(1, 9)
+        q = rng.randint(1, p)
+        elim = random_elim_list(p, q, rng)
+        elim.validate()
+        for family in ("TT", "TS"):
+            w = (None, SKEWED)[n % 2]
+            yield (f"random{n}-{family}", w,
+                   lambda kt, p=p, q=q, f=family, w=w, e=elim:
+                   QrBuild(p, q, f, w, kt, record_updates=True).run_list(e))
+    for p, q in ((9, 4), (7, 7), (8, 1)):
+        for algo in ("flattree", "fibonacci", "greedy", "binarytree", "plasmatree",
+                     "asap", "grasap"):
+            families = ("TT",) if algo in ("asap", "grasap") else ("TT", "TS")
+            for family in families:
+                for w in (None, SKEWED) + ((TT_ONLY,) if family == "TT" else ()):
+                    yield (f"{algo}-{p}x{q}-{family}", w,
+                           lambda kt, p=p, q=q, a=algo, f=family, w=w:
+                           build_tree(p, q, a, family=f, bs=3, weights=w,
+                                      keep_trace=kt, record_updates=True))
+
+
+def test_engine_trace_free_matches_traced_and_hazard_graph():
+    for name, w, build in _engine_cases():
+        fast, full = build(False), build(True)
+        assert fast.trace is None
+        for attr in ("zeroed", "cp", "counts", "total_weight", "updates"):
+            assert getattr(fast, attr) == getattr(full, attr), (name, attr)
+        assert Counter(t.kind for t in full.trace) == +Counter(full.counts), name
+        w = w or WeightModel.qr_tt()
+        timer = TraceTimer(w)
+        for t in full.trace:
+            _, fin = timer.add(t)
+            if t.kind in (TTQRT, TSQRT):
+                i, _, k = t.indices
+                assert fin == full.zeroed[(i, k)], (name, t)
+        assert full.cp == annotate_cp(build_from_trace(full.trace), w).cp_length, name
+
+
+# sha256 of (id, kind, indices, reads, writes) over every task: list
+# schedules break ties on task ids and the IP names variables by indices,
+# so traces must stay identical task for task.
+TRACE_SHA256 = {
+    (7, 4, "greedy", "TT"): "748b4c56395129de0485d9351eacad756b8e2ff8881fe779cf49531e943b30cf",
+    (6, 3, "binarytree", "TS"): "2110fac97b99855b3339aaa9b1779a211730b1a3135cfbbdfe6edd3c83815281",
+    (6, 4, "asap", "TT"): "b68ae2d6867340107f9aaeaa8eb149e83056aa4956c3ba4c8db0cb6f704fc15e",
+    (6, 4, "grasap", "TT"): "81ea48e81b55c8358ebd09f104258676bc47a3a76a9cd46442c2d70902a243d8",
+}
+
+
+@pytest.mark.parametrize("p,q,algo,family", sorted(TRACE_SHA256))
+def test_trace_identity(p, q, algo, family):
+    trace = build_tree(p, q, algo, family=family).trace
+    rows = [(t.id, t.kind, t.indices, tuple(map(tuple, t.reads)),
+             tuple(map(tuple, t.writes))) for t in trace]
+    digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+    assert digest == TRACE_SHA256[(p, q, algo, family)]

@@ -1,7 +1,11 @@
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -200,6 +204,18 @@ def test_alpha_min():
         assert alpha <= Fraction(1, 2)
     with pytest.raises(ValueError):
         alpha_min(2)
+
+
+def test_alpha_min_cp_check_survives_optimize():
+    # python -O strips assert statements; the critical-path check must still fire
+    import tiledag
+    code = ("import tiledag.sched as s\n"
+            "s.annotate_cp = lambda g, w: type('A', (), {'cp_length': 0})()\n"
+            "try:\n    s.alpha_min(3)\nexcept AssertionError as e:\n    print('raised:', e)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(tiledag.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.stdout.startswith("raised:"), out.stdout + out.stderr
 
 
 def test_random_policy_spread():
