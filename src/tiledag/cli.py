@@ -53,6 +53,17 @@ def _procs(spec):
     return procs
 
 
+def _positive(spec):
+    """argparse type of a single processor count of at least 1."""
+    try:
+        n = int(spec)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"malformed processor count {spec!r}") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"processor count {spec!r} is below 1")
+    return n
+
+
 def _fail_cells(cells):
     for c in cells:
         print(f"check mismatch: {c}", file=sys.stderr)
@@ -268,7 +279,7 @@ def cmd_ip_emit(args):
 
 def cmd_ip_check(args):
     horizon = args.T
-    build = qr.build_tree(args.p, args.q, args.algo)
+    build = qr.build_tree(args.p, args.q, args.algo, bs=args.bs)
     graph = build_from_trace(build.trace)
     w = WeightModel.qr_tt()
     if args.assignment:
@@ -361,14 +372,15 @@ def main(argv=None):
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--T", type=int, help="horizon in half-weight units")
-    p.add_argument("--procs", type=int, help="optional capacity extension")
+    p.add_argument("--procs", type=_positive, help="optional capacity extension")
 
     p = add("ip-check", cmd_ip_check, help="check an assignment against the model")
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--T", type=int)
     p.add_argument("--algo", default="grasap", choices=list(qr.TREE_ALGOS))
-    p.add_argument("--procs", type=int)
+    p.add_argument("--bs", type=int, help="plasmatree domain size")
+    p.add_argument("--procs", type=_positive, help="optional capacity extension")
     p.add_argument("--assignment", help="file of 'name value' lines")
 
     try:

@@ -6,9 +6,14 @@ UNMQR/TTMQR 3 (the formulation's gap constants match those).  The model is
 emitted in LP text format; simulator schedules map onto assignments whose
 feasibility is checked constraint by constraint.
 
-An optional processor-capacity block (time-indexed overlap binaries)
-bounds the number of simultaneously running kernels; without it the
-formulation is the unbounded-processor problem.
+An optional processor-capacity block bounds the number of simultaneously
+running kernels; without it the formulation is the unbounded-processor
+problem.  The block is the time-indexed pulse formulation (Pritsker,
+Watters & Wolfe 1969): a binary at_<var>_<t> per action of duration d and
+finish time t in [d, T], so about A*T binaries for A actions; per action
+the rows capfin (var = sum t*at) and capone (sum at = 1, or = hat for
+pair updates and zeroings); per slot t the row cap_t (the pulses whose run
+covers t sum to at most P).  That is 2*A + T rows.
 """
 
 from __future__ import annotations
@@ -53,6 +58,9 @@ class IPModel:
             raise ValueError("need p >= q >= 1")
         if horizon <= 0:
             raise ValueError("horizon must be positive")
+        if capacity is not None and (isinstance(capacity, bool)
+                                     or not isinstance(capacity, int) or capacity < 1):
+            raise ValueError(f"capacity must be a positive int, got {capacity!r}")
         self.p = p
         self.q = q
         self.T = horizon
@@ -456,43 +464,35 @@ class IPModel:
                       [(1, "total_time"), (-1, name)], ">=", 0)
 
     def _actions(self):
-        """(var, duration) of every potentially running kernel."""
+        """(var, duration, hat) of every potentially running kernel; hat is
+        None for the panel updates and triangularizations, which always run."""
         acts = []
         for i, k, l in self.w_tuples():
-            acts.append((_n("w", i, k, l), D_UPDATE))
+            acts.append((_n("w", i, k, l), D_UPDATE, None))
         for i, k in self.x_tuples():
             if i >= k:
-                acts.append((_n("x", i, k), D_GEQRT))
+                acts.append((_n("x", i, k), D_GEQRT, None))
         for i, j, k, l in self.y_tuples():
-            acts.append((_n("y", i, j, k, l), D_UPDATE))
+            acts.append((_n("y", i, j, k, l), D_UPDATE, _n("yhat", i, j, k, l)))
         for i, j, k in self.z_tuples():
-            acts.append((_n("z", i, j, k), D_TTQRT))
+            acts.append((_n("z", i, j, k), D_TTQRT, _n("zhat", i, j, k)))
         return acts
 
     def _capacity_block(self):
         T, P = self.T, self.capacity
         slot_terms = {t: [] for t in range(1, T + 1)}
-        for var, dur in self._actions():
-            for t in range(1, T + 1):
-                ge = self._bvar(_n("ge", var, t))
-                le = self._bvar(_n("le", var, t))
-                u = self._bvar(_n("u", var, t))
-                # ge = [finish >= t], le = [finish <= t + dur - 1]
-                self._con(_n("capge", var, t), "capacity",
-                          [(1, var), (-T, ge)], ">=", t - T)
-                self._con(_n("capgeU", var, t), "capacity",
-                          [(1, var), (-T, ge)], "<=", t - 1)
-                self._con(_n("caple", var, t), "capacity",
-                          [(1, var), (T, le)], "<=", t + dur - 1 + T)
-                self._con(_n("capleU", var, t), "capacity",
-                          [(1, var), (T + dur, le)], ">=", t + dur)
-                self._con(_n("capua", var, t), "capacity",
-                          [(1, u), (-1, ge)], "<=", 0)
-                self._con(_n("capub", var, t), "capacity",
-                          [(1, u), (-1, le)], "<=", 0)
-                self._con(_n("capuc", var, t), "capacity",
-                          [(1, u), (-1, ge), (-1, le)], ">=", -1)
-                slot_terms[t].append((1, u))
+        for var, dur, hat in self._actions():
+            # at_<var>_<t> = 1 iff the action finishes at t, so it runs in
+            # slots t-dur+1..t (slot t is the interval (t-1, t])
+            pulses = [(t, self._bvar(_n("at", var, t))) for t in range(dur, T + 1)]
+            self._con(_n("capfin", var), "capacity",
+                      [(1, var)] + [(-t, at) for t, at in pulses], "=", 0)
+            self._con(_n("capone", var), "capacity",
+                      [(1, at) for _, at in pulses] + ([(-1, hat)] if hat else []),
+                      "=", 0 if hat else 1)
+            for t, at in pulses:
+                for s in range(t - dur + 1, t + 1):
+                    slot_terms[s].append((1, at))
         for t in range(1, T + 1):
             self._con(_n("cap", t), "capacity", slot_terms[t], "<=", P)
 
@@ -570,8 +570,9 @@ def schedule_to_assignment(graph, schedule, weights=None) -> dict:
 
 def complete_assignment(model: IPModel, assign: dict) -> dict:
     """Fill in the disjunction and precedence auxiliaries implied by the
-    action times."""
-    out = dict(assign)
+    action times.  Incoming pulse binaries are dropped and rederived: only
+    the one pulse that is 1 is set, missing variables count as 0."""
+    out = {v: x for v, x in assign.items() if not v.startswith("at_")}
     g = out.get
     T = model.T
 
@@ -639,14 +640,10 @@ def complete_assignment(model: IPModel, assign: dict) -> dict:
             out[_n("e", h, i, j, k)] = e
             out[_n("f", h, i, j, k)] = 1 if (d or e) else 0
     if model.capacity is not None:
-        for var, dur in model._actions():
+        for var, _, _ in model._actions():
             fin = g(var, 0)
-            for t in range(1, T + 1):
-                ge = 1 if fin >= t else 0
-                le = 1 if fin <= t + dur - 1 else 0
-                out[_n("ge", var, t)] = ge
-                out[_n("le", var, t)] = le
-                out[_n("u", var, t)] = 1 if (ge and le and fin > 0) else 0
+            if fin:
+                out[_n("at", var, fin)] = 1
     return out
 
 

@@ -157,7 +157,15 @@ def test_bad_procs_exit_2(capsys, procs):
     assert capsys.readouterr().out == ""
 
 
-@pytest.mark.parametrize("cmd", ["qr-tiled", "qr-bounds", "sched"])
+@pytest.mark.parametrize("procs", ["0", "-2", "abc", "1.5", ""])
+def test_bad_ip_procs_exit_2(capsys, procs):
+    assert main(["ip-emit", "--p", "2", "--q", "2", "--T", "20", "--procs", procs]) == 2
+    assert main(["ip-check", "--p", "3", "--q", "2", "--algo", "greedy",
+                 "--procs", procs]) == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("cmd", ["qr-tiled", "qr-bounds", "sched", "ip-check"])
 def test_plasmatree_needs_bs_exit_2(capsys, cmd):
     assert main([cmd, "--algo", "plasmatree", "--p", "6", "--q", "3"]) == 2
     assert "--bs" in capsys.readouterr().err

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -78,17 +79,23 @@ def test_emission_deterministic_and_fixings():
     assert len(nine) == 1 and nine[0].sense == "=" and nine[0].rhs == 1
 
 
+def _action_counts(p, q):
+    """(w, free x, fixed x, y, z) counts by direct enumeration."""
+    w = sum(1 for k in range(2, q + 1) for l in range(1, k)
+            for i in range(l, p + 1))
+    x_free = sum(1 for k in range(1, q + 1) for i in range(k, p + 1))
+    x_fixed = sum(1 for k in range(1, q + 1) for i in range(1, k))
+    y = sum(1 for k in range(2, q + 1) for l in range(1, k)
+            for i in range(l, p + 1) for j in range(l, p + 1) if i != j)
+    z = sum(1 for k in range(1, q + 1) for i in range(k, p + 1)
+            for j in range(k, p + 1) if i != j)
+    return w, x_free, x_fixed, y, z
+
+
 def test_variable_counts_match_enumeration():
     for p, q in ((2, 2), (3, 2), (3, 3), (4, 3), (4, 4)):
         model = emit_ip(p, q, 50)
-        w = sum(1 for k in range(2, q + 1) for l in range(1, k)
-                for i in range(l, p + 1))
-        x_free = sum(1 for k in range(1, q + 1) for i in range(k, p + 1))
-        x_fixed = sum(1 for k in range(1, q + 1) for i in range(1, k))
-        y = sum(1 for k in range(2, q + 1) for l in range(1, k)
-                for i in range(l, p + 1) for j in range(l, p + 1) if i != j)
-        z = sum(1 for k in range(1, q + 1) for i in range(k, p + 1)
-                for j in range(k, p + 1) if i != j)
+        w, x_free, x_fixed, y, z = _action_counts(p, q)
         ints = {n for n in model.int_vars if n != "total_time"}
         assert len([n for n in ints if n.startswith("w_")]) == w
         assert len([n for n in ints if n.startswith("x_")]) == x_free
@@ -128,3 +135,144 @@ def test_bad_horizon():
         emit_ip(3, 2, 0)
     with pytest.raises(ValueError):
         emit_ip(2, 3, 10)
+
+
+def test_bad_capacity():
+    for bad in (0, -2, 1.5, "2", True):
+        with pytest.raises(ValueError, match="capacity"):
+            emit_ip(3, 2, 16, capacity=bad)
+
+
+# sha256 of render(), taken before the pulse capacity block replaced the
+# overlap-binary block: the uncapacitated model must not move
+RENDER_SHA256 = {
+    (3, 2, 16): "4a9bef4595c4b2fc3f9dbd979dfb967115b66f55b86bc08ca7b87880e2aa33d2",
+    (4, 4, 40): "b389502efc9a5f3f2f75622fe441cb68dc030f82dfc568cf1db17c0c60ce8962",
+    (5, 3, 30): "baf64712f84d01a11be6ac3fbeab915fcc36021589b46a11fd65ef26953e787f",
+}
+NON_CAPACITY_ROWS_SHA256 = "0d52f8a8017961f8275804980defa1e73a6a2243db292bd271427f13d8f1cf49"
+
+
+def _sha(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_uncapacitated_render_pinned():
+    for args, digest in RENDER_SHA256.items():
+        assert _sha(emit_ip(*args).render()) == digest, args
+
+
+def test_capacity_leaves_other_rows_pinned():
+    model = emit_ip(4, 3, 30, capacity=2)
+    rows = "\n".join(f"{c.name}|{c.group}|{c.terms}|{c.sense}|{c.rhs}"
+                     for c in model.constraints if c.group != "capacity")
+    assert _sha(rows) == NON_CAPACITY_ROWS_SHA256
+
+
+def test_capacity_block_closed_forms():
+    for p, q, T in ((1, 1, 4), (2, 2, 20), (3, 2, 16), (4, 3, 30), (5, 5, 44)):
+        w, x, _, y, z = _action_counts(p, q)
+        base = emit_ip(p, q, T)
+        model = emit_ip(p, q, T, capacity=2)
+        cap = [c for c in model.constraints if c.group == "capacity"]
+        assert len(cap) == 2 * (w + x + y + z) + T
+        assert len(model.constraints) == len(base.constraints) + len(cap)
+        pulses = model.bin_vars[len(base.bin_vars):]
+        assert model.bin_vars[:len(base.bin_vars)] == base.bin_vars
+        assert len(pulses) == (w + y) * (T - 2) + x * (T - 1) + z * T
+        assert all(v.startswith("at_") for v in pulses)
+        assert not any(v.startswith(("ge_", "le_", "u_")) for v in model.bin_vars)
+
+
+def _p1_case():
+    """A valid single-processor 3x2 schedule, its model and its completed
+    assignment."""
+    g, s = _schedule(3, 2, "greedy", 1)
+    model = emit_ip(3, 2, s.makespan // 2 + 4, capacity=1)
+    times = schedule_to_assignment(g, s)
+    assign = complete_assignment(model, times)
+    ok, violated = check_feasible(model, assign)
+    assert ok, [v.name for v in violated[:5]]
+    return model, times, assign
+
+
+def _violated(model, assign):
+    ok, violated = check_feasible(model, assign)
+    assert not ok
+    return {v.name for v in violated}
+
+
+def test_capacity_overlap_violates_slot_row():
+    model, times, _ = _p1_case()
+    first = min((v for v in times if v.split("_")[0] in ("w", "x", "y", "z")), key=times.get)
+    times = {**times, first: times[first] + 1}   # now overlaps the next kernel
+    names = _violated(model, complete_assignment(model, times))
+    assert f"cap_{times[first]}" in names
+
+
+def test_capacity_pulse_in_wrong_slot_violates_capfin():
+    model, times, assign = _p1_case()
+    var = "x_1_1"
+    del assign[f"at_{var}_{times[var]}"]
+    assign[f"at_{var}_{times[var] + 1}"] = 1
+    assert f"capfin_{var}" in _violated(model, assign)
+
+
+def test_capacity_two_pulses_violate_capone():
+    model, _, assign = _p1_case()
+    var = "w_2_2_1"
+    assign[f"at_{var}_{model.T}"] = 1
+    assert f"capone_{var}" in _violated(model, assign)
+
+
+def test_capacity_pulse_on_unperformed_action_violates_capone():
+    model, _, assign = _p1_case()
+    var = next(f"z_{i}_{j}_{k}" for i, j, k in model.z_tuples()
+               if f"zhat_{i}_{j}_{k}" not in assign)
+    assign[f"at_{var}_{model.T}"] = 1
+    assert f"capone_{var}" in _violated(model, assign)
+
+
+def test_completion_drops_stale_pulses():
+    model, times, assign = _p1_case()
+    stale = {**times, f"at_x_1_1_{times['x_1_1'] + 1}": 1}
+    assert complete_assignment(model, stale) == assign
+
+
+def _milp_optimum(model):
+    """Minimal total_time of the model by scipy's MILP solver, or None if it
+    is infeasible; the matrix is built from the Constraint rows."""
+    np = pytest.importorskip("numpy")
+    optimize = pytest.importorskip("scipy.optimize")
+    sparse = pytest.importorskip("scipy.sparse")
+    names = sorted(model.int_vars) + model.bin_vars
+    col = {n: i for i, n in enumerate(names)}
+    rows, cols, vals, lo, hi = [], [], [], [], []
+    for r, con in enumerate(model.constraints):
+        for coef, var in con.terms:
+            rows.append(r)
+            cols.append(col[var])
+            vals.append(coef)
+        lo.append(-np.inf if con.sense == "<=" else con.rhs)
+        hi.append(np.inf if con.sense == ">=" else con.rhs)
+    a = sparse.coo_array((vals, (rows, cols)), shape=(len(model.constraints), len(names)))
+    cost = np.zeros(len(names))
+    cost[col["total_time"]] = 1
+    res = optimize.milp(cost, constraints=optimize.LinearConstraint(a, lo, hi),
+                        integrality=np.ones(len(names)),
+                        bounds=optimize.Bounds(0, [model.int_vars.get(n, 1) for n in names]))
+    assert res.status in (0, 2), res.message
+    return round(res.fun) if res.status == 0 else None
+
+
+# optima of the overlap-binary capacity block this formulation replaced
+@pytest.mark.parametrize("p,q,procs,T,optimum", [
+    (2, 2, 1, 24, 16),
+    (3, 2, 1, 32, 28),
+    (3, 2, 2, 24, 15),
+    (3, 3, 2, 36, 29),
+    (3, 2, 1, 22, None),
+])
+def test_capacity_optimum_matches_solver(p, q, procs, T, optimum):
+    pytest.importorskip("scipy")
+    assert _milp_optimum(emit_ip(p, q, T, capacity=procs)) == optimum
