@@ -54,13 +54,13 @@ def _procs(spec):
 
 
 def _positive(spec):
-    """argparse type of a single processor count of at least 1."""
+    """argparse type of a positive integer (a processor count or a horizon)."""
     try:
         n = int(spec)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"malformed processor count {spec!r}") from None
+        n = 0
     if n < 1:
-        raise argparse.ArgumentTypeError(f"processor count {spec!r} is below 1")
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {spec!r}")
     return n
 
 
@@ -283,8 +283,14 @@ def cmd_ip_check(args):
     graph = build_from_trace(build.trace)
     w = WeightModel.qr_tt()
     if args.assignment:
-        with open(args.assignment) as fh:
-            assign = ipmodel.parse_assignment(fh.read())
+        try:
+            with open(args.assignment) as fh:
+                text = fh.read()
+        except OSError as e:
+            print(f"error: cannot read assignment file {args.assignment!r}: {e.strerror}",
+                  file=sys.stderr)
+            return 2
+        assign = ipmodel.parse_assignment(text)
         if horizon is None:
             horizon = max(assign.values()) + 4
     else:
@@ -371,13 +377,13 @@ def main(argv=None):
     p = add("ip-emit", cmd_ip_emit, help="emit the integer program (LP format)")
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
-    p.add_argument("--T", type=int, help="horizon in half-weight units")
+    p.add_argument("--T", type=_positive, help="horizon in half-weight units")
     p.add_argument("--procs", type=_positive, help="optional capacity extension")
 
     p = add("ip-check", cmd_ip_check, help="check an assignment against the model")
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
-    p.add_argument("--T", type=int)
+    p.add_argument("--T", type=_positive, help="horizon in half-weight units")
     p.add_argument("--algo", default="grasap", choices=list(qr.TREE_ALGOS))
     p.add_argument("--bs", type=int, help="plasmatree domain size")
     p.add_argument("--procs", type=_positive, help="optional capacity extension")

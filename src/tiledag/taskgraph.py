@@ -101,7 +101,7 @@ class WeightModel:
             table[COPY] = 0
         elif mode == "cholesky":
             table = dict(self.CHOLESKY)
-        elif mode in ("qr-tt", "qr-full"):
+        elif mode == "qr-tt":
             table = dict(self.QR)
         elif mode == "custom":
             table = dict(table or {})
@@ -127,10 +127,6 @@ class WeightModel:
     @classmethod
     def qr_tt(cls):
         return cls("qr-tt")
-
-    @classmethod
-    def qr_full(cls):
-        return cls("qr-full")
 
     @classmethod
     def custom(cls, table):

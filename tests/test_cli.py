@@ -165,6 +165,31 @@ def test_bad_ip_procs_exit_2(capsys, procs):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("horizon", ["0", "-3", "abc", "1.5", ""])
+def test_bad_ip_horizon_exit_2(capsys, horizon):
+    assert main(["ip-emit", "--p", "3", "--q", "2", "--T", horizon]) == 2
+    assert main(["ip-check", "--p", "3", "--q", "2", "--algo", "greedy",
+                 "--T", horizon]) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_missing_assignment_file_exit_2(tmp_path, capsys):
+    missing = tmp_path / "nonexistent"
+    assert main(["ip-check", "--p", "3", "--q", "2", "--assignment", str(missing)]) == 2
+    err = capsys.readouterr().err
+    assert str(missing) in err and "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("text,line", [("bad\n", "bad"), ("x_1_1 2\nx_1_1 2.5\n", "x_1_1 2.5")])
+def test_malformed_assignment_file_exit_1(tmp_path, capsys, text, line):
+    path = tmp_path / "assign.txt"
+    path.write_text(text)
+    assert main(["ip-check", "--p", "3", "--q", "2", "--assignment", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert f"line {text.count(chr(10))}" in err and repr(line) in err
+
+
 @pytest.mark.parametrize("cmd", ["qr-tiled", "qr-bounds", "sched", "ip-check"])
 def test_plasmatree_needs_bs_exit_2(capsys, cmd):
     assert main([cmd, "--algo", "plasmatree", "--p", "6", "--q", "3"]) == 2

@@ -117,9 +117,9 @@ def test_variable_counts_match_enumeration():
 def test_non_tt_graph_rejected():
     b = build_tree(3, 2, "flattree", family="TS")
     g = build_from_trace(b.trace)
-    s = list_schedule(g, WeightModel.qr_full(), 2, "max")
+    s = list_schedule(g, WeightModel.qr_tt(), 2, "max")
     with pytest.raises(ValueError, match="TT kernels"):
-        schedule_to_assignment(g, s, WeightModel.qr_full())
+        schedule_to_assignment(g, s, WeightModel.qr_tt())
 
 
 def test_assignment_round_trip():
@@ -128,6 +128,13 @@ def test_assignment_round_trip():
     text = assignment_text(assign)
     back = parse_assignment(text)
     assert back == assign
+
+
+@pytest.mark.parametrize("text,no", [("bad", 1), ("# c\n\nx_1_1 2\nx_1_1 2.5", 4),
+                                     ("x_1_1 2 3", 1), ("x_1_1 abc", 1)])
+def test_parse_assignment_names_bad_line(text, no):
+    with pytest.raises(ValueError, match=f"line {no} "):
+        parse_assignment(text)
 
 
 def test_bad_horizon():
@@ -276,3 +283,68 @@ def _milp_optimum(model):
 def test_capacity_optimum_matches_solver(p, q, procs, T, optimum):
     pytest.importorskip("scipy")
     assert _milp_optimum(emit_ip(p, q, T, capacity=procs)) == optimum
+
+
+# sha256 pins taken before the variable-name tables replaced per-call name
+# formatting: full renders of capacity models, completed assignments of one
+# uncapacitated and one capacitated schedule
+CAPACITY_RENDER_SHA256 = {
+    (3, 2, 16, 1): "fa64c74c20d87781dd3ca1e7a9a0698980f1fc7a10183e5f25c0fb5b4e9b6134",
+    (4, 3, 30, 2): "7f2f2e220d2820b3c273e640c409e2e014be4ea329f63440f51aac9d9b1ce5cc",
+    (5, 5, 44, 4): "3b1ab95a8e85e7ca25cc679091564b80eaee954ce1dce33209e8503724571fa6",
+}
+COMPLETED_SHA256 = {
+    False: "58c987fe2e13a143ae14b95891031eccc86e93d2c7fa47d2f0a2ebbc6c48e314",
+    True: "1805e81e70c7ce0c6e0cdd4c9fd967852c47cdf251f905126e2fe89f9ab4c088",
+}
+
+
+def test_capacity_render_pinned():
+    for (p, q, T, procs), digest in CAPACITY_RENDER_SHA256.items():
+        assert _sha(emit_ip(p, q, T, capacity=procs).render()) == digest, (p, q, T, procs)
+
+
+@pytest.mark.parametrize("capacitated", [False, True])
+def test_completed_assignment_pinned(capacitated):
+    if capacitated:
+        g, s = _schedule(5, 5, "grasap", 11)
+        model = emit_ip(5, 5, 44, capacity=11)
+    else:
+        g, s = _schedule(4, 3, "greedy", 2)
+        model = emit_ip(4, 3, s.makespan // 2 + 4)
+    assign = complete_assignment(model, schedule_to_assignment(g, s))
+    assert check_feasible(model, assign)[0]
+    assert _sha(assignment_text(assign)) == COMPLETED_SHA256[capacitated]
+
+
+def test_known_prec_link_defect_pinned():
+    """A valid 7x5 greedy schedule violates exactly these rows (the known
+    prec-link defect); a change to them is a change to the model."""
+    g, s = _schedule(7, 5, "greedy", 1)
+    model = emit_ip(7, 5, s.makespan // 2 + 4)
+    _, violated = check_feasible(model, complete_assignment(model, schedule_to_assignment(g, s)))
+    assert [v.name for v in violated] == ["plink_4_6_7_2_4"]
+
+
+def test_fixed_variable_moves_to_rhs():
+    model = emit_ip(3, 2, 16)
+    assert model.fixed == {"x_1_2": 0} and model.x[1, 2] == "x_1_2"
+    model.fixed["x_1_2"] = 2        # a nonzero fixing shows the substitution
+    model._con("t", "test", [(3, "x_1_2"), (1, "x_2_2")], "<=", 10)
+    row = model.constraints[-1]
+    assert row.terms == [(1, "x_2_2")] and row.rhs == 4
+
+
+@pytest.mark.parametrize("capacity", [None, 2])
+def test_model_structure(capacity):
+    for p in range(1, 8):
+        for q in range(1, p + 1):
+            model = emit_ip(p, q, 12, capacity=capacity)
+            names = [c.name for c in model.constraints]
+            assert len(set(names)) == len(names), (p, q)
+            assert not set(model.int_vars) & set(model.bin_vars), (p, q)
+            assert len(set(model.bin_vars)) == len(model.bin_vars), (p, q)
+            declared = set(model.int_vars) | set(model.bin_vars) | set(model.fixed)
+            for con in model.constraints:
+                assert con.terms, (p, q, con.name)
+                assert {v for _, v in con.terms} <= declared, (p, q, con.name)

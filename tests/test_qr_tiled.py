@@ -292,7 +292,7 @@ def test_builder_times_match_hazard_graph():
 
 
 def test_ts_times_match_hazard_graph():
-    w = WeightModel.qr_full()
+    w = WeightModel.qr_tt()
     for p, q in ((5, 3), (6, 4)):
         b = build_tree(p, q, "greedy", family="TS", weights=w)
         g = build_from_trace(b.trace)

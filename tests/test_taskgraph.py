@@ -191,3 +191,10 @@ def test_exports():
     assert "task 0 POTRF 0 w=1" in txt and "edge 0 1 RAW" in txt
     dot = g.to_dot()
     assert dot.startswith("digraph") and "n0 -> n1" in dot
+
+
+def test_unknown_weight_mode():
+    assert WeightModel("qr-tt").table == WeightModel.qr_tt().table
+    for mode in ("qr-full", "nonsense"):
+        with pytest.raises(ValueError, match="unknown weight mode"):
+            WeightModel(mode)
