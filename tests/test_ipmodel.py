@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import random
 
 import pytest
 
@@ -348,3 +349,45 @@ def test_model_structure(capacity):
             for con in model.constraints:
                 assert con.terms, (p, q, con.name)
                 assert {v for _, v in con.terms} <= declared, (p, q, con.name)
+
+
+# sha256 of the completed assignments, verdicts and violated rows of one
+# named-tree schedule per shape q <= p <= 6 and four in-domain mutations of
+# each (times redrawn in [0, T], hats in {0, 1}), taken before the
+# completion was derived from the rows
+MUTATION_SHA256 = {
+    False: "758547b757827cf98640b7d45b000cdc4926f75f4ac8451558246b24ff4b579f",
+    True: "551d689bd0d2022c374f1c0ccfb3e29759dc8ba9c9d1a5d020f5140cbcf45949",
+}
+
+
+def _mutants(model, times, rng, n):
+    names = [v for t in (model.w, model.x, model.y, model.z) for v in t.values()
+             if v not in model.fixed]
+    hats = [*model.yhat.values(), *model.zhat.values()]
+    for _ in range(n):
+        m = dict(times)
+        for v in rng.sample(names, min(3, len(names))):
+            m[v] = rng.randint(0, model.T)
+        for v in rng.sample(hats, min(2, len(hats))):
+            m[v] = rng.randint(0, 1)
+        yield m
+
+
+@pytest.mark.parametrize("capacitated", [False, True])
+def test_in_domain_mutations_pinned(capacitated):
+    rng = random.Random(20261018)
+    trees = ("flattree", "greedy", "binarytree", "grasap")
+    procs = 2 if capacitated else 3
+    digest = hashlib.sha256()
+    for p in range(1, 7):
+        for q in range(1, p + 1):
+            g, s = _schedule(p, q, trees[(p + q) % len(trees)], procs)
+            model = emit_ip(p, q, s.makespan // 2 + 4, capacity=procs if capacitated else None)
+            times = schedule_to_assignment(g, s)
+            for assign in [times, *_mutants(model, times, rng, 4)]:
+                done = complete_assignment(model, assign)
+                ok, violated = check_feasible(model, done)
+                digest.update(assignment_text(done).encode())
+                digest.update(f"{ok} {[v.name for v in violated]}\n".encode())
+    assert digest.hexdigest() == MUTATION_SHA256[capacitated]
