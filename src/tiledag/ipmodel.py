@@ -19,12 +19,14 @@ covers t sum to at most P).  That is 2*A + T rows.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter
+from itertools import permutations
+from operator import eq, ge, itemgetter, le
 
 from .taskgraph import GEQRT, TTMQR, TTQRT, UNMQR
 
 D_GEQRT, D_TTQRT, D_UPDATE = 2, 1, 3
 _var = itemgetter(1)     # the variable of a (coef, var) term
+_SENSES = {"<=": le, ">=": ge, "=": eq}
 
 
 @dataclass(slots=True)
@@ -35,17 +37,10 @@ class Constraint:
     sense: str           # "<=", ">=", "="
     rhs: int
 
-    def lhs_value(self, assignment):
-        get = assignment.get
-        return sum([c * get(v, 0) for c, v in self.terms])
-
     def holds(self, assignment):
-        lhs = self.lhs_value(assignment)
-        if self.sense == "<=":
-            return lhs <= self.rhs
-        if self.sense == ">=":
-            return lhs >= self.rhs
-        return lhs == self.rhs
+        """The row test; missing variables count as 0."""
+        get = assignment.get
+        return _SENSES[self.sense](sum([c * get(v, 0) for c, v in self.terms]), self.rhs)
 
 
 class IPModel:
@@ -54,7 +49,9 @@ class IPModel:
 
     The name tables w, x, y, yhat, z and zhat map each index tuple of a
     variable family's domain to the variable's name; they are built once
-    and every row reads its names from them."""
+    and every row reads its names from them.  aux maps each auxiliary
+    binary (dl*, a1 ... f), in emission order, to its rows that bound it from
+    below: >= rows with a positive and <= rows with a negative coefficient."""
 
     def __init__(self, p, q, horizon, capacity=None):
         if not (p >= q >= 1):
@@ -80,6 +77,7 @@ class IPModel:
             [*self.w.values(), *(n for n in self.x.values() if n not in self.fixed),
              *self.y.values(), *self.z.values(), "total_time"], horizon)
         self.bin_vars = [*self.yhat.values(), *self.zhat.values()]
+        self.aux = {}
         self.constraints = []
         self._build()
 
@@ -117,15 +115,18 @@ class IPModel:
     # -- construction --------------------------------------------------------
 
     def _con(self, name, group, terms, sense, rhs):
-        """Append a row; fixed variables in it move to the right-hand side."""
+        """Append a row and return it; fixed variables in it move to the
+        right-hand side."""
         fixed = self.fixed
         if not fixed.keys().isdisjoint(map(_var, terms)):
             rhs -= sum(c * fixed[v] for c, v in terms if v in fixed)
             terms = [(c, v) for c, v in terms if v not in fixed]
-        self.constraints.append(Constraint(name, group, terms, sense, rhs))
+        row = Constraint(name, group, terms, sense, rhs)
+        self.constraints.append(row)
+        return row
 
     def _build(self):
-        p, q, T, con, bins = self.p, self.q, self.T, self._con, self.bin_vars
+        p, q, T, con, aux = self.p, self.q, self.T, self._con, self.aux
         w, x, y, yhat, z, zhat = self.w, self.x, self.y, self.yhat, self.z, self.zhat
         # 1a-i: updates of one tile from successive panels
         for k in range(2, q + 1):
@@ -196,18 +197,19 @@ class IPModel:
                             for s, o in ((i, j), (j, i)):     # shared, other row
                                 key = "_%s_%s_%s_%s_%s" % (h, s, o, k, l)
                                 d1, d2 = "dl1" + key, "dl2" + key
-                                bins += (d1, d2)
-                                con("c1ciii_a" + key, "1c-iii",
-                                    [(1, y[o, s, k, l]), (1, y[s, o, k, l]),
-                                     (-1, y[h, s, k, l]), (-1, y[s, h, k, l]),
-                                     (T, yhat[h, s, k, l]), (T, yhat[s, h, k, l]), (-T, d1)],
-                                    "<=", T - D_UPDATE)
-                                con("c1ciii_b" + key, "1c-iii",
-                                    [(1, y[h, s, k, l]), (1, y[s, h, k, l]),
-                                     (-1, y[o, s, k, l]), (-1, y[s, o, k, l]),
-                                     (T, yhat[o, s, k, l]), (T, yhat[s, o, k, l]), (-T, d2)],
-                                    "<=", T - D_UPDATE)
-                                con("c1ciii_or" + key, "1c-iii", [(1, d1), (1, d2)], ">=", 1)
+                                a = con("c1ciii_a" + key, "1c-iii",
+                                        [(1, y[o, s, k, l]), (1, y[s, o, k, l]),
+                                         (-1, y[h, s, k, l]), (-1, y[s, h, k, l]),
+                                         (T, yhat[h, s, k, l]), (T, yhat[s, h, k, l]), (-T, d1)],
+                                        "<=", T - D_UPDATE)
+                                b = con("c1ciii_b" + key, "1c-iii",
+                                        [(1, y[h, s, k, l]), (1, y[s, h, k, l]),
+                                         (-1, y[o, s, k, l]), (-1, y[s, o, k, l]),
+                                         (T, yhat[o, s, k, l]), (T, yhat[s, o, k, l]), (-T, d2)],
+                                        "<=", T - D_UPDATE)
+                                either = con("c1ciii_or" + key, "1c-iii",
+                                             [(1, d1), (1, d2)], ">=", 1)
+                                aux[d1], aux[d2] = [a], [b, either]
         # 1c-iv: pair update precedes any zeroing involving its rows
         for i, j, k, l in y:
             for r in (i, j):
@@ -228,14 +230,14 @@ class IPModel:
                             continue
                         key = "_%s_%s_%s_%s" % (h, i, j, k)
                         d5, d6 = "dl5" + key, "dl6" + key
-                        bins += (d5, d6)
-                        con("c1d1_a" + key, "1d-case1",
-                            [(1, z[j, i, k]), (-1, z[h, i, k]), (T, zhat[h, i, k]), (-T, d5)],
-                            "<=", T - D_TTQRT)
-                        con("c1d1_b" + key, "1d-case1",
-                            [(1, z[h, i, k]), (-1, z[j, i, k]), (T, zhat[j, i, k]), (-T, d6)],
-                            "<=", T - D_TTQRT)
-                        con("c1d1_or" + key, "1d-case1", [(1, d5), (1, d6)], ">=", 1)
+                        a = con("c1d1_a" + key, "1d-case1",
+                                [(1, z[j, i, k]), (-1, z[h, i, k]), (T, zhat[h, i, k]), (-T, d5)],
+                                "<=", T - D_TTQRT)
+                        b = con("c1d1_b" + key, "1d-case1",
+                                [(1, z[h, i, k]), (-1, z[j, i, k]), (T, zhat[j, i, k]), (-T, d6)],
+                                "<=", T - D_TTQRT)
+                        either = con("c1d1_or" + key, "1d-case1", [(1, d5), (1, d6)], ">=", 1)
+                        aux[d5], aux[d6] = [a], [b, either]
         # 1d case 2: pivot duty precedes the pivot's own zeroing
         # (the formulation leaves the row-order of this case open; emitted for
         # all valid row triples)
@@ -313,60 +315,52 @@ class IPModel:
             con("c11za" + sfx, "11", [(1, zhat[key]), (-1, v)], "<=", 0)
             con("c11zb" + sfx, "11", [(T, zhat[key]), (-1, v)], ">=", 0)
         self._precedence_block()
+        self.bin_vars += self.aux
         self._objective_block()
         if self.capacity is not None:
             self._capacity_block()
 
-    def prec_tuples(self):
-        for k in range(1, self.q + 1):
-            rows = list(self._rows_from(k))
-            for h in rows:
-                for i in rows:
-                    for j in rows:
-                        if len({h, i, j}) == 3:
-                            yield h, i, j, k
-
     def _precedence_block(self):
-        T, con, bins = self.T, self._con, self.bin_vars
+        T, con, aux = self.T, self._con, self.aux
         y, yhat, z, zhat = self.y, self.yhat, self.z, self.zhat
         c_of, f_of = {}, {}
-        for h, i, j, k in self.prec_tuples():
+        # every ordered triple of distinct rows at or below the diagonal of k
+        for h, i, j, k in ((h, i, j, k) for k in range(1, self.q + 1)
+                           for h, i, j in permutations(self._rows_from(k), 3)):
             key = "_%s_%s_%s_%s" % (h, i, j, k)
             a1, a2, b, c1, c = "a1" + key, "a2" + key, "b" + key, "c1" + key, "c" + key
-            bins += (a1, a2, b, c1, c)
             c_of[h, i, j, k] = c
             zh, zj, zih = zhat[h, i, k], zhat[j, i, k], zhat[i, h, k]
             con("pa1a" + key, "prec-a1", [(1, a1), (-1, zh)], "<=", 0)
             con("pa1b" + key, "prec-a1", [(1, a1), (-1, zj)], "<=", 0)
-            con("pa1c" + key, "prec-a1", [(1, a1), (-1, zh), (-1, zj)], ">=", -1)
+            aux[a1] = [con("pa1c" + key, "prec-a1", [(1, a1), (-1, zh), (-1, zj)], ">=", -1)]
             con("pa2a" + key, "prec-a2", [(1, a2), (-1, zih)], "<=", 0)
             con("pa2b" + key, "prec-a2", [(1, a2), (-1, zj)], "<=", 0)
-            con("pa2c" + key, "prec-a2", [(1, a2), (-1, zih), (-1, zj)], ">=", -1)
+            aux[a2] = [con("pa2c" + key, "prec-a2", [(1, a2), (-1, zih), (-1, zj)], ">=", -1)]
             terms = [(T, b), (-1, z[h, i, k]), (1, z[j, i, k])]
-            con("pba" + key, "prec-b", terms, ">=", 0)
+            aux[b] = [con("pba" + key, "prec-b", terms, ">=", 0)]
             con("pbb" + key, "prec-b", terms, "<=", T)
             con("pc1a" + key, "prec-c1", [(1, c1), (-1, a1)], "<=", 0)
             con("pc1b" + key, "prec-c1", [(1, c1), (-1, b)], "<=", 0)
-            con("pc1c" + key, "prec-c1", [(1, c1), (-1, a1), (-1, b)], ">=", -1)
-            con("pca" + key, "prec-c", [(1, c), (-1, c1)], ">=", 0)
-            con("pcb" + key, "prec-c", [(1, c), (-1, a2)], ">=", 0)
+            aux[c1] = [con("pc1c" + key, "prec-c1", [(1, c1), (-1, a1), (-1, b)], ">=", -1)]
+            aux[c] = [con("pca" + key, "prec-c", [(1, c), (-1, c1)], ">=", 0),
+                      con("pcb" + key, "prec-c", [(1, c), (-1, a2)], ">=", 0)]
             con("pcc" + key, "prec-c", [(1, c), (-1, c1), (-1, a2)], "<=", 0)
             if k >= 2:
                 d, e, f = "d" + key, "e" + key, "f" + key
-                bins += (d, e, f)
                 f_of[h, i, j, k] = f
                 l = k - 1
                 hh = [(-1, yhat[h, i, k, l]), (-1, yhat[i, h, k, l])]
                 hj = [(-1, yhat[j, i, k, l]), (-1, yhat[i, j, k, l])]
                 con("pda" + key, "prec-d", [(1, d)] + hh, "<=", 0)
                 con("pdb" + key, "prec-d", [(1, d)] + hj, "<=", 0)
-                con("pdc" + key, "prec-d", [(1, d)] + hh + hj, ">=", -1)
+                aux[d] = [con("pdc" + key, "prec-d", [(1, d)] + hh + hj, ">=", -1)]
                 terms = [(T, e), (-1, y[h, i, k, l]), (-1, y[i, h, k, l]),
                          (1, y[j, i, k, l]), (1, y[i, j, k, l])]
-                con("pea" + key, "prec-e", terms, ">=", 0)
+                aux[e] = [con("pea" + key, "prec-e", terms, ">=", 0)]
                 con("peb" + key, "prec-e", terms, "<=", T)
-                con("pfa" + key, "prec-f", [(1, f), (-1, d)], ">=", 0)
-                con("pfb" + key, "prec-f", [(1, f), (-1, e)], ">=", 0)
+                aux[f] = [con("pfa" + key, "prec-f", [(1, f), (-1, d)], ">=", 0),
+                          con("pfb" + key, "prec-f", [(1, f), (-1, e)], ">=", 0)]
                 con("pfc" + key, "prec-f", [(1, f), (-1, d), (-1, e)], "<=", 0)
         for (h, i, j, k), c in c_of.items():
             for l in range(max(k + 1, 2), self.q + 1):
@@ -479,74 +473,15 @@ def schedule_to_assignment(graph, schedule, weights=None) -> dict:
 
 
 def complete_assignment(model: IPModel, assign: dict) -> dict:
-    """Fill in the disjunction and precedence auxiliaries implied by the
-    action times.  Incoming pulse binaries are dropped and rederived: only
-    the one pulse that is 1 is set, missing variables count as 0."""
+    """Fill in the auxiliaries implied by the action times: in order, each
+    binary of `model.aux` is 0 if its rows hold so, else 1.  Incoming pulse
+    binaries are dropped and rederived: only the one pulse that is 1 is
+    set, missing variables count as 0."""
     out = {v: x for v, x in assign.items() if not v.startswith("at_")}
-    y, yhat, z, zhat = ({key: out.get(n, 0) for key, n in table.items()}
-                        for table in (model.y, model.yhat, model.z, model.zhat))
-    T = model.T
-
-    def ysum(i, j, k, l):
-        return y[i, j, k, l] + y[j, i, k, l]
-
-    def yhsum(i, j, k, l):
-        return yhat[i, j, k, l] + yhat[j, i, k, l]
-
-    p, q = model.p, model.q
-    for k in range(2, q + 1):
-        for l in range(1, k):
-            rows = range(l, p + 1)
-            for i in rows:
-                for j in range(i + 1, p + 1):
-                    for h in rows:
-                        if h in (i, j):
-                            continue
-                        for shared, other in ((i, j), (j, i)):
-                            # the disjunction form wants at least one delta
-                            # raised, so relax whichever side is not needed
-                            lhs1 = ysum(other, shared, k, l) + D_UPDATE
-                            rhs1 = ysum(h, shared, k, l) + (1 - yhsum(h, shared, k, l)) * T
-                            d1 = 0 if lhs1 <= rhs1 else 1
-                            lhs2 = ysum(h, shared, k, l) + D_UPDATE
-                            rhs2 = ysum(other, shared, k, l) + (1 - yhsum(other, shared, k, l)) * T
-                            d2 = (0 if lhs2 <= rhs2 else 1) if d1 else 1
-                            key = "_%s_%s_%s_%s_%s" % (h, shared, other, k, l)
-                            out["dl1" + key] = d1
-                            out["dl2" + key] = d2
-    for k in range(1, q + 1):
-        rows = range(k, p + 1)
-        for i in rows:
-            for j in rows:
-                for h in range(j + 1, p + 1):
-                    if i in (j, h):
-                        continue
-                    zj, zh = z[j, i, k], z[h, i, k]
-                    ok1 = zj + D_TTQRT <= zh + (1 - zhat[h, i, k]) * T
-                    ok2 = zh + D_TTQRT <= zj + (1 - zhat[j, i, k]) * T
-                    d5 = 0 if ok1 else 1
-                    key = "_%s_%s_%s_%s" % (h, i, j, k)
-                    out["dl5" + key] = d5
-                    out["dl6" + key] = (0 if ok2 else 1) if d5 else 1
-    for h, i, j, k in model.prec_tuples():
-        zh_hat = zhat[h, i, k]
-        zj_hat = zhat[j, i, k]
-        a1 = zh_hat and zj_hat
-        a2 = zhat[i, h, k] and zj_hat
-        b = 1 if z[h, i, k] > z[j, i, k] else 0
-        c1 = 1 if (a1 and b) else 0
-        key = "_%s_%s_%s_%s" % (h, i, j, k)
-        out["a1" + key] = 1 if a1 else 0
-        out["a2" + key] = 1 if a2 else 0
-        out["b" + key] = b
-        out["c1" + key] = c1
-        out["c" + key] = 1 if (c1 or a2) else 0
-        if k >= 2:
-            d = 1 if (yhsum(h, i, k, k - 1) >= 1 and yhsum(j, i, k, k - 1) >= 1) else 0
-            e = 1 if ysum(h, i, k, k - 1) > ysum(j, i, k, k - 1) else 0
-            out["d" + key] = d
-            out["e" + key] = e
-            out["f" + key] = 1 if (d or e) else 0
+    for var, rows in model.aux.items():
+        out[var] = 0
+        if not all(row.holds(out) for row in rows):
+            out[var] = 1
     if model.capacity is not None:
         for var, _, _ in model._actions():
             fin = out.get(var, 0)

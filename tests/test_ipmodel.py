@@ -349,15 +349,27 @@ def test_model_structure(capacity):
             for con in model.constraints:
                 assert con.terms, (p, q, con.name)
                 assert {v for _, v in con.terms} <= declared, (p, q, con.name)
+            # every auxiliary binary is recorded, in emission order, with rows
+            # that bound it from below and hold no later auxiliary
+            assert list(model.aux) == [v for v in model.bin_vars
+                                       if not v.startswith(("yhat_", "zhat_", "at_"))]
+            seen = set()
+            for var, rows in model.aux.items():
+                assert rows, (p, q, var)
+                for row in rows:
+                    coef = {v: c for c, v in row.terms}
+                    assert coef[var] > 0 if row.sense == ">=" else coef[var] < 0, row.name
+                    assert row.sense in ("<=", ">="), row.name
+                    assert {v for v in coef if v in model.aux} <= seen | {var}, row.name
+                seen.add(var)
 
 
 # sha256 of the completed assignments, verdicts and violated rows of one
-# named-tree schedule per shape q <= p <= 6 and four in-domain mutations of
-# each (times redrawn in [0, T], hats in {0, 1}), taken before the
-# completion was derived from the rows
+# named-tree schedule per shape q <= p <= 6 and four seeded in-domain
+# mutations of each (times redrawn in [0, T], hats in {0, 1})
 MUTATION_SHA256 = {
     False: "758547b757827cf98640b7d45b000cdc4926f75f4ac8451558246b24ff4b579f",
-    True: "551d689bd0d2022c374f1c0ccfb3e29759dc8ba9c9d1a5d020f5140cbcf45949",
+    True: "8ab7c2b13e7bd2ee50c508ef09f835ac9d40d92a02b64fe196c298f876ca3092",
 }
 
 
