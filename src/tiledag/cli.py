@@ -1,9 +1,9 @@
 """Command-line front end: reproduce the reference tables and sweeps as CSV.
 
 Every subcommand writes deterministic CSV (stdout by default, --out FILE
-otherwise; TILEDAG_OUTDIR overrides the output directory).  --check
-re-derives golden values where they exist.  Flag errors exit 2; check
-mismatches and invalid instances exit 1.
+otherwise; TILEDAG_OUTDIR overrides the output directory).  --check, on the
+subcommands that have golden values or closed forms, re-derives them.  Flag
+errors exit 2; check mismatches and invalid instances exit 1.
 """
 
 from __future__ import annotations
@@ -70,6 +70,14 @@ def _fail_cells(cells):
     return 1 if cells else 0
 
 
+def _bounds_csv(rows) -> str:
+    lines = ["p,LA,T_alap,T_rooftop,speedup,efficiency"]
+    for r in rows:
+        lines.append(f"{r.p},{r.lost_area},{_fmt2(r.t_alap)},{_fmt2(r.t_roof)},"
+                     f"{_fmt2(r.speedup)},{_fmt2(r.efficiency)}")
+    return "\n".join(lines) + "\n"
+
+
 def cmd_chol_cp(args):
     t = args.t
     wu = WeightModel.unit()
@@ -108,11 +116,7 @@ def cmd_chol_bounds(args):
     graph = build_from_trace(trace)
     wc = WeightModel.cholesky()
     rows = sched.bounds_table(graph, wc, args.procs)
-    lines = ["p,LA,T_alap,T_rooftop,speedup,efficiency"]
-    for r in rows:
-        lines.append(f"{r.p},{r.lost_area},{_fmt2(r.t_alap)},{_fmt2(r.t_roof)},"
-                     f"{_fmt2(r.speedup)},{_fmt2(r.efficiency)}")
-    _write(args, "\n".join(lines) + "\n")
+    _write(args, _bounds_csv(rows))
     if args.check and args.t == 5:
         cells = []
         for r in rows:
@@ -202,12 +206,7 @@ def cmd_qr_bounds(args):
     build = qr.build_tree(args.p, args.q, args.algo, bs=args.bs)
     graph = build_from_trace(build.trace)
     w = WeightModel.qr_tt()
-    rows = sched.bounds_table(graph, w, args.procs)
-    lines = ["p,LA,T_alap,T_rooftop,speedup,efficiency"]
-    for r in rows:
-        lines.append(f"{r.p},{r.lost_area},{_fmt2(r.t_alap)},{_fmt2(r.t_roof)},"
-                     f"{_fmt2(r.speedup)},{_fmt2(r.efficiency)}")
-    _write(args, "\n".join(lines) + "\n")
+    _write(args, _bounds_csv(sched.bounds_table(graph, w, args.procs)))
     return 0
 
 
@@ -279,9 +278,6 @@ def cmd_ip_emit(args):
 
 def cmd_ip_check(args):
     horizon = args.T
-    build = qr.build_tree(args.p, args.q, args.algo, bs=args.bs)
-    graph = build_from_trace(build.trace)
-    w = WeightModel.qr_tt()
     if args.assignment:
         try:
             with open(args.assignment) as fh:
@@ -292,9 +288,14 @@ def cmd_ip_check(args):
             return 2
         assign = ipmodel.parse_assignment(text)
         if horizon is None:
+            if not assign:
+                raise ValueError(f"assignment file {args.assignment!r} has no entries; "
+                                 "give --T to check it")
             horizon = max(assign.values()) + 4
     else:
-        s = sched.list_schedule(graph, w, args.procs or 1, "max")
+        build = qr.build_tree(args.p, args.q, args.algo, bs=args.bs)
+        graph = build_from_trace(build.trace)
+        s = sched.list_schedule(graph, WeightModel.qr_tt(), args.procs or 1, "max")
         if horizon is None:
             horizon = s.makespan // 2 + 4   # big-M headroom past the last finish
         assign = ipmodel.schedule_to_assignment(graph, s)
@@ -313,29 +314,32 @@ def main(argv=None):
                                              "and schedules of tiled linear algebra")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
-    def add(name, fn, **kw):
+    def add(name, fn, check=False, **kw):
         p = sub.add_parser(name, **kw)
         p.set_defaults(fn=fn)
         p.add_argument("--out", help="output file (default stdout)")
-        p.add_argument("--check", action="store_true",
-                       help="re-derive golden values; exit 1 on mismatch")
+        if check:
+            p.add_argument("--check", action="store_true",
+                           help="re-derive golden values; exit 1 on mismatch")
         return p
 
-    p = add("chol-cp", cmd_chol_cp, help="per-step and pipelined inversion critical paths")
+    p = add("chol-cp", cmd_chol_cp, check=True,
+            help="per-step and pipelined inversion critical paths")
     p.add_argument("--t", type=int, required=True)
 
-    p = add("chol-bounds", cmd_chol_bounds, help="Lost-Area/ALAP and Rooftop bound table")
+    p = add("chol-bounds", cmd_chol_bounds, check=True,
+            help="Lost-Area/ALAP and Rooftop bound table")
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--procs", type=_procs, default="1..10")
 
-    p = add("qr-coarse", cmd_qr_coarse, help="coarse time-step table")
+    p = add("qr-coarse", cmd_qr_coarse, check=True, help="coarse time-step table")
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--algo", default="greedy",
                    choices=["sameh-kuck", "fibonacci", "greedy"])
     p.add_argument("--list", action="store_true", help="also write the elimination list CSV")
 
-    p = add("qr-tiled", cmd_qr_tiled, help="tiled zeroed-time table")
+    p = add("qr-tiled", cmd_qr_tiled, check=True, help="tiled zeroed-time table")
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--algo", default="greedy", choices=list(qr.TREE_ALGOS))
@@ -343,7 +347,7 @@ def main(argv=None):
     p.add_argument("--bs", type=int, help="plasmatree domain size")
     p.add_argument("--i", type=int, default=1, help="grasap trailing asap columns")
 
-    p = add("qr-cp-table", cmd_qr_cp_table, help="critical-path comparison table")
+    p = add("qr-cp-table", cmd_qr_cp_table, check=True, help="critical-path comparison table")
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--q", type=int, required=True, help="largest column count")
 
@@ -354,7 +358,7 @@ def main(argv=None):
     p.add_argument("--bs", type=int)
     p.add_argument("--procs", type=_procs, default="1..14")
 
-    p = add("sched", cmd_sched, help="bounded-processor list scheduling")
+    p = add("sched", cmd_sched, check=True, help="bounded-processor list scheduling")
     p.add_argument("--algo", default="cholesky",
                    choices=["cholesky"] + list(qr.TREE_ALGOS))
     p.add_argument("--t", type=int, default=5, help="tiles per side (cholesky)")
@@ -369,7 +373,7 @@ def main(argv=None):
     p = add("alpha", cmd_alpha, help="smallest processor count attaining 9t-10")
     p.add_argument("--t", type=int, default=10, help="largest t")
 
-    p = add("strassen-count", cmd_strassen_count, help="task/flop/cp/temp counters")
+    p = add("strassen-count", cmd_strassen_count, check=True, help="task/flop/cp/temp counters")
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--r", type=int, required=True, help="largest recursion level")
     p.add_argument("--nb", type=int, default=200)

@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import permutations
 from operator import eq, ge, itemgetter, le
+from typing import NamedTuple
 
 from .taskgraph import GEQRT, TTMQR, TTQRT, UNMQR
 
@@ -490,15 +491,33 @@ def complete_assignment(model: IPModel, assign: dict) -> dict:
     return out
 
 
+class DomainViolation(NamedTuple):
+    """An assignment entry that names no variable of the model, or whose
+    value lies outside the domain that render() declares for it."""
+    name: str
+    group: str = "domain"
+
+
 def check_feasible(model: IPModel, assignment: dict):
-    """(verdict, violations): evaluate every constraint; fixed variables
-    are substituted, missing ones count as 0."""
-    full = dict(model.fixed)
-    full.update(assignment)
+    """(verdict, violations).  Each entry of the assignment must lie in its
+    variable's domain (generals in [0, ub], binaries in {0, 1}, fixed
+    variables at their value), else it is a DomainViolation.  Every row is
+    then evaluated with the fixed variables substituted; missing variables
+    count as 0."""
+    ints, fixed, bins = model.int_vars, model.fixed, set(model.bin_vars)
     violated = []
-    for con in model.constraints:
-        if not con.holds(full):
-            violated.append(con)
+    for name, value in assignment.items():
+        if name in ints:
+            ok = 0 <= value <= ints[name]
+        elif name in fixed:
+            ok = value == fixed[name]
+        else:
+            ok = name in bins and value in (0, 1)
+        if not ok:
+            violated.append(DomainViolation(name))
+    full = dict(fixed)
+    full.update(assignment)
+    violated += [con for con in model.constraints if not con.holds(full)]
     return (not violated), violated
 
 

@@ -119,7 +119,9 @@ def test_ip_round_trip(tmp_path, capsys):
     assert rc == 0 and "feasible" in out
 
 
-def test_ip_check_assignment_file(tmp_path, capsys):
+def _assignment_file(tmp_path, extra=""):
+    """A valid 3x2 greedy schedule on 2 processors as an assignment file,
+    with the lines of extra appended."""
     from tiledag import (WeightModel, build_from_trace, build_tree,
                          list_schedule, schedule_to_assignment)
     from tiledag.ipmodel import assignment_text
@@ -127,10 +129,41 @@ def test_ip_check_assignment_file(tmp_path, capsys):
     g = build_from_trace(b.trace)
     s = list_schedule(g, WeightModel.qr_tt(), 2, "max")
     path = tmp_path / "assign.txt"
-    path.write_text(assignment_text(schedule_to_assignment(g, s)))
+    path.write_text(assignment_text(schedule_to_assignment(g, s)) + extra)
+    return path
+
+
+def test_ip_check_assignment_file(tmp_path, capsys):
     rc, out = run(capsys, "ip-check", "--p", "3", "--q", "2",
-                  "--assignment", str(path))
+                  "--assignment", str(_assignment_file(tmp_path)))
     assert rc == 0 and out.startswith("feasible")
+
+
+@pytest.mark.parametrize("extra", ["total_time 1000000", "x_9_9 5", "zhat_2_1_1 2"])
+def test_ip_check_out_of_domain_entry_exit_1(tmp_path, capsys, extra):
+    path = _assignment_file(tmp_path, extra + "\n")
+    rc, out = run(capsys, "ip-check", "--p", "3", "--q", "2", "--T", "32",
+                  "--assignment", str(path))
+    name = extra.split()[0]
+    assert rc == 1 and out.splitlines()[:2] == ["infeasible", f"  violated [domain] {name}"]
+
+
+def test_empty_assignment_file_without_horizon_exit_1(tmp_path, capsys):
+    path = tmp_path / "empty.txt"
+    path.write_text("# nothing\n")
+    assert main(["ip-check", "--p", "3", "--q", "2", "--assignment", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert str(path) in err and "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [["qr-bounds", "--p", "4", "--q", "2"], ["alpha", "--t", "4"],
+                                  ["ip-emit", "--p", "2", "--q", "2"],
+                                  ["ip-check", "--p", "3", "--q", "2"]])
+def test_check_flag_only_where_implemented(capsys, argv):
+    assert main(argv) == 0
+    assert main(argv + ["--check"]) == 2
+    assert "--check" in capsys.readouterr().err
 
 
 def test_byte_identical_reruns(capsys):

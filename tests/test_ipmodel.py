@@ -327,6 +327,19 @@ def test_known_prec_link_defect_pinned():
     assert [v.name for v in violated] == ["plink_4_6_7_2_4"]
 
 
+def test_domain_violations_reported():
+    g, s = _schedule(3, 2, "greedy", 2)
+    model = emit_ip(3, 2, 32)
+    assign = complete_assignment(model, schedule_to_assignment(g, s))
+    assert check_feasible(model, assign)[0]
+    bad = {"total_time": 10 ** 6, "x_9_9": 5, "y_1_2_2_1": -1, "zhat_2_1_1": 2,
+           "x_1_2": 3, "at_x_1_1_5": 1}
+    ok, violated = check_feasible(model, {**assign, **bad})
+    assert not ok
+    assert {v.name for v in violated if v.group == "domain"} == set(bad)
+    assert check_feasible(model, {**assign, "x_1_2": 0, "zhat_2_1_1": 1, "total_time": 32})[0]
+
+
 def test_fixed_variable_moves_to_rhs():
     model = emit_ip(3, 2, 16)
     assert model.fixed == {"x_1_2": 0} and model.x[1, 2] == "x_1_2"
@@ -369,7 +382,7 @@ def test_model_structure(capacity):
 # mutations of each (times redrawn in [0, T], hats in {0, 1})
 MUTATION_SHA256 = {
     False: "758547b757827cf98640b7d45b000cdc4926f75f4ac8451558246b24ff4b579f",
-    True: "8ab7c2b13e7bd2ee50c508ef09f835ac9d40d92a02b64fe196c298f876ca3092",
+    True: "a2cfb22f4a0f76f0840f1760658d7625da6baf0969262969c8180e9f1de3bcfc",
 }
 
 
