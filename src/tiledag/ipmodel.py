@@ -363,11 +363,12 @@ class IPModel:
                 aux[f] = [con("pfa" + key, "prec-f", [(1, f), (-1, d)], ">=", 0),
                           con("pfb" + key, "prec-f", [(1, f), (-1, e)], ">=", 0)]
                 con("pfc" + key, "prec-f", [(1, f), (-1, d), (-1, e)], "<=", 0)
+        # column k's zeroing order binds the pair-update order f of column k+1
         for (h, i, j, k), c in c_of.items():
-            for l in range(max(k + 1, 2), self.q + 1):
-                if h >= l and i >= l and j >= l:
-                    con("plink_%s_%s_%s_%s_%s" % (h, i, j, k, l), "prec-link",
-                        [(1, c), (-1, f_of[h, i, j, l])], "<=", 0)
+            f = f_of.get((h, i, j, k + 1))
+            if f:
+                con("plink_%s_%s_%s_%s_%s" % (h, i, j, k, k + 1), "prec-link",
+                    [(1, c), (-1, f)], "<=", 0)
 
     def _objective_block(self):
         for name in self.int_vars:
