@@ -39,7 +39,6 @@ class Constraint:
     rhs: int
 
     def holds(self, assignment):
-        """The row test; missing variables count as 0."""
         get = assignment.get
         return _SENSES[self.sense](sum([c * get(v, 0) for c, v in self.terms]), self.rhs)
 
@@ -116,8 +115,7 @@ class IPModel:
     # -- construction --------------------------------------------------------
 
     def _con(self, name, group, terms, sense, rhs):
-        """Append a row and return it; fixed variables in it move to the
-        right-hand side."""
+        """Append and return a row; fixed variables move to the right-hand side."""
         fixed = self.fixed
         if not fixed.keys().isdisjoint(map(_var, terms)):
             rhs -= sum(c * fixed[v] for c, v in terms if v in fixed)
@@ -482,8 +480,10 @@ def complete_assignment(model: IPModel, assign: dict) -> dict:
     out = {v: x for v, x in assign.items() if not v.startswith("at_")}
     for var, rows in model.aux.items():
         out[var] = 0
-        if not all(row.holds(out) for row in rows):
-            out[var] = 1
+        for row in rows:
+            if not row.holds(out):
+                out[var] = 1
+                break
     if model.capacity is not None:
         for var, _, _ in model._actions():
             fin = out.get(var, 0)
