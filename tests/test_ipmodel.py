@@ -389,8 +389,8 @@ def test_model_structure(capacity):
                 assert rows, (p, q, var)
                 for row in rows:
                     coef = {v: c for c, v in row.terms}
-                    assert coef[var] > 0 if row.sense == ">=" else coef[var] < 0, row.name
                     assert row.sense in ("<=", ">="), row.name
+                    assert coef[var] > 0 if row.sense == ">=" else coef[var] < 0, row.name
                     assert {v for v in coef if v in model.aux} <= seen | {var}, row.name
                 seen.add(var)
 
