@@ -48,6 +48,23 @@ def test_qr_cp_table(capsys):
         assert int(row[1]) <= int(row[3]) <= int(row[5])  # greedy <= best PT <= flat tree
 
 
+def test_qr_cp_table_check_p40(capsys):
+    rc, out = run(capsys, "qr-cp-table", "--p", "40", "--q", "3", "--check")
+    assert rc == 0
+    assert out.splitlines()[1:] == ["1,16,22,16,1,82", "2,54,72,60,3,250",
+                                    "3,74,94,98,5,266"]
+
+
+def test_qr_cp_table_check_mismatch_lines(capsys, monkeypatch):
+    from tiledag import golden
+    monkeypatch.setattr(golden, "GREEDY_CP_P40", [16, 55] + golden.GREEDY_CP_P40[2:])
+    monkeypatch.setattr(golden, "PLASMATREE_CP_P40",
+                        [(1, 17)] + golden.PLASMATREE_CP_P40[1:])
+    assert main(["qr-cp-table", "--p", "40", "--q", "2", "--check"]) == 1
+    assert capsys.readouterr().err == ("check mismatch: plasmatree q=1: 16 != 17\n"
+                                       "check mismatch: greedy q=2: 54 != 55\n")
+
+
 def test_golden_checks_15x6(capsys):
     for algo in ("sameh-kuck", "fibonacci", "greedy"):
         rc, _ = run(capsys, "qr-coarse", "--p", "15", "--q", "6", "--algo", algo, "--check")
