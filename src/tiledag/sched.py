@@ -16,8 +16,8 @@ from fractions import Fraction
 
 from . import cholesky
 from .taskgraph import (
-    BARRIER, TaskGraph, WeightModel, alap_profile, annotate_cp,
-    build_from_trace,
+    BARRIER, GEMM, SYRK, TRSM, Task, TaskGraph, WeightModel, alap_profile,
+    annotate_cp, build_from_trace,
 )
 
 MAX_CP = "max"
@@ -67,9 +67,8 @@ def check_schedule(graph: TaskGraph, weights: WeightModel, sched: Schedule):
         for (s1, e1, a), (s2, e2, b) in zip(spans, spans[1:]):
             if s2 < e1:
                 raise AssertionError(f"overlap on processor {proc}: tasks {a} and {b}")
-    starts = {t: ps[1] for t, ps in sched.assignment.items()}
     for u, v, _ in graph.edges:
-        if fin[u] > starts[v]:
+        if fin[u] > sched.assignment[v][1]:
             raise AssertionError(f"precedence violated on edge {u}->{v}")
     return True
 
@@ -89,22 +88,20 @@ def list_schedule(graph: TaskGraph, weights: WeightModel, p: int,
         raise ValueError(f"unknown policy {policy!r}")
     ann = annotation or annotate_cp(graph, weights)
     rng = random.Random(seed)
-    pred = graph.predecessors()
-    succ = graph.successors()
+    succ, pred = graph.adjacency()
     indeg = {t.id: len(pred[t.id]) for t in graph.tasks}
     w = {t.id: weights.of(t) for t in graph.tasks}
     prio = ann.priority
+    sign = -1 if policy == MAX_CP else 1
 
-    ready = []   # heap keyed by policy
+    ready = []   # heap keyed by signed priority, or the random pool
     def push(tid):
         if w[tid] == 0:
             zero_ready.append(tid)
-        elif policy == MAX_CP:
-            heapq.heappush(ready, (-prio[tid], tid))
-        elif policy == MIN_CP:
-            heapq.heappush(ready, (prio[tid], tid))
-        else:
+        elif policy == RANDOM_CP:
             ready.append(tid)
+        else:
+            heapq.heappush(ready, (sign * prio[tid], tid))
 
     zero_ready = []
     assignment = {}
@@ -167,59 +164,38 @@ def sync_chol_schedule(t: int, p: int, variant: str = "relaxed") -> Schedule:
     if t < 2:
         raise ValueError("need t >= 2")
     graph, weights = sync_chol_graph(t, variant)
-    sched = list_schedule(graph, weights, p, MAX_CP)
-    return sched
+    return list_schedule(graph, weights, p, MAX_CP)
 
 
 def sync_chol_graph(t: int, variant: str = "relaxed"):
-    from .taskgraph import GEMM, POTRF, SYRK, TRSM, Task
-
     if variant not in ("grouped", "relaxed"):
         raise ValueError(f"unknown variant {variant!r}")
     trace = cholesky.gen_chol_fact(t, "right")
     out = []
-    n = 0
 
-    def emit(task):
-        nonlocal n
-        out.append(Task(n, task.kind, task.indices, task.reads, task.writes))
-        n += 1
-
-    def barrier():
-        nonlocal n
-        out.append(Task(n, BARRIER, (), (), ()))
-        n += 1
+    def phase(tasks, barrier=True):
+        """Renumber a non-empty phase into out, closed by a barrier."""
+        for task in tasks:
+            out.append(Task(len(out), task.kind, task.indices, task.reads, task.writes))
+        if tasks and barrier:
+            out.append(Task(len(out), BARRIER))
 
     pos = 0
     for k in range(t):
-        potrf = trace[pos]; pos += 1
-        emit(potrf)
-        barrier()
+        phase([trace[pos]]); pos += 1
         trsms = []
         while pos < len(trace) and trace[pos].kind == TRSM and trace[pos].indices[1] == k:
             trsms.append(trace[pos]); pos += 1
         updates = []
         while pos < len(trace) and trace[pos].kind in (SYRK, GEMM) and trace[pos].indices[-1] == k:
             updates.append(trace[pos]); pos += 1
-        if trsms:
-            for task in trsms:
-                emit(task)
-            barrier()
+        phase(trsms)
         if variant == "grouped":
-            gemms = [u for u in updates if u.kind == GEMM]
-            syrks = [u for u in updates if u.kind == SYRK]
-            if gemms:
-                for task in gemms:
-                    emit(task)
-                barrier()
-            if syrks:
-                for task in syrks:
-                    emit(task)
-                barrier()
+            phase([u for u in updates if u.kind == GEMM])
+            phase([u for u in updates if u.kind == SYRK])
         else:
-            for task in updates:
-                emit(task)
             # no trailing barrier: the next POTRF overlaps the update phase
+            phase(updates, barrier=False)
     graph = build_from_trace(out)
     return graph, WeightModel.cholesky()
 
@@ -237,35 +213,13 @@ def lost_area(profile, p: int) -> int:
     """
     if p < 1:
         raise ValueError("need p >= 1")
-    steps = profile.steps + [(profile.makespan, 0)]
-    tail = 0
-    area = 0
-    for (t0, c), (t1, _) in zip(steps, steps[1:]):
-        if t1 <= t0:
-            continue
+    area, end = 0, profile.makespan
+    for start, c in reversed(profile.steps):
         if c > p:
-            tail = t1
-    for (t0, c), (t1, _) in zip(steps, steps[1:]):
-        lo = max(t0, tail)
-        if t1 > lo:
-            area += (p - c) * (t1 - lo)
+            break
+        area += (p - c) * (end - start)
+        end = start
     return area
-
-
-def alap_bound(graph: TaskGraph, weights: WeightModel, p: int) -> Fraction:
-    """ALAP-derived performance bound max(cp, (T_seq + LA_p)/p)."""
-    profile = alap_profile(graph, weights)
-    la = lost_area(profile, p)
-    return max(Fraction(profile.makespan), Fraction(profile.t_seq + la, p))
-
-
-def rooftop_bound(graph: TaskGraph, weights: WeightModel, p: int) -> Fraction:
-    """Perfect speedup until the critical path: max(cp, T_seq/p)."""
-    if p < 1:
-        raise ValueError("need p >= 1")
-    ann = annotate_cp(graph, weights)
-    t_seq = sum(weights.of(t) for t in graph.tasks)
-    return max(Fraction(ann.cp_length), Fraction(t_seq, p))
 
 
 def lower_bound_factor(makespan, p: int) -> Fraction:
@@ -286,6 +240,11 @@ def gamma_ub(gamma_seq, total_flops, cp, procs) -> Fraction:
 
 @dataclass
 class BoundsRow:
+    """Bounds on p processors: the ALAP-derived t_alap = max(cp, (T_seq +
+    LA_p)/p), the Rooftop t_roof = max(cp, T_seq/p), speedup = T_seq/t_alap
+    and efficiency = speedup/p.  A DAG of total weight 0 takes no time on
+    any p, so its speedup is 1 (and its efficiency 1/p)."""
+
     p: int
     lost_area: int
     t_alap: Fraction
@@ -295,8 +254,7 @@ class BoundsRow:
 
 
 def bounds_table(graph: TaskGraph, weights: WeightModel, procs) -> list:
-    """Per-processor-count Lost Area, ALAP/Rooftop bounds, speedup and
-    efficiency (speedup = T_seq / T_alap, efficiency = speedup/p)."""
+    """One BoundsRow per processor count, all read off one ALAP profile."""
     profile = alap_profile(graph, weights)
     t_seq = profile.t_seq
     cp = profile.makespan
@@ -305,9 +263,19 @@ def bounds_table(graph: TaskGraph, weights: WeightModel, procs) -> list:
         la = lost_area(profile, p)
         t_alap = max(Fraction(cp), Fraction(t_seq + la, p))
         t_roof = max(Fraction(cp), Fraction(t_seq, p))
-        s = Fraction(t_seq) / t_alap
+        s = Fraction(t_seq) / t_alap if t_seq else Fraction(1)
         rows.append(BoundsRow(p, la, t_alap, t_roof, s, s / p))
     return rows
+
+
+def alap_bound(graph: TaskGraph, weights: WeightModel, p: int) -> Fraction:
+    """ALAP-derived performance bound max(cp, (T_seq + LA_p)/p)."""
+    return bounds_table(graph, weights, [p])[0].t_alap
+
+
+def rooftop_bound(graph: TaskGraph, weights: WeightModel, p: int) -> Fraction:
+    """Perfect speedup until the critical path: max(cp, T_seq/p)."""
+    return bounds_table(graph, weights, [p])[0].t_roof
 
 
 def alpha_min(t: int, p_cap=None):

@@ -156,8 +156,7 @@ class TaskGraph:
         self._index = {t.id: i for i, t in enumerate(self.tasks)}
         if len(self._index) != len(self.tasks):
             raise ValueError("duplicate task ids")
-        self._succ = None
-        self._pred = None
+        self._adj = None
 
     def __len__(self):
         return len(self.tasks)
@@ -165,21 +164,17 @@ class TaskGraph:
     def task(self, tid):
         return self.tasks[self._index[tid]]
 
-    def successors(self):
-        if self._succ is None:
+    def adjacency(self):
+        """(successors, predecessors): task id -> neighbour ids in edge
+        order, built once from a single pass over the edges."""
+        if self._adj is None:
             succ = {t.id: [] for t in self.tasks}
-            for u, v, _ in self.edges:
-                succ[u].append(v)
-            self._succ = succ
-        return self._succ
-
-    def predecessors(self):
-        if self._pred is None:
             pred = {t.id: [] for t in self.tasks}
             for u, v, _ in self.edges:
+                succ[u].append(v)
                 pred[v].append(u)
-            self._pred = pred
-        return self._pred
+            self._adj = succ, pred
+        return self._adj
 
     def topo_order(self):
         """Task ids in topological order; raises on cycles, naming one
@@ -187,13 +182,11 @@ class TaskGraph:
         ids = [t.id for t in self.tasks]
         if all(u < v for u, v, _ in self.edges):
             return ids  # trace-built graphs are already sorted
-        indeg = {i: 0 for i in ids}
-        for _, v, _ in self.edges:
-            indeg[v] += 1
+        succ, pred = self.adjacency()
+        indeg = {i: len(pred[i]) for i in ids}
         ready = [i for i in ids if indeg[i] == 0]
         heapq.heapify(ready)
         order = []
-        succ = self.successors()
         while ready:
             u = heapq.heappop(ready)
             order.append(u)
@@ -213,7 +206,7 @@ class TaskGraph:
     def transitive_redundant_edges(self):
         """Edges implied by a longer path (flagging only; O(V*E), use on
         small graphs)."""
-        succ = self.successors()
+        succ, _ = self.adjacency()
         redundant = []
         for u, v, cause in self.edges:
             stack = [w for w in succ[u] if w != v]
@@ -268,16 +261,12 @@ def build_from_trace(trace: Sequence[Task]) -> TaskGraph:
     edges = []
     last_write = {}   # tile -> writer id
     readers = {}      # tile -> list of reader ids since last write
-    seen_ids = set()
     prev = None
     barrier = None          # id of the most recent barrier
     since_barrier = []      # ids seen since that barrier
     for t in trace:
         if prev is not None and t.id <= prev:
             raise ValueError(f"task ids must be strictly increasing (got {t.id} after {prev})")
-        if t.id in seen_ids:
-            raise ValueError(f"duplicate task id {t.id}")
-        seen_ids.add(t.id)
         prev = t.id
         if t.kind == BARRIER:
             for u in since_barrier:
@@ -326,6 +315,7 @@ class CpAnnotation:
     cp_length: int
     earliest: dict          # earliest start on unbounded processors
     latest: dict            # ALAP start: cp_length - priority
+    weight: dict            # task id -> weight, in task order
 
     def critical_ids(self):
         return [i for i in self.priority if self.earliest[i] == self.latest[i]]
@@ -336,8 +326,7 @@ def annotate_cp(graph: TaskGraph, weights: WeightModel) -> CpAnnotation:
     including its own weight; cp_length is the weighted critical path."""
     order = graph.topo_order()
     w = {t.id: weights.of(t) for t in graph.tasks}
-    succ = graph.successors()
-    pred = graph.predecessors()
+    succ, pred = graph.adjacency()
     priority = {}
     for u in reversed(order):
         best = 0
@@ -355,7 +344,7 @@ def annotate_cp(graph: TaskGraph, weights: WeightModel) -> CpAnnotation:
                 est = f
         earliest[u] = est
     latest = {u: cp_length - priority[u] for u in priority}
-    return CpAnnotation(priority, cp_length, earliest, latest)
+    return CpAnnotation(priority, cp_length, earliest, latest, w)
 
 
 @dataclass
@@ -383,15 +372,11 @@ def alap_profile(graph: TaskGraph, weights: WeightModel) -> AlapProfile:
     slack-free time.  Zero-weight tasks occupy no area."""
     ann = annotate_cp(graph, weights)
     deltas = {}
-    t_seq = 0
-    for t in graph.tasks:
-        w = weights.of(t)
-        if w == 0:
-            continue
-        t_seq += w
-        s = ann.latest[t.id]
-        deltas[s] = deltas.get(s, 0) + 1
-        deltas[s + w] = deltas.get(s + w, 0) - 1
+    for tid, w in ann.weight.items():
+        if w:
+            s = ann.latest[tid]
+            deltas[s] = deltas.get(s, 0) + 1
+            deltas[s + w] = deltas.get(s + w, 0) - 1
     steps = []
     count = 0
     for time in sorted(deltas):
@@ -402,7 +387,7 @@ def alap_profile(graph: TaskGraph, weights: WeightModel) -> AlapProfile:
     makespan = ann.cp_length
     if steps and steps[-1][1] == 0 and steps[-1][0] == makespan:
         steps.pop()
-    return AlapProfile(steps, makespan, t_seq)
+    return AlapProfile(steps, makespan, sum(ann.weight.values()))
 
 
 class TraceTimer:

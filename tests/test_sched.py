@@ -124,6 +124,19 @@ def test_lost_area_singleton():
     assert alap_bound(g, WQ, 3) == 4
 
 
+def test_zero_weight_dag_bounds():
+    # nothing to run: every bound is 0 and the speedup is defined as 1
+    g = build_from_trace([Task(0, "COPY", (), [], [TileRef("A", 0, 0)]),
+                          Task(1, "BARRIER")])
+    wu = WeightModel.unit()
+    rows = bounds_table(g, wu, [1, 4])
+    assert [(r.lost_area, r.t_alap, r.t_roof, r.speedup, r.efficiency) for r in rows] \
+        == [(0, 0, 0, 1, 1), (0, 0, 0, 1, Fraction(1, 4))]
+    assert alap_bound(g, wu, 3) == rooftop_bound(g, wu, 3) == 0
+    with pytest.raises(ValueError, match="p >= 1"):
+        rooftop_bound(g, wu, 0)
+
+
 def test_alap_bound_monotone_and_converges():
     for graph, wm in ((chol_graph(6), WC),
                       (build_from_trace(build_tree(8, 4, "greedy").trace), WQ)):

@@ -164,6 +164,15 @@ def test_est_lst_and_critical_tasks():
             assert (ann.earliest[tid] + ann.priority[tid] == ann.cp_length) == (tid in crit)
 
 
+def test_adjacency_in_edge_order():
+    g = TaskGraph([T(2), T(0), T(1)], [(2, 1, "RAW"), (0, 1, "WAR"), (2, 0, "WAW")])
+    succ, pred = g.adjacency()
+    assert succ == {2: [1, 0], 0: [1], 1: []}
+    assert pred == {2: [], 0: [2], 1: [2, 0]}
+    assert g.adjacency() is g.adjacency()
+    assert g.topo_order() == [2, 0, 1]
+
+
 def test_transitive_redundant_edges_flagged():
     g = TaskGraph([T(0), T(1), T(2)],
                   [(0, 1, "RAW"), (1, 2, "RAW"), (0, 2, "RAW")])
