@@ -254,9 +254,10 @@ def build_from_trace(trace: Sequence[Task]) -> TaskGraph:
     Per tile, only adjacent conflicting accesses produce edges: RAW from the
     last writer to each subsequent reader, WAR from the readers since the
     last write to the next writer, WAW between consecutive writers with no
-    read in between.  A BARRIER task gets EXPLICIT edges from every prior
-    task since the previous barrier and to every subsequent task up to the
-    next one.
+    read in between; a task that names a tile twice gets no edge to itself.
+    A BARRIER task gets EXPLICIT edges from every prior task since the
+    previous barrier (from that barrier itself if no task came between) and
+    to every subsequent task up to the next one.
     """
     edges = []
     last_write = {}   # tile -> writer id
@@ -269,6 +270,8 @@ def build_from_trace(trace: Sequence[Task]) -> TaskGraph:
             raise ValueError(f"task ids must be strictly increasing (got {t.id} after {prev})")
         prev = t.id
         if t.kind == BARRIER:
+            if not since_barrier and barrier is not None:
+                since_barrier = [barrier]
             for u in since_barrier:
                 edges.append((u, t.id, EXPLICIT))
             barrier = t.id
@@ -292,7 +295,7 @@ def build_from_trace(trace: Sequence[Task]) -> TaskGraph:
                 for r in rs:
                     if r != t.id:
                         edges.append((r, t.id, WAR))
-            elif tile in last_write:
+            elif last_write.get(tile, t.id) != t.id:
                 edges.append((last_write[tile], t.id, WAW))
             last_write[tile] = t.id
             readers[tile] = []

@@ -53,6 +53,23 @@ def test_barrier_explicit_edges():
     assert (2, 3, "EXPLICIT") in g.edges
 
 
+def test_back_to_back_barriers_stay_ordered():
+    trace = [T(0, "POTRF", writes=[("A", 0, 0)]), T(1, "BARRIER"), T(2, "BARRIER"),
+             T(3, "POTRF", writes=[("A", 0, 0)])]
+    g = build_from_trace(trace)
+    assert g.edges == [(0, 1, "EXPLICIT"), (1, 2, "EXPLICIT"), (2, 3, "EXPLICIT")]
+    wm = WeightModel.cholesky()
+    assert annotate_cp(g, wm).cp_length == trace_cp(trace, wm) == 2
+
+
+def test_repeated_write_makes_no_self_loop():
+    x = ("A", 0, 0)
+    g = build_from_trace([T(0, writes=[x, x]), T(1, writes=[x, x])])
+    assert g.edges == [(0, 1, "WAW")]
+    wm = WeightModel.custom({GEMM: 3})
+    assert annotate_cp(g, wm).cp_length == trace_cp(g.tasks, wm) == 6
+
+
 def test_backflow_toy_priorities():
     # A and B (weight 3) both sit atop chains whose best continuation is 13
     w = {"A": 3, "B": 3, "C": 4, "D": 3, "E": 4, "F": 9}
