@@ -475,8 +475,9 @@ def schedule_to_assignment(graph, schedule, weights=None) -> dict:
 def complete_assignment(model: IPModel, assign: dict) -> dict:
     """Fill in the auxiliaries implied by the action times: in order, each
     binary of `model.aux` is 0 if its rows hold so, else 1.  Incoming pulse
-    binaries are dropped and rederived: only the one pulse that is 1 is
-    set, missing variables count as 0."""
+    binaries are dropped and rederived: each action's pulse at its finish
+    time is set to 1 if the model declares it (duration <= finish <= T),
+    missing variables count as 0."""
     out = {v: x for v, x in assign.items() if not v.startswith("at_")}
     for var, rows in model.aux.items():
         out[var] = 0
@@ -485,9 +486,9 @@ def complete_assignment(model: IPModel, assign: dict) -> dict:
                 out[var] = 1
                 break
     if model.capacity is not None:
-        for var, _, _ in model._actions():
+        for var, dur, _ in model._actions():
             fin = out.get(var, 0)
-            if fin:
+            if dur <= fin <= model.T:
                 out["at_%s_%s" % (var, fin)] = 1
     return out
 

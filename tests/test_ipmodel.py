@@ -248,6 +248,19 @@ def test_completion_drops_stale_pulses():
     assert complete_assignment(model, stale) == assign
 
 
+@pytest.mark.parametrize("early", [True, False])
+def test_completion_sets_only_declared_pulses(early):
+    # a finish before the kernel's duration or past T has no pulse: the
+    # capacity rows report it, not an undeclared pulse name
+    model, times, _ = _p1_case()
+    var = "x_1_1"
+    done = complete_assignment(model, {**times, var: 1 if early else model.T + 1})
+    assert not any(v.startswith(f"at_{var}_") for v in done)
+    ok, violated = check_feasible(model, done)
+    assert not ok and f"capone_{var}" in {v.name for v in violated}
+    assert [v.name for v in violated if v.group == "domain"] == ([] if early else [var])
+
+
 def _milp_optimum(model):
     """Minimal total_time of the model by scipy's MILP solver, or None if it
     is infeasible; the matrix is built from the Constraint rows."""
@@ -400,7 +413,7 @@ def test_model_structure(capacity):
 # mutations of each (times redrawn in [0, T], hats in {0, 1})
 MUTATION_SHA256 = {
     False: "758547b757827cf98640b7d45b000cdc4926f75f4ac8451558246b24ff4b579f",
-    True: "a2cfb22f4a0f76f0840f1760658d7625da6baf0969262969c8180e9f1de3bcfc",
+    True: "e1dfb56a7ebc087deac1869f4fa98080cf1f4158e0abc8a0b25f2d677ec95ee6",
 }
 
 
