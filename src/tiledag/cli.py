@@ -64,10 +64,14 @@ def _positive(spec):
     return n
 
 
-def _fail_cells(cells):
-    for c in cells:
-        print(f"check mismatch: {c}", file=sys.stderr)
-    return 1 if cells else 0
+def _check(rows):
+    """--check verdict over (template, got, want) rows: each row whose got
+    differs from want prints template.format(got, want) to stderr.  Exit
+    code 1 if any row did, else 0."""
+    bad = [template.format(got, want) for template, got, want in rows if got != want]
+    for line in bad:
+        print(f"check mismatch: {line}", file=sys.stderr)
+    return 1 if bad else 0
 
 
 def _bounds_csv(rows) -> str:
@@ -96,18 +100,14 @@ def cmd_chol_cp(args):
     _write(args, "\n".join(rows) + "\n")
     if args.check:
         o = cholesky.chol_cp_oracle
-        cells = []
-        for name, got, want in (
-                ("step1-in", per[False][0], o(t, "step1")),
-                ("step2-in", per[False][1], o(t, "step2-in")),
-                ("step3-in", per[False][2], o(t, "step3-in")),
-                ("step2-out", per[True][1], o(t, "step2-out")),
-                ("step3-out", per[True][2], o(t, "step3-out")),
-                ("pipe-in", pi, o(t, "pipe-in")),
-                ("pipe-out", po, o(t, "pipe-out"))):
-            if got != want:
-                cells.append(f"{name}: {got} != {want}")
-        return _fail_cells(cells)
+        return _check([
+            ("step1-in: {} != {}", per[False][0], o(t, "step1")),
+            ("step2-in: {} != {}", per[False][1], o(t, "step2-in")),
+            ("step3-in: {} != {}", per[False][2], o(t, "step3-in")),
+            ("step2-out: {} != {}", per[True][1], o(t, "step2-out")),
+            ("step3-out: {} != {}", per[True][2], o(t, "step3-out")),
+            ("pipe-in: {} != {}", pi, o(t, "pipe-in")),
+            ("pipe-out: {} != {}", po, o(t, "pipe-out"))])
     return 0
 
 
@@ -123,13 +123,11 @@ def cmd_chol_bounds(args):
             ref = golden.CHOL_BOUNDS_T5.get(r.p)
             if ref is None:
                 continue
-            la, t_p, s_p, e_p = ref
-            if la is not None and r.lost_area != la:
-                cells.append(f"LA({r.p}): {r.lost_area} != {la}")
-            got = (_fmt2(r.t_alap), _fmt2(r.speedup), _fmt2(r.efficiency))
-            if got != (t_p, s_p, e_p):
-                cells.append(f"row {r.p}: {got} != {(t_p, s_p, e_p)}")
-        return _fail_cells(cells)
+            if ref[0] is not None:
+                cells.append((f"LA({r.p}): {{}} != {{}}", r.lost_area, ref[0]))
+            cells.append((f"row {r.p}: {{}} != {{}}",
+                          (_fmt2(r.t_alap), _fmt2(r.speedup), _fmt2(r.efficiency)), ref[1:]))
+        return _check(cells)
     return 0
 
 
@@ -139,16 +137,12 @@ def cmd_qr_coarse(args):
     if args.list:
         _write(args, elim.to_csv(), suffix=".elim")
     if args.check:
-        cells = []
-        cp = table.cp()
-        want = qr.coarse_cp_oracle(args.p, args.q, args.algo)
-        if cp != want:
-            cells.append(f"coarse cp: {cp} != {want}")
+        cells = [("coarse cp: {} != {}", table.cp(),
+                  qr.coarse_cp_oracle(args.p, args.q, args.algo))]
         if (args.p, args.q) == (15, 6):
-            for (i, k), v in golden.coarse_table_cells(args.algo).items():
-                if table(i, k) != v:
-                    cells.append(f"({i},{k}): {table(i, k)} != {v}")
-        return _fail_cells(cells)
+            cells += [(f"({i},{k}): {{}} != {{}}", table(i, k), v)
+                      for (i, k), v in golden.coarse_table_cells(args.algo).items()]
+        return _check(cells)
     return 0
 
 
@@ -157,20 +151,16 @@ def cmd_qr_tiled(args):
                           bs=args.bs, grasap_i=args.i)
     _write(args, qr.zeroed_table_csv(build))
     if args.check:
-        cells = []
-        if not qr.verify_weight(build):
-            cells.append("total weight mismatch")
+        cells = [("total weight mismatch", qr.verify_weight(build), True)]
         if args.algo == "flattree" and args.family == "TT":
-            want = qr.flattree_cp_oracle(args.p, args.q)
-            if build.cp != want:
-                cells.append(f"cp {build.cp} != closed form {want}")
+            cells.append(("cp {} != closed form {}", build.cp,
+                          qr.flattree_cp_oracle(args.p, args.q)))
         key = (args.algo, args.bs) if args.algo == "plasmatree" else args.algo
         if (args.p, args.q) == (15, 6) and args.family == "TT" \
                 and key in golden.TILED_15x6:
-            for (i, k), v in golden.tiled_table_cells(key).items():
-                if build.zeroed.get((i, k)) != v:
-                    cells.append(f"({i},{k}): {build.zeroed.get((i, k))} != {v}")
-        return _fail_cells(cells)
+            cells += [(f"({i},{k}): {{}} != {{}}", build.zeroed.get((i, k)), v)
+                      for (i, k), v in golden.tiled_table_cells(key).items()]
+        return _check(cells)
     return 0
 
 
@@ -192,13 +182,11 @@ def cmd_qr_cp_table(args):
     if args.check and args.p == 40:
         cells = []
         for (q, g, f, best, _, _) in rows:
-            if g != golden.GREEDY_CP_P40[q - 1]:
-                cells.append(f"greedy q={q}: {g} != {golden.GREEDY_CP_P40[q - 1]}")
-            if f != golden.FIBONACCI_CP_P40[q - 1]:
-                cells.append(f"fibonacci q={q}: {f} != {golden.FIBONACCI_CP_P40[q - 1]}")
-            if best != golden.PLASMATREE_CP_P40[q - 1][1]:
-                cells.append(f"plasmatree q={q}: {best} != {golden.PLASMATREE_CP_P40[q - 1][1]}")
-        return _fail_cells(cells)
+            cells += [(f"greedy q={q}: {{}} != {{}}", g, golden.GREEDY_CP_P40[q - 1]),
+                      (f"fibonacci q={q}: {{}} != {{}}", f, golden.FIBONACCI_CP_P40[q - 1]),
+                      (f"plasmatree q={q}: {{}} != {{}}", best,
+                       golden.PLASMATREE_CP_P40[q - 1][1])]
+        return _check(cells)
     return 0
 
 
@@ -229,11 +217,8 @@ def cmd_sched(args):
     if args.gantt:
         _write(args, results[-1][1].to_csv(graph, weights), suffix=".gantt")
     if args.check and args.algo == "cholesky":
-        ann = annotate_cp(graph, weights)
-        cells = []
-        if ann.cp_length != 9 * args.t - 10:
-            cells.append(f"cp {ann.cp_length} != {9 * args.t - 10}")
-        return _fail_cells(cells)
+        return _check([("cp {} != {}", annotate_cp(graph, weights).cp_length,
+                        9 * args.t - 10)])
     return 0
 
 
@@ -257,13 +242,11 @@ def cmd_strassen_count(args):
     _write(args, strassen.counters_csv(rows))
     if args.check:
         cells = []
-        for (_, r, tasks, flops, _, temps) in rows:
-            want = strassen.strassen_task_count(args.p, r)
-            if tasks != want:
-                cells.append(f"r={r}: tasks {tasks} != {want}")
-            if temps != strassen.temp_tile_count(args.p, r):
-                cells.append(f"r={r}: temp tiles {temps}")
-        return _fail_cells(cells)
+        for (_, r, tasks, _, _, temps) in rows:
+            cells += [(f"r={r}: tasks {{}} != {{}}", tasks,
+                       strassen.strassen_task_count(args.p, r)),
+                      (f"r={r}: temp tiles {{}}", temps, strassen.temp_tile_count(args.p, r))]
+        return _check(cells)
     return 0
 
 
