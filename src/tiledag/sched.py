@@ -174,7 +174,8 @@ def sync_chol_graph(t: int, variant: str = "relaxed"):
     out = []
 
     def phase(tasks, barrier=True):
-        """Renumber a non-empty phase into out, closed by a barrier."""
+        """Append the tasks to out, renumbered; a non-empty phase then gets
+        its closing barrier unless barrier is False."""
         for task in tasks:
             out.append(Task(len(out), task.kind, task.indices, task.reads, task.writes))
         if tasks and barrier:
