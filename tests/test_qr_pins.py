@@ -1,0 +1,62 @@
+"""sha256 pin of everything the QR layer constructs for q <= p <= 8: coarse
+tables and lists with their CSVs, eager tables, and every tree's build
+(each bs and grasap i, both kernel families, two weight models, with and
+without a trace).  The digest was taken before the builders were folded
+into one construction path, so a refactor that changes any value, order or
+task fails here."""
+
+import hashlib
+
+from tiledag import (
+    GEQRT, TSMQR, TSQRT, TTMQR, TTQRT, UNMQR,
+    WeightModel, build_tree, coarse_cp_oracle, coarse_schedule, eager_coarse,
+    zeroed_table_csv,
+)
+
+SKEWED = WeightModel.custom({GEQRT: 3, UNMQR: 5, TTQRT: 1, TTMQR: 7, TSQRT: 2, TSMQR: 11})
+
+
+def _trees(p, q):
+    for algo in ("flattree", "fibonacci", "greedy", "binarytree"):
+        for family in ("TT", "TS"):
+            yield algo, family, {}
+    for bs in range(1, p + 1):
+        for family in ("TT", "TS"):
+            yield "plasmatree", family, {"bs": bs}
+    yield "asap", "TT", {}
+    for i in range(1, q + 1):
+        yield "grasap", "TT", {"grasap_i": i}
+
+
+def _digest(pmax):
+    h = hashlib.sha256()
+
+    def put(*xs):
+        h.update(repr(xs).encode())
+
+    for p in range(1, pmax + 1):
+        for q in range(1, p + 1):
+            for algo in ("sameh-kuck", "fibonacci", "greedy"):
+                table, elim = coarse_schedule(p, q, algo)
+                put(p, q, algo, table.algo, sorted(table.steps.items()), table.cp(),
+                    table.to_csv(), list(elim), elim.to_csv(),
+                    eager_coarse(elim).to_csv(), coarse_cp_oracle(p, q, algo))
+            for algo, family, kw in _trees(p, q):
+                for weights in (None, SKEWED):
+                    for keep_trace in (False, True):
+                        b = build_tree(p, q, algo, family=family, weights=weights,
+                                       keep_trace=keep_trace, **kw)
+                        put(p, q, algo, family, kw, keep_trace, sorted(b.zeroed.items()),
+                            b.cp, b.counts, b.total_weight, list(b.elim),
+                            b.elim.to_csv(), zeroed_table_csv(b))
+                        if keep_trace:
+                            put([(t.id, t.kind, t.indices, t.reads, t.writes)
+                                 for t in b.trace])
+    return h.hexdigest()
+
+
+QR_SHA256 = "a10814724dcc7023084dc9542f79f6d9dcc2c0320aaa034ddca4d5f93520ab34"
+
+
+def test_qr_outputs_pinned():
+    assert _digest(8) == QR_SHA256
