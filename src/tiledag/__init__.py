@@ -15,11 +15,10 @@ from .cholesky import (
 )
 from .qr import (
     ColumnIter, CoarseTable, ElimEntry, EliminationList, QrBuild,
-    asap_build, binary_tree_list, build_tree, coarse_cp_oracle,
-    coarse_schedule, column_asap_free, eager_coarse, elim_weight,
-    fibonacci_cp_bounds, fibonacci_x, flat_tree_list, flattree_cp_composed,
-    flattree_cp_oracle, grasap_build, is_iterate, optiter,
-    plasmatree_list, tiled_build, tiled_graph, tiled_translation,
+    binary_tree_list, build_tree, coarse_cp_oracle, coarse_schedule,
+    column_asap_free, eager_coarse, elim_weight, fibonacci_cp_bounds,
+    fibonacci_x, flattree_cp_composed, flattree_cp_oracle, grasap_build,
+    is_iterate, optiter, plasmatree_list, tiled_build, tiled_translation,
     total_weight, verify_weight, zeroed_table_csv,
 )
 from .sched import (

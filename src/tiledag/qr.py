@@ -26,6 +26,7 @@ from .taskgraph import (
 
 TREE_ALGOS = ("flattree", "fibonacci", "greedy", "binarytree", "plasmatree",
               "asap", "grasap")
+FLAT_TREE_NAMES = ("sameh-kuck", "samehkuck", "flattree")
 
 
 class ElimEntry(NamedTuple):
@@ -84,11 +85,15 @@ class EliminationList:
     def normalized(self):
         """Equivalent list with i > piv everywhere.
 
-        Reverse eliminations are removed column by column by exchanging the
-        roles of the two rows (the surviving row inherits the dying row's
-        remaining pivot duties).  Coarse time-steps are preserved; weighted
-        tiled times are preserved wherever the exchanged rows carry the
-        same update history into later columns.
+        Each reverse elimination elim(i1, i0, k), i1 < i0, is removed by
+        exchanging the names i0 and i1 in it and in every later entry, of
+        every column.  Up to that entry both rows were zeroed in exactly the
+        columns before k, so the list stays valid; after it both were last
+        used at the same step, so every entry keeps its with_steps() step.
+        Columns are cleared left to right, each by its reverse entry with
+        the largest pivot first.  Weighted tiled times are preserved
+        wherever the exchanged rows carry the same update history into
+        later columns, as when only the last column has reverse entries.
         """
         entries = list(self.entries)
         for k0 in range(1, min(self.p, self.q) + 1):
@@ -97,21 +102,12 @@ class EliminationList:
                        if e.k == k0 and e.i < e.piv]
                 if not rev:
                     break
-                i0 = max(max(e.i, e.piv) for _, e in rev)
+                i0 = max(e.piv for _, e in rev)
                 first = next(n for n, e in rev if e.piv == i0)
                 i1 = entries[first].i
-                own = next(n for n, e in enumerate(entries)
-                           if e.k == k0 and e.i == i0)
-                new = list(entries)
-                new[first] = ElimEntry(i0, i1, k0, entries[first].step)
-                # i1 takes over every later pivot duty of i0 in this column
-                for n in range(first + 1, len(entries)):
-                    e = entries[n]
-                    if e.k == k0 and e.piv == i0 and n != own:
-                        new[n] = ElimEntry(e.i, i1, k0, e.step)
-                e = entries[own]
-                new[own] = ElimEntry(i1, e.piv, k0, e.step)
-                entries = new
+                swap = {i0: i1, i1: i0}
+                entries[first:] = [e._replace(i=swap.get(e.i, e.i), piv=swap.get(e.piv, e.piv))
+                                   for e in entries[first:]]
         return EliminationList(self.p, self.q, entries)
 
     def with_steps(self):
@@ -144,12 +140,11 @@ class CoarseTable:
     """Per-tile coarse time steps: coarse(i,k) is the unit-cost step at
     which tile (i,k) is zeroed."""
 
-    def __init__(self, p, q, steps, algo="", x=None):
+    def __init__(self, p, q, steps, algo=""):
         self.p = p
         self.q = q
         self.steps = dict(steps)
         self.algo = algo
-        self.x = x
 
     def __call__(self, i, k):
         return self.steps[(i, k)]
@@ -180,13 +175,16 @@ class CoarseTable:
         return True
 
     def to_csv(self):
-        lines = ["i\\k," + ",".join(str(k) for k in range(1, self.q + 1))]
-        for i in range(1, self.p + 1):
-            row = []
-            for k in range(1, self.q + 1):
-                row.append(str(self.steps.get((i, k), "")))
-            lines.append(f"{i}," + ",".join(row))
-        return "\n".join(lines) + "\n"
+        return _grid_csv(self.p, self.q, self.steps)
+
+
+def _grid_csv(p, q, cells):
+    """Rows 1..p by columns 1..q of cells[(i, k)], blank where absent."""
+    cols = range(1, q + 1)
+    lines = ["i\\k," + ",".join(map(str, cols))]
+    for i in range(1, p + 1):
+        lines.append(f"{i}," + ",".join(str(cells.get((i, k), "")) for k in cols))
+    return "\n".join(lines) + "\n"
 
 
 def fibonacci_x(p):
@@ -238,9 +236,7 @@ def _coarse_fibonacci(p, q):
     groups = {}
     for (i, k), s in steps.items():
         groups.setdefault((s, k), []).append(i)
-    entries = _pair_groups({key: sorted(v) for key, v in groups.items()})
-    entries.sort(key=lambda e: (e.step, e.k, e.i))
-    return steps, entries, x
+    return steps, _pair_groups({key: sorted(v) for key, v in groups.items()})
 
 
 def _coarse_greedy(p, q):
@@ -270,9 +266,7 @@ def _coarse_greedy(p, q):
             moved.append((k + 1, done))
         for k, done in moved:
             avail[k] = sorted(avail[k] + done)
-    entries = _pair_groups(groups)
-    entries.sort(key=lambda e: (e.step, e.k, e.i))
-    return steps, entries
+    return steps, _pair_groups(groups)
 
 
 def coarse_schedule(p, q, algo):
@@ -281,19 +275,16 @@ def coarse_schedule(p, q, algo):
     if not (p >= q >= 1):
         raise ValueError("need p >= q >= 1")
     algo = algo.lower()
-    x = None
-    if algo in ("sameh-kuck", "samehkuck", "flattree"):
+    if algo in FLAT_TREE_NAMES:
         steps, entries = _coarse_sameh_kuck(p, q)
         algo = "sameh-kuck"
     elif algo == "fibonacci":
-        steps, entries, x = _coarse_fibonacci(p, q)
+        steps, entries = _coarse_fibonacci(p, q)
     elif algo == "greedy":
         steps, entries = _coarse_greedy(p, q)
     else:
         raise ValueError(f"unknown coarse algorithm {algo!r}")
-    table = CoarseTable(p, q, steps, algo, x if x is not None else fibonacci_x(p))
-    elim = EliminationList(p, q, entries)
-    return table, elim
+    return CoarseTable(p, q, steps, algo), EliminationList(p, q, entries)
 
 
 def eager_coarse(elim: EliminationList) -> CoarseTable:
@@ -311,7 +302,7 @@ def coarse_cp_oracle(p, q, algo):
     if not (p >= q >= 1):
         raise ValueError("need p >= q >= 1")
     algo = algo.lower()
-    if algo in ("sameh-kuck", "samehkuck", "flattree"):
+    if algo in FLAT_TREE_NAMES:
         if p == q:
             return 2 * q - 3 if q > 1 else 0
         return p + q - 2
@@ -327,10 +318,6 @@ def coarse_cp_oracle(p, q, algo):
 
 # ---------------------------------------------------------------------------
 # fixed elimination trees beyond the coarse three
-
-def flat_tree_list(p, q):
-    return coarse_schedule(p, q, "sameh-kuck")[1]
-
 
 def plasmatree_list(p, q, bs):
     """PLASMA's parameterized tree: flat trees inside domains of bs
@@ -391,8 +378,7 @@ class QrBuild:
 
     zeroed[(i,k)] is the finish time of the kernel annihilating tile (i,k)
     (the zeroed-time tables); cp is the overall critical path.
-    With keep_trace the full Task trace is retained; record_updates keeps
-    per-update TTMQR finish times for the translation theorem checks.
+    With keep_trace the full Task trace is retained.
 
     Times are kept per bundle (a factor kernel and its updates along the
     row): _data[i][j] is the finish of the last write to data tile (i,j),
@@ -400,8 +386,7 @@ class QrBuild:
     trace (tiles from KERNEL_TILES) reproduces these times.
     """
 
-    def __init__(self, p, q, family="TT", weights=None, keep_trace=True,
-                 record_updates=False):
+    def __init__(self, p, q, family="TT", weights=None, keep_trace=True):
         if not (p >= q >= 1):
             raise ValueError("need p >= q >= 1")
         if family not in ("TT", "TS"):
@@ -411,9 +396,7 @@ class QrBuild:
         self.family = family
         self.weights = weights if weights is not None else WeightModel.qr_tt()
         self.trace = [] if keep_trace else None
-        self.record_updates = record_updates
         self.zeroed = {}
-        self.updates = {}          # (i,k) -> {j: TTMQR finish}
         self.cp = 0
         self.counts = {GEQRT: 0, TTQRT: 0, TSQRT: 0, UNMQR: 0, TTMQR: 0, TSMQR: 0}
         self.total_weight = 0
@@ -462,8 +445,6 @@ class QrBuild:
         data = self._data
         fin = self._bundle(kind, update, (i, piv, k), start, k, data[i], data[piv])
         self._tri[(piv, k)] = self.zeroed[(i, k)] = fin
-        if update == TTMQR and self.record_updates and k < self.q:
-            self.updates[(i, k)] = dict(zip(range(k + 1, self.q + 1), data[i][k + 1:]))
         return fin
 
     def preprocess_tt(self):
@@ -507,30 +488,26 @@ class QrBuild:
 
 
 def tiled_build(elim: EliminationList, family="TT", weights=None,
-                keep_trace=True, record_updates=False, validate=True) -> QrBuild:
-    if validate:
-        elim.validate()
-    return QrBuild(elim.p, elim.q, family, weights, keep_trace, record_updates).run_list(elim)
-
-
-def tiled_graph(elim: EliminationList, family="TT"):
-    """Task trace of the tiled translation of an elimination list."""
-    return tiled_build(elim, family).trace
+                keep_trace=True) -> QrBuild:
+    """Validate an elimination list and build its tiled translation."""
+    elim.validate()
+    return QrBuild(elim.p, elim.q, family, weights, keep_trace).run_list(elim)
 
 
 # ---------------------------------------------------------------------------
 # event-driven Asap / GrASAP
 
-def _run_asap_columns(build: QrBuild, first_col, seeds):
-    """Fire eliminations the moment a column holds two ready triangles.
+def _run_asap_columns(build: QrBuild, first_col):
+    """Fire eliminations on columns first_col..q the moment a column holds
+    two ready triangles.
 
-    seeds are (time, col, row) availability events; when s eliminations can
-    start in a column, the bottom 2s ready rows pair up exactly as
-    Fibonacci and Greedy pair them.
+    Events are (time, col, row) availabilities, seeded by the triangles of
+    column first_col; when s eliminations can start in a column, the
+    bottom 2s ready rows pair up exactly as Fibonacci and Greedy pair them.
     """
     q = build.q
     avail = {k: [] for k in range(first_col, q + 1)}
-    heap = list(seeds)
+    heap = [(build._tri[(r, first_col)], first_col, r) for r in range(first_col, build.p + 1)]
     heapq.heapify(heap)
     entries = []
     while heap:
@@ -556,49 +533,32 @@ def _run_asap_columns(build: QrBuild, first_col, seeds):
     return entries
 
 
-def asap_build(p, q, weights=None, keep_trace=True, record_updates=False) -> QrBuild:
-    b = QrBuild(p, q, "TT", weights, keep_trace, record_updates)
-    b.preprocess_tt()
-    seeds = [(b._tri[(i, 1)], 1, i) for i in range(1, p + 1)]
-    entries = _run_asap_columns(b, 1, seeds)
-    b.elim = EliminationList(p, q, entries).with_steps()
-    return b
-
-
-def grasap_build(p, q, i=1, weights=None, keep_trace=True, record_updates=False) -> QrBuild:
-    """Greedy on the first q-i columns, Asap on the trailing i."""
+def grasap_build(p, q, i=1, weights=None, keep_trace=True) -> QrBuild:
+    """Greedy on the first q-i columns, Asap on the trailing i (Asap is
+    i = q).  Greedy column k depends only on columns < k, so the greedy
+    schedule of q-i columns is the prefix."""
+    b = QrBuild(p, q, "TT", weights, keep_trace)
     if not (1 <= i <= q):
         raise ValueError("need 1 <= i <= q")
-    if i == q:
-        return asap_build(p, q, weights, keep_trace, record_updates)
-    b = QrBuild(p, q, "TT", weights, keep_trace, record_updates)
     b.preprocess_tt()
-    _, greedy = coarse_schedule(p, q, "greedy")
-    static = [e for e in greedy if e.k <= q - i]
+    static = _coarse_greedy(p, q - i)[1]
     for e in static:
         b.elim_tt(e.i, e.piv, e.k)
-    first_dyn = q - i + 1
-    seeds = [(b._tri[(r, first_dyn)], first_dyn, r) for r in range(first_dyn, p + 1)]
-    dyn = _run_asap_columns(b, first_dyn, seeds)
+    dyn = _run_asap_columns(b, q - i + 1)
     b.elim = EliminationList(p, q, static + dyn).with_steps()
     return b
 
 
 def build_tree(p, q, algo, family="TT", bs=None, grasap_i=1, weights=None,
-               keep_trace=True, record_updates=False) -> QrBuild:
+               keep_trace=True) -> QrBuild:
     """One-stop construction of any of the studied elimination trees."""
     algo = algo.lower()
-    if algo == "asap":
+    if algo in ("asap", "grasap"):
         if family != "TT":
-            raise ValueError("Asap is defined over TT kernels")
-        return asap_build(p, q, weights, keep_trace, record_updates)
-    if algo == "grasap":
-        if family != "TT":
-            raise ValueError("GrASAP is defined over TT kernels")
-        return grasap_build(p, q, grasap_i, weights, keep_trace, record_updates)
-    if algo in ("flattree", "sameh-kuck", "samehkuck"):
-        elim = flat_tree_list(p, q)
-    elif algo in ("fibonacci", "greedy"):
+            name = "Asap" if algo == "asap" else "GrASAP"
+            raise ValueError(f"{name} is defined over TT kernels")
+        return grasap_build(p, q, q if algo == "asap" else grasap_i, weights, keep_trace)
+    if algo in FLAT_TREE_NAMES + ("fibonacci", "greedy"):
         elim = coarse_schedule(p, q, algo)[1]
     elif algo == "binarytree":
         elim = binary_tree_list(p, q)
@@ -608,15 +568,11 @@ def build_tree(p, q, algo, family="TT", bs=None, grasap_i=1, weights=None,
         elim = plasmatree_list(p, q, bs)
     else:
         raise ValueError(f"unknown algorithm {algo!r}")
-    return QrBuild(p, q, family, weights, keep_trace, record_updates).run_list(elim)
+    return QrBuild(p, q, family, weights, keep_trace).run_list(elim)
 
 
 def zeroed_table_csv(build: QrBuild):
-    lines = ["i\\k," + ",".join(str(k) for k in range(1, build.q + 1))]
-    for i in range(1, build.p + 1):
-        row = [str(build.zeroed.get((i, k), "")) for k in range(1, build.q + 1)]
-        lines.append(f"{i}," + ",".join(row))
-    return "\n".join(lines) + "\n"
+    return _grid_csv(build.p, build.q, build.zeroed)
 
 
 # ---------------------------------------------------------------------------

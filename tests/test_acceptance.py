@@ -173,11 +173,12 @@ def test_criterion_07_translation_theorem():
                 coarse = eager_coarse(elim)
                 if algo != "fibonacci":
                     assert coarse.steps == table.steps, (algo, p, q)
-                b = tiled_build(elim, record_updates=True, validate=False)
-                for (i, k), ups in b.updates.items():
-                    if k <= q - 1:
-                        want = tiled_translation(i, k, coarse)
-                        assert all(fin == want for fin in ups.values()), (algo, p, q, i, k)
+                b = tiled_build(elim)
+                fins, _ = asap_times(b.trace, WQ)
+                for t in b.trace:
+                    if t.kind == "TTMQR":
+                        i, _, k, _ = t.indices
+                        assert fins[t.id] == tiled_translation(i, k, coarse), (algo, p, q, i, k)
     report(7, "TTMQR completion = 10k + 6*coarse(i,k) for k<=q-1, all three "
               "coarse algorithms, 2<=q<=p<=20 (dependence-driven steps, which "
               "equal the scheduled tables for Sameh-Kuck and Greedy)")

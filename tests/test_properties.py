@@ -1,9 +1,13 @@
-"""Generated-input properties of the hazard DAG.
+"""Generated-input properties of the hazard DAG and of elimination lists.
 
 Random traces mix barriers (consecutive ones included), zero-weight COPYs
 and tasks that name a tile more than once.  On each, the streaming
 TraceTimer must agree with build_from_trace + annotate_cp, and every list
 schedule must be valid and no shorter than the ALAP and Rooftop bounds.
+
+Random valid elimination lists interleave their columns and contain
+reverse and ex-pivot eliminations; normalizing one must give a valid list
+with i > piv everywhere and the same coarse step for every entry.
 """
 
 import pytest
@@ -12,9 +16,9 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from tiledag import (  # noqa: E402
-    BARRIER, COPY, GEMM, POTRF, SYRK, TRSM, Task, TileRef, TraceTimer,
-    WeightModel, alap_bound, annotate_cp, build_from_trace, check_schedule,
-    list_schedule, rooftop_bound,
+    BARRIER, COPY, GEMM, POTRF, SYRK, TRSM, ElimEntry, EliminationList, Task,
+    TileRef, TraceTimer, WeightModel, alap_bound, annotate_cp,
+    build_from_trace, check_schedule, list_schedule, rooftop_bound,
 )
 
 WM = WeightModel.custom({GEMM: 6, SYRK: 3, TRSM: 2, POTRF: 1, COPY: 0})
@@ -57,3 +61,34 @@ def test_schedules_valid_and_bounded(steps, p, seed):
         s = list_schedule(graph, WM, p, policy, seed=seed)
         check_schedule(graph, WM, s)
         assert s.makespan >= bound
+
+
+@st.composite
+def elim_lists(draw):
+    """Any ready target below the column's diagonal against any other ready
+    row of that column, the column drawn at each step."""
+    p = draw(st.integers(1, 8))
+    q = draw(st.integers(1, p))
+    ready = [[] for _ in range(min(p, q) + 2)]
+    ready[1] = list(range(1, p + 1))
+    entries = []
+    while cols := [k for k in range(1, min(p, q) + 1) if len(ready[k]) >= 2]:
+        k = draw(st.sampled_from(cols))
+        i = draw(st.sampled_from([r for r in ready[k] if r > k]))
+        piv = draw(st.sampled_from([r for r in ready[k] if r != i]))
+        ready[k].remove(i)
+        ready[k + 1].append(i)
+        entries.append(ElimEntry(i, piv, k))
+    return EliminationList(p, q, entries)
+
+
+@SETTINGS
+@given(elim_lists())
+@example(EliminationList(4, 2, [ElimEntry(4, 2, 1), ElimEntry(2, 3, 1), ElimEntry(4, 2, 2),
+                                ElimEntry(3, 1, 1), ElimEntry(3, 2, 2)]))
+def test_normalized_stays_valid_and_keeps_steps(elim):
+    elim.validate()
+    norm = elim.normalized()
+    norm.validate()
+    assert all(e.i > e.piv for e in norm)
+    assert [e.step for e in norm.with_steps()] == [e.step for e in elim.with_steps()]

@@ -140,8 +140,8 @@ def test_normalization_preserves_cp_symmetric_histories():
         q = rng.randint(1, p)
         lst = _random_list(p, q, rng, rev_cols={min(p, q)})
         norm = lst.normalized()
-        c1 = tiled_build(lst, keep_trace=False, validate=False).cp
-        c2 = tiled_build(norm, keep_trace=False, validate=False).cp
+        c1 = tiled_build(lst, keep_trace=False).cp
+        c2 = tiled_build(norm, keep_trace=False).cp
         assert c1 == c2
 
 

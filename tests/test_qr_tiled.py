@@ -9,8 +9,8 @@ from tiledag import (
     ElimEntry, EliminationList, QrBuild, TraceTimer, WeightModel, annotate_cp,
     asap_times, build_from_trace, build_tree, coarse_schedule, eager_coarse,
     elim_weight, fibonacci_cp_bounds, fibonacci_x, flattree_cp_composed,
-    flattree_cp_oracle, plasmatree_list, tiled_build, tiled_graph,
-    tiled_translation, total_weight, verify_weight,
+    flattree_cp_oracle, plasmatree_list, tiled_build, tiled_translation,
+    total_weight, verify_weight,
 )
 
 # Tiled zeroed-time tables for 15 x 6 (rows 2..15).
@@ -145,17 +145,22 @@ def test_fibonacci_bounds():
         assert 10 + 6 * x + 4 <= cp < 20 + 6 * (x + 2)
 
 
+def ttmqr_finishes(build):
+    """(i, k, finish) of every TTMQR update of the elimination of tile
+    (i, k) in a TT build, timed over its trace."""
+    fins, _ = asap_times(build.trace, WeightModel.qr_tt())
+    return [(t.indices[0], t.indices[2], fins[t.id])
+            for t in build.trace if t.kind == TTMQR]
+
+
 def test_translation_theorem_eager():
     for p in (3, 5, 9, 13):
         for q in range(2, p + 1):
             for algo in ("sameh-kuck", "fibonacci", "greedy"):
                 table, elim = coarse_schedule(p, q, algo)
                 eager = eager_coarse(elim)
-                b = tiled_build(elim, record_updates=True, validate=False)
-                for (i, k), ups in b.updates.items():
-                    if k <= q - 1:
-                        want = tiled_translation(i, k, eager)
-                        assert all(fin == want for fin in ups.values()), (algo, p, q, i, k)
+                for i, k, fin in ttmqr_finishes(tiled_build(elim)):
+                    assert fin == tiled_translation(i, k, eager), (algo, p, q, i, k)
 
 
 def test_translation_theorem_scheduled_tables():
@@ -166,26 +171,21 @@ def test_translation_theorem_scheduled_tables():
         for p in (4, 9, 15):
             for q in range(2, p + 1):
                 table, elim = coarse_schedule(p, q, algo)
-                b = tiled_build(elim, record_updates=True, validate=False)
-                for (i, k), ups in b.updates.items():
-                    if k <= q - 1:
-                        want = tiled_translation(i, k, table)
-                        assert all(fin == want for fin in ups.values())
+                for i, k, fin in ttmqr_finishes(tiled_build(elim)):
+                    assert fin == tiled_translation(i, k, table)
     table, elim = coarse_schedule(15, 6, "fibonacci")
     eager = eager_coarse(elim)
-    b = tiled_build(elim, record_updates=True, validate=False)
-    for (i, k), ups in b.updates.items():
-        if k <= 5:
-            want = tiled_translation(i, k, eager)
-            assert all(fin == want for fin in ups.values())
-            assert want <= 10 * k + 6 * table(i, k)
+    for i, k, fin in ttmqr_finishes(tiled_build(elim)):
+        want = tiled_translation(i, k, eager)
+        assert fin == want
+        assert want <= 10 * k + 6 * table(i, k)
 
 
 def test_translation_flattree_first_column():
     table, elim = coarse_schedule(4, 3, "sameh-kuck")
-    b = tiled_build(elim, record_updates=True, validate=False)
+    b = tiled_build(elim)
     assert tiled_translation(2, 1, table) == 16
-    assert all(fin == 16 for fin in b.updates[(2, 1)].values())
+    assert [fin for i, k, fin in ttmqr_finishes(b) if (i, k) == (2, 1)] == [16, 16]
     assert b.zeroed[(2, 1)] == 6
     with pytest.raises(ValueError):
         tiled_translation(4, 3, table)
@@ -197,7 +197,7 @@ def test_cp_bracket_corollaries():
             for algo in ("sameh-kuck", "fibonacci", "greedy"):
                 _, elim = coarse_schedule(p, q, algo)
                 eager = eager_coarse(elim)
-                cp = tiled_build(elim, keep_trace=False, validate=False).cp
+                cp = tiled_build(elim, keep_trace=False).cp
                 cmax = lambda k: max(eager(i, k) for i in range(k + 1, p + 1))
                 lo = 10 * (q - 1) + 6 * cmax(q - 1)
                 if p == q:
@@ -300,13 +300,13 @@ def test_ts_times_match_hazard_graph():
         assert ann.cp_length == b.cp
 
 
-def test_tiled_graph_entry_point():
+def test_tiled_build_entry_point():
     _, elim = coarse_schedule(4, 3, "greedy")
-    trace = tiled_graph(elim, "TT")
+    trace = tiled_build(elim, "TT").trace
     assert Counter(t.kind for t in trace)["TTQRT"] == len(elim)
     bad = type(elim)(4, 3, elim.entries[:2])
-    with pytest.raises(ValueError):
-        tiled_graph(bad, "TT")
+    with pytest.raises(ValueError, match="incomplete"):
+        tiled_build(bad, "TT")
 
 
 def random_elim_list(p, q, rng):
@@ -345,7 +345,7 @@ def _engine_cases():
             w = (None, SKEWED)[n % 2]
             yield (f"random{n}-{family}", w,
                    lambda kt, p=p, q=q, f=family, w=w, e=elim:
-                   QrBuild(p, q, f, w, kt, record_updates=True).run_list(e))
+                   QrBuild(p, q, f, w, kt).run_list(e))
     for p, q in ((9, 4), (7, 7), (8, 1)):
         for algo in ("flattree", "fibonacci", "greedy", "binarytree", "plasmatree",
                      "asap", "grasap"):
@@ -355,14 +355,14 @@ def _engine_cases():
                     yield (f"{algo}-{p}x{q}-{family}", w,
                            lambda kt, p=p, q=q, a=algo, f=family, w=w:
                            build_tree(p, q, a, family=f, bs=3, weights=w,
-                                      keep_trace=kt, record_updates=True))
+                                      keep_trace=kt))
 
 
 def test_engine_trace_free_matches_traced_and_hazard_graph():
     for name, w, build in _engine_cases():
         fast, full = build(False), build(True)
         assert fast.trace is None
-        for attr in ("zeroed", "cp", "counts", "total_weight", "updates"):
+        for attr in ("zeroed", "cp", "counts", "total_weight"):
             assert getattr(fast, attr) == getattr(full, attr), (name, attr)
         assert Counter(t.kind for t in full.trace) == +Counter(full.counts), name
         w = w or WeightModel.qr_tt()
