@@ -317,11 +317,13 @@ class CpAnnotation:
     priority: dict          # task id -> weight + max successor priority
     cp_length: int
     earliest: dict          # earliest start on unbounded processors
-    latest: dict            # ALAP start: cp_length - priority
     weight: dict            # task id -> weight, in task order
 
     def critical_ids(self):
-        return [i for i in self.priority if self.earliest[i] == self.latest[i]]
+        """Tasks with no slack: earliest start equals the ALAP start
+        cp_length - priority."""
+        cp = self.cp_length
+        return [i for i, pr in self.priority.items() if self.earliest[i] == cp - pr]
 
 
 def annotate_cp(graph: TaskGraph, weights: WeightModel) -> CpAnnotation:
@@ -346,8 +348,7 @@ def annotate_cp(graph: TaskGraph, weights: WeightModel) -> CpAnnotation:
             if f > est:
                 est = f
         earliest[u] = est
-    latest = {u: cp_length - priority[u] for u in priority}
-    return CpAnnotation(priority, cp_length, earliest, latest, w)
+    return CpAnnotation(priority, cp_length, earliest, w)
 
 
 @dataclass
@@ -374,10 +375,11 @@ def alap_profile(graph: TaskGraph, weights: WeightModel) -> AlapProfile:
     """Profile of the execution where every task starts at its latest
     slack-free time.  Zero-weight tasks occupy no area."""
     ann = annotate_cp(graph, weights)
+    makespan, priority = ann.cp_length, ann.priority
     deltas = {}
     for tid, w in ann.weight.items():
         if w:
-            s = ann.latest[tid]
+            s = makespan - priority[tid]   # ALAP start
             deltas[s] = deltas.get(s, 0) + 1
             deltas[s + w] = deltas.get(s + w, 0) - 1
     steps = []
@@ -387,7 +389,6 @@ def alap_profile(graph: TaskGraph, weights: WeightModel) -> AlapProfile:
         if steps and steps[-1][1] == count:
             continue
         steps.append((time, count))
-    makespan = ann.cp_length
     if steps and steps[-1][1] == 0 and steps[-1][0] == makespan:
         steps.pop()
     return AlapProfile(steps, makespan, sum(ann.weight.values()))

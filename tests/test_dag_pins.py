@@ -56,7 +56,8 @@ def _digest(family):
     for graph, weights in _graphs(family):
         ann = annotate_cp(graph, weights)
         put(graph.topo_order(), ann.cp_length, sorted(ann.priority.items()),
-            sorted(ann.earliest.items()), sorted(ann.latest.items()),
+            sorted(ann.earliest.items()),
+            sorted((u, ann.cp_length - pr) for u, pr in ann.priority.items()),
             ann.critical_ids())
         prof = alap_profile(graph, weights)
         put(prof.steps, prof.makespan, prof.t_seq)
