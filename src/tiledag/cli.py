@@ -253,7 +253,7 @@ def cmd_strassen_count(args):
 def cmd_ip_emit(args):
     horizon = args.T
     if horizon is None:
-        horizon = 3 * args.p * args.q * args.q - args.q ** 3  # serial bound, half units
+        horizon = qr.total_weight(args.p, args.q) // 2  # serial bound, half units
     model = ipmodel.emit_ip(args.p, args.q, horizon, capacity=args.procs)
     _write(args, model.render(), suffix=".lp" if args.out and not args.out.endswith(".lp") else "")
     return 0

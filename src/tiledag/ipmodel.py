@@ -23,9 +23,10 @@ from itertools import permutations
 from operator import eq, ge, itemgetter, le
 from typing import NamedTuple
 
-from .taskgraph import GEQRT, TTMQR, TTQRT, UNMQR
+from .taskgraph import GEQRT, TTMQR, TTQRT, UNMQR, WeightModel
 
-D_GEQRT, D_TTQRT, D_UPDATE = 2, 1, 3
+# kernel durations in half-weight units; UNMQR and TTMQR weigh the same
+D_GEQRT, D_TTQRT, D_UPDATE = (WeightModel.QR[kind] // 2 for kind in (GEQRT, TTQRT, TTMQR))
 _var = itemgetter(1)     # the variable of a (coef, var) term
 _SENSES = {"<=": le, ">=": ge, "=": eq}
 
@@ -445,7 +446,6 @@ def emit_ip(p, q, horizon, capacity=None) -> IPModel:
 def schedule_to_assignment(graph, schedule, weights=None) -> dict:
     """Map a TT-kernel schedule to IP variable values (half-unit finish
     times); indicator and auxiliary variables are derived consistently."""
-    from .taskgraph import WeightModel
     weights = weights or WeightModel.qr_tt()
     assign = {}
     for t in graph.tasks:
