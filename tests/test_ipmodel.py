@@ -430,20 +430,53 @@ def _mutants(model, times, rng, n):
         yield m
 
 
-@pytest.mark.parametrize("capacitated", [False, True])
-def test_in_domain_mutations_pinned(capacitated):
+def _mutation_cases(capacitated):
+    """(model, completed assignment) of one named-tree schedule per shape
+    q <= p <= 6 and four seeded in-domain mutations of each."""
     rng = random.Random(20261018)
     trees = ("flattree", "greedy", "binarytree", "grasap")
     procs = 2 if capacitated else 3
-    digest = hashlib.sha256()
     for p in range(1, 7):
         for q in range(1, p + 1):
             g, s = _schedule(p, q, trees[(p + q) % len(trees)], procs)
             model = emit_ip(p, q, s.makespan // 2 + 4, capacity=procs if capacitated else None)
             times = schedule_to_assignment(g, s)
             for assign in [times, *_mutants(model, times, rng, 4)]:
-                done = complete_assignment(model, assign)
-                ok, violated = check_feasible(model, done)
-                digest.update(assignment_text(done).encode())
-                digest.update(f"{ok} {[v.name for v in violated]}\n".encode())
+                yield model, complete_assignment(model, assign)
+
+
+@pytest.mark.parametrize("capacitated", [False, True])
+def test_in_domain_mutations_pinned(capacitated):
+    digest = hashlib.sha256()
+    for model, done in _mutation_cases(capacitated):
+        ok, violated = check_feasible(model, done)
+        digest.update(assignment_text(done).encode())
+        digest.update(f"{ok} {[v.name for v in violated]}\n".encode())
     assert digest.hexdigest() == MUTATION_SHA256[capacitated]
+
+
+# sha256 of the verdicts alone (no row names, no auxiliary values): the list
+# schedules of the six named trees on 1 and 3 processors, q <= p <= 6, and
+# the mutants above.  Deleting implied rows or fixing a row that cuts no
+# valid schedule must leave every verdict where it is.
+VERDICT_SHA256 = {
+    False: "fb2ed390892213db217e6f1bdb3879bfd0bdcac79bb7048b2a55f6e2eee057ac",
+    True: "51b5b21b04395d80d5959cf1055d09f0257d1b7934faa666db425f5214fbbeab",
+}
+
+
+@pytest.mark.parametrize("capacitated", [False, True])
+def test_verdicts_pinned(capacitated):
+    trees = ("flattree", "fibonacci", "greedy", "binarytree", "asap", "grasap")
+    digest = hashlib.sha256()
+    for p in range(1, 7):
+        for q in range(1, p + 1):
+            cases = [_schedule(p, q, tree, procs) for tree in trees for procs in (1, 3)]
+            model = emit_ip(p, q, max(s.makespan for _, s in cases) // 2 + 4,
+                            capacity=2 if capacitated else None)
+            for g, s in cases:
+                done = complete_assignment(model, schedule_to_assignment(g, s))
+                digest.update(b"1" if check_feasible(model, done)[0] else b"0")
+    for model, done in _mutation_cases(capacitated):
+        digest.update(b"1" if check_feasible(model, done)[0] else b"0")
+    assert digest.hexdigest() == VERDICT_SHA256[capacitated]
