@@ -6,6 +6,16 @@ UNMQR/TTMQR 3 (the formulation's gap constants match those).  The model is
 emitted in LP text format; simulator schedules map onto assignments whose
 feasibility is checked constraint by constraint.
 
+Appendix rows that kept rows imply are not emitted; the feasible set over
+the action variables is the same.  Group 5 is 1a-iii (r = i) with right
+side T for T-3; group 6 is 1a-iv and 1b-ii (r = i) with 0 for D_GEQRT;
+group 7, negated, is 1d-case2 with T for T-1; the second copy of a 1c-iv
+row whose zeroing pair is the pair update's own rows repeats the first.
+Group 3 (x_r <= z_ij when zhat_ij) follows from 1b-iii, c11zb and x_r <= T.
+The precedence block never binds: 4b, c11za and c11yb make its link hold,
+its AND/OR gadgets then have a solution unless a pair update runs in both
+orientations, and 1a-iii with 1b-ii already reject that.
+
 An optional processor-capacity block bounds the number of simultaneously
 running kernels; without it the formulation is the unbounded-processor
 problem.  The block is the time-indexed pulse formulation (Pritsker,
@@ -19,7 +29,6 @@ covers t sum to at most P).  That is 2*A + T rows.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
 from operator import eq, ge, itemgetter, le
 from typing import NamedTuple
 
@@ -51,7 +60,7 @@ class IPModel:
     The name tables w, x, y, yhat, z and zhat map each index tuple of a
     variable family's domain to the variable's name; they are built once
     and every row reads its names from them.  aux maps each auxiliary
-    binary (dl*, a1 ... f), in emission order, to its rows that bound it from
+    binary (dl*), in emission order, to its rows that bound it from
     below: >= rows with a positive and <= rows with a negative coefficient."""
 
     def __init__(self, p, q, horizon, capacity=None):
@@ -216,7 +225,7 @@ class IPModel:
                 if r < k:
                     continue
                 for h in self._rows_from(k):
-                    if h != r:
+                    if h != r and (r, h) != (j, i):    # {r, h} = {i, j} once
                         con("c1civ_%s_%s_%s_%s_%s_%s" % (i, j, k, l, r, h), "1c-iv",
                             [(1, y[i, j, k, l]), (-1, z[h, r, k]), (-1, z[r, h, k]),
                              (T, zhat[h, r, k]), (T, zhat[r, h, k])], "<=", T - D_UPDATE)
@@ -250,11 +259,6 @@ class IPModel:
                             con("c1d2_%s_%s_%s_%s" % (h, i, j, k), "1d-case2",
                                 [(1, z[j, i, k]), (-1, z[i, h, k]), (T, zhat[i, h, k])],
                                 "<=", T - D_TTQRT)
-        # 3: both tiles of a zeroing must already be triangles
-        for i, j, k in z:
-            for r in (i, j):
-                con("c3_%s_%s_%s_%s" % (r, i, j, k), "3",
-                    [(1, x[r, k]), (T, zhat[i, j, k]), (-1, z[i, j, k])], "<=", T)
         # 4a: triangularization forces updates in later columns
         for k in range(1, q):
             for i in range(k, p + 1):
@@ -269,33 +273,6 @@ class IPModel:
                 con("c4b_%s_%s_%s_%s" % (i, j, k, l), "4b",
                     [(1, z[i, j, k]), (1, z[j, i, k]), (-1, y[i, j, l, k]), (-1, y[j, i, l, k])],
                     "<=", 0)
-        # 5: panel update precedes the pair update it feeds
-        for i, j, k, l in y:
-            if i < j:
-                con("c5_%s_%s_%s_%s" % (i, j, k, l), "5",
-                    [(1, w[i, k, l]), (T, yhat[i, j, k, l]), (T, yhat[j, i, k, l]),
-                     (-1, y[i, j, k, l]), (-1, y[j, i, k, l])], "<=", T)
-        # 6: no updates after triangularization
-        for k in range(2, q + 1):
-            for l in range(1, k):
-                for i in range(k, p + 1):
-                    con("c6w_%s_%s_%s" % (i, k, l), "6",
-                        [(1, x[i, k]), (-1, w[i, k, l])], ">=", 0)
-                    for j in self._rows_from(l):
-                        if j != i:
-                            con("c6y_%s_%s_%s_%s" % (i, j, k, l), "6",
-                                [(1, x[i, k]), (-1, y[i, j, k, l]), (-1, y[j, i, k, l])],
-                                ">=", 0)
-        # 7: a zeroed tile cannot pivot afterwards (big-M guarded)
-        for k in range(1, q + 1):
-            rows = self._rows_from(k)
-            for i in rows:
-                for j in rows:
-                    for h in rows:
-                        if len({i, j, h}) == 3:
-                            con("c7_%s_%s_%s_%s" % (h, i, j, k), "7",
-                                [(1, z[i, j, k]), (-T, zhat[i, j, k]), (-1, z[h, i, k])],
-                                ">=", -T)
         # 8: triangularizations take two steps
         for (i, k), name in x.items():
             if i >= k:
@@ -314,60 +291,10 @@ class IPModel:
             sfx = v[1:]
             con("c11za" + sfx, "11", [(1, zhat[key]), (-1, v)], "<=", 0)
             con("c11zb" + sfx, "11", [(T, zhat[key]), (-1, v)], ">=", 0)
-        self._precedence_block()
         self.bin_vars += self.aux
         self._objective_block()
         if self.capacity is not None:
             self._capacity_block()
-
-    def _precedence_block(self):
-        T, con, aux = self.T, self._con, self.aux
-        y, yhat, z, zhat = self.y, self.yhat, self.z, self.zhat
-        c_of, f_of = {}, {}
-        # every ordered triple of distinct rows at or below the diagonal of k
-        for h, i, j, k in ((h, i, j, k) for k in range(1, self.q + 1)
-                           for h, i, j in permutations(self._rows_from(k), 3)):
-            key = "_%s_%s_%s_%s" % (h, i, j, k)
-            a1, a2, b, c1, c = "a1" + key, "a2" + key, "b" + key, "c1" + key, "c" + key
-            c_of[h, i, j, k] = c
-            zh, zj, zih = zhat[h, i, k], zhat[j, i, k], zhat[i, h, k]
-            con("pa1a" + key, "prec-a1", [(1, a1), (-1, zh)], "<=", 0)
-            con("pa1b" + key, "prec-a1", [(1, a1), (-1, zj)], "<=", 0)
-            aux[a1] = [con("pa1c" + key, "prec-a1", [(1, a1), (-1, zh), (-1, zj)], ">=", -1)]
-            con("pa2a" + key, "prec-a2", [(1, a2), (-1, zih)], "<=", 0)
-            con("pa2b" + key, "prec-a2", [(1, a2), (-1, zj)], "<=", 0)
-            aux[a2] = [con("pa2c" + key, "prec-a2", [(1, a2), (-1, zih), (-1, zj)], ">=", -1)]
-            terms = [(T, b), (-1, z[h, i, k]), (1, z[j, i, k])]
-            aux[b] = [con("pba" + key, "prec-b", terms, ">=", 0)]
-            con("pbb" + key, "prec-b", terms, "<=", T)
-            con("pc1a" + key, "prec-c1", [(1, c1), (-1, a1)], "<=", 0)
-            con("pc1b" + key, "prec-c1", [(1, c1), (-1, b)], "<=", 0)
-            aux[c1] = [con("pc1c" + key, "prec-c1", [(1, c1), (-1, a1), (-1, b)], ">=", -1)]
-            aux[c] = [con("pca" + key, "prec-c", [(1, c), (-1, c1)], ">=", 0),
-                      con("pcb" + key, "prec-c", [(1, c), (-1, a2)], ">=", 0)]
-            con("pcc" + key, "prec-c", [(1, c), (-1, c1), (-1, a2)], "<=", 0)
-            if k >= 2:
-                d, e, f = "d" + key, "e" + key, "f" + key
-                f_of[h, i, j, k] = f
-                l = k - 1
-                hh = [(-1, yhat[h, i, k, l]), (-1, yhat[i, h, k, l])]
-                hj = [(-1, yhat[j, i, k, l]), (-1, yhat[i, j, k, l])]
-                con("pda" + key, "prec-d", [(1, d)] + hh, "<=", 0)
-                con("pdb" + key, "prec-d", [(1, d)] + hj, "<=", 0)
-                aux[d] = [con("pdc" + key, "prec-d", [(1, d)] + hh + hj, ">=", -1)]
-                terms = [(T, e), (-1, y[h, i, k, l]), (-1, y[i, h, k, l]),
-                         (1, y[j, i, k, l]), (1, y[i, j, k, l])]
-                aux[e] = [con("pea" + key, "prec-e", terms, ">=", 0)]
-                con("peb" + key, "prec-e", terms, "<=", T)
-                aux[f] = [con("pfa" + key, "prec-f", [(1, f), (-1, d)], ">=", 0),
-                          con("pfb" + key, "prec-f", [(1, f), (-1, e)], ">=", 0)]
-                con("pfc" + key, "prec-f", [(1, f), (-1, d), (-1, e)], "<=", 0)
-        # column k's zeroing order binds the pair-update order f of column k+1
-        for (h, i, j, k), c in c_of.items():
-            f = f_of.get((h, i, j, k + 1))
-            if f:
-                con("plink_%s_%s_%s_%s_%s" % (h, i, j, k, k + 1), "prec-link",
-                    [(1, c), (-1, f)], "<=", 0)
 
     def _objective_block(self):
         for name in self.int_vars:

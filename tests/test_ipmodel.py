@@ -1,5 +1,4 @@
 import hashlib
-import itertools
 import random
 
 import pytest
@@ -49,7 +48,7 @@ def test_capacity_catches_overload():
     assert any(v.group == "capacity" for v in violated)
 
 
-def test_mutation_violates_group3():
+def test_mutation_violates_1biii():
     g, s = _schedule(4, 3, "grasap", 4)
     model = emit_ip(4, 3, s.makespan // 2 + 4)
     assign = schedule_to_assignment(g, s)
@@ -58,7 +57,7 @@ def test_mutation_violates_group3():
     assign = complete_assignment(model, assign)
     ok, violated = check_feasible(model, assign)
     assert not ok
-    assert "3" in {v.group for v in violated}
+    assert "1b-iii" in {v.group for v in violated}
 
 
 def test_trivial_1x1():
@@ -109,10 +108,9 @@ def test_variable_counts_match_enumeration():
         # obligation constraints: one per sub-diagonal tile
         nine = [c for c in model.constraints if c.group == "9"]
         assert len(nine) == sum(p - k for k in range(1, min(p, q) + 1))
-        # precedence tuples: ordered distinct row triples at or below k
-        prec = sum(1 for k in range(1, q + 1)
-                   for h, i, j in itertools.permutations(range(k, p + 1), 3))
-        assert len([n for n in model.bin_vars if n.startswith("a1_")]) == prec
+        # the disjunction binaries are the only auxiliaries (no a1 ... f)
+        assert all(n.startswith("dl") for n in model.aux)
+        assert len(model.bin_vars) == y + z + len(model.aux)
 
 
 def test_non_tt_graph_rejected():
@@ -152,14 +150,14 @@ def test_bad_capacity():
 
 
 # sha256 of render(), taken before the pulse capacity block replaced the
-# overlap-binary block: the uncapacitated model must not move.  (5, 3, 30)
-# was re-taken when the prec-link rows were limited to consecutive columns.
+# overlap-binary block: the uncapacitated model must not move.  Re-taken
+# when the rows that kept rows imply were deleted.
 RENDER_SHA256 = {
-    (3, 2, 16): "4a9bef4595c4b2fc3f9dbd979dfb967115b66f55b86bc08ca7b87880e2aa33d2",
-    (4, 4, 40): "b389502efc9a5f3f2f75622fe441cb68dc030f82dfc568cf1db17c0c60ce8962",
-    (5, 3, 30): "eea1ddfa6f05417e862b6757ae62f096cc1b834b53f5ccf2b0e4036f320e8391",
+    (3, 2, 16): "01e66f654ac4a5713ce8a9e75bed3435687a3bfa4596f6beba1d927ef9b70082",
+    (4, 4, 40): "941afd4f3303616454685f2f793550d40e2ea817c3782d7a37e5d0110d034697",
+    (5, 3, 30): "40a9b58b7bea1c50423b320a399a8994ba6f333f95c2613353d4e97148c27bf1",
 }
-NON_CAPACITY_ROWS_SHA256 = "0d52f8a8017961f8275804980defa1e73a6a2243db292bd271427f13d8f1cf49"
+NON_CAPACITY_ROWS_SHA256 = "86921f68718ae941b83e3b82572ec709a6b7e838098b0a831b18129fbb1ba465"
 
 
 def _sha(text):
@@ -302,16 +300,16 @@ def test_capacity_optimum_matches_solver(p, q, procs, T, optimum):
 
 # sha256 pins taken before the variable-name tables replaced per-call name
 # formatting: full renders of capacity models, completed assignments of one
-# uncapacitated and one capacitated schedule.  (5, 5, 44, 4) was re-taken
-# when the prec-link rows were limited to consecutive columns.
+# uncapacitated and one capacitated schedule.  Re-taken when the rows that
+# kept rows imply were deleted.
 CAPACITY_RENDER_SHA256 = {
-    (3, 2, 16, 1): "fa64c74c20d87781dd3ca1e7a9a0698980f1fc7a10183e5f25c0fb5b4e9b6134",
-    (4, 3, 30, 2): "7f2f2e220d2820b3c273e640c409e2e014be4ea329f63440f51aac9d9b1ce5cc",
-    (5, 5, 44, 4): "fc0fe4105a30369bdae0658e278765e422c1847db66ffb56a203dad6f093abb9",
+    (3, 2, 16, 1): "54b34e2ae4dc6d5b99842fb4c271eded72d461159bcfad25cd8e9eba11c3c666",
+    (4, 3, 30, 2): "a96fbe91e545ac5253a5f562899f7f77697fb2a3f20af0213e4acb8473e28dd0",
+    (5, 5, 44, 4): "cb979d63685a3427a91c0dc37c41e94b68ce6ab36d716a136e63d125b9c9c8be",
 }
 COMPLETED_SHA256 = {
-    False: "58c987fe2e13a143ae14b95891031eccc86e93d2c7fa47d2f0a2ebbc6c48e314",
-    True: "1805e81e70c7ce0c6e0cdd4c9fd967852c47cdf251f905126e2fe89f9ab4c088",
+    False: "bba5a9c2e594ddfaab46f01888156d2f78e89e2350f1c19d95450ea895fefee1",
+    True: "f93b85e8d829958a009c714c21a125f94ae94eed1cd81e2bf4c1d0df05d2fbec",
 }
 
 
@@ -340,8 +338,6 @@ def test_greedy_7x5_feasible():
     model = emit_ip(7, 5, s.makespan // 2 + 4)
     ok, violated = check_feasible(model, complete_assignment(model, schedule_to_assignment(g, s)))
     assert ok, [v.name for v in violated]
-    links = [c.name.split("_")[4:] for c in model.constraints if c.group == "prec-link"]
-    assert links and all(int(l) == int(k) + 1 for k, l in links)
 
 
 def test_named_tree_round_trip_p8():
@@ -408,12 +404,49 @@ def test_model_structure(capacity):
                 seen.add(var)
 
 
+@pytest.mark.parametrize("capacity", [None, 2])
+def test_no_redundant_rows(capacity):
+    """No inequality row has a twin with the same left side (>= rows
+    negated): of two such rows, the one with the looser right side would
+    follow from the other."""
+    for p in range(1, 7):
+        for q in range(1, p + 1):
+            model = emit_ip(p, q, 30, capacity=capacity)
+            seen = {}
+            for con in model.constraints:
+                if con.sense == "=":
+                    continue
+                sign = 1 if con.sense == "<=" else -1
+                lhs = tuple(sorted((v, sign * c) for c, v in con.terms))
+                assert lhs not in seen, (p, q, seen[lhs], con.name)
+                seen[lhs] = con.name
+
+
+def test_double_orientation_rejected():
+    """A pair update run in both orientations (both hats set, one finish
+    time) breaks a 1a-ii, 1a-iii or 1b-ii row, so no row of its own is
+    needed to forbid it."""
+    trees = ("flattree", "greedy", "binarytree", "grasap")
+    for p in range(1, 6):
+        for q in range(1, p + 1):
+            g, s = _schedule(p, q, trees[(p + q) % len(trees)], 3)
+            model = emit_ip(p, q, s.makespan // 2 + 4)
+            times = schedule_to_assignment(g, s)
+            for (i, j, k, l), var in model.y.items():
+                if var not in times:
+                    continue
+                twin = {**times, model.y[j, i, k, l]: times[var], model.yhat[j, i, k, l]: 1}
+                ok, violated = check_feasible(model, complete_assignment(model, twin))
+                groups = {v.group for v in violated}
+                assert not ok and groups & {"1a-ii", "1a-iii", "1b-ii"}, (p, q, var, groups)
+
+
 # sha256 of the completed assignments, verdicts and violated rows of one
 # named-tree schedule per shape q <= p <= 6 and four seeded in-domain
 # mutations of each (times redrawn in [0, T], hats in {0, 1})
 MUTATION_SHA256 = {
-    False: "758547b757827cf98640b7d45b000cdc4926f75f4ac8451558246b24ff4b579f",
-    True: "e1dfb56a7ebc087deac1869f4fa98080cf1f4158e0abc8a0b25f2d677ec95ee6",
+    False: "c67d2df12b42c2e835612012c1fa1a761165dc0962b121c1517117ea1dad9c5f",
+    True: "1e96e065117af55bf4b95c571162f0217502819b762f5262c26ff221ba247047",
 }
 
 
