@@ -216,9 +216,9 @@ class IPModel:
                                          (-1, y[o, s, k, l]), (-1, y[s, o, k, l]),
                                          (T, yhat[o, s, k, l]), (T, yhat[s, o, k, l]), (-T, d2)],
                                         "<=", T - D_UPDATE)
-                                either = con("c1ciii_or" + key, "1c-iii",
-                                             [(1, d1), (1, d2)], ">=", 1)
-                                aux[d1], aux[d2] = [a], [b, either]
+                                # each dl relaxes one side: at most one may
+                                con("c1ciii_or" + key, "1c-iii", [(1, d1), (1, d2)], "<=", 1)
+                                aux[d1], aux[d2] = [a], [b]
         # 1c-iv: pair update precedes any zeroing involving its rows
         for i, j, k, l in y:
             for r in (i, j):
@@ -245,8 +245,8 @@ class IPModel:
                         b = con("c1d1_b" + key, "1d-case1",
                                 [(1, z[h, i, k]), (-1, z[j, i, k]), (T, zhat[j, i, k]), (-T, d6)],
                                 "<=", T - D_TTQRT)
-                        either = con("c1d1_or" + key, "1d-case1", [(1, d5), (1, d6)], ">=", 1)
-                        aux[d5], aux[d6] = [a], [b, either]
+                        con("c1d1_or" + key, "1d-case1", [(1, d5), (1, d6)], "<=", 1)
+                        aux[d5], aux[d6] = [a], [b]
         # 1d case 2: pivot duty precedes the pivot's own zeroing
         # (the formulation leaves the row-order of this case open; emitted for
         # all valid row triples)

@@ -151,13 +151,14 @@ def test_bad_capacity():
 
 # sha256 of render(), taken before the pulse capacity block replaced the
 # overlap-binary block: the uncapacitated model must not move.  Re-taken
-# when the rows that kept rows imply were deleted.
+# when the rows that kept rows imply were deleted and again when the
+# disjunction rows became <= 1.
 RENDER_SHA256 = {
-    (3, 2, 16): "01e66f654ac4a5713ce8a9e75bed3435687a3bfa4596f6beba1d927ef9b70082",
-    (4, 4, 40): "941afd4f3303616454685f2f793550d40e2ea817c3782d7a37e5d0110d034697",
-    (5, 3, 30): "40a9b58b7bea1c50423b320a399a8994ba6f333f95c2613353d4e97148c27bf1",
+    (3, 2, 16): "4335c90145143afa5eb62b85b0bbef8034714f6f5a9be7e18b073ced2d043339",
+    (4, 4, 40): "f55a52b5a24f96e2110efbbdf00fd661b641b8cd0aeabbe3f42a21bbc6dfb278",
+    (5, 3, 30): "d4917c7c246d54e52e40f4100be04baac7d99d5d69ef6d7d2df02bd1fb112e65",
 }
-NON_CAPACITY_ROWS_SHA256 = "86921f68718ae941b83e3b82572ec709a6b7e838098b0a831b18129fbb1ba465"
+NON_CAPACITY_ROWS_SHA256 = "1d4a9bfad171e908b69dbc904d8df1b396d382c280b376923ff036aa23ad3546"
 
 
 def _sha(text):
@@ -285,11 +286,13 @@ def _milp_optimum(model):
     return round(res.fun) if res.status == 0 else None
 
 
-# optima of the overlap-binary capacity block this formulation replaced
+# optima of the overlap-binary capacity block this formulation replaced;
+# 3x2 P=2 is 16, the best list-schedule makespan, since the disjunction rows
+# allow at most one relaxed side (it read 15 while both could be relaxed)
 @pytest.mark.parametrize("p,q,procs,T,optimum", [
     (2, 2, 1, 24, 16),
     (3, 2, 1, 32, 28),
-    (3, 2, 2, 24, 15),
+    (3, 2, 2, 24, 16),
     (3, 3, 2, 36, 29),
     (3, 2, 1, 22, None),
 ])
@@ -298,18 +301,50 @@ def test_capacity_optimum_matches_solver(p, q, procs, T, optimum):
     assert _milp_optimum(emit_ip(p, q, T, capacity=procs)) == optimum
 
 
+# uncapacitated optima: the smallest critical path over the named trees
+@pytest.mark.parametrize("p,q,T,optimum", [(3, 2, 24, 14), (4, 3, 36, 22)])
+def test_uncapacitated_optimum_matches_solver(p, q, T, optimum):
+    pytest.importorskip("scipy")
+    trees = ("flattree", "fibonacci", "greedy", "binarytree", "asap", "grasap")
+    assert min(build_tree(p, q, tree).cp for tree in trees) == 2 * optimum
+    assert _milp_optimum(emit_ip(p, q, T)) == optimum
+
+
+def _overlap_violations(p, q, var, other):
+    """The rows that a valid flat-tree schedule breaks once action var is
+    moved to finish with action other."""
+    g, s = _schedule(p, q, "flattree", 1000)
+    model = emit_ip(p, q, s.makespan // 2 + 4)
+    times = schedule_to_assignment(g, s)
+    assert times[var] != times[other]
+    times[var] = times[other]
+    return _violated(model, complete_assignment(model, times))
+
+
+def test_pair_updates_sharing_a_row_overlap_rejected():
+    # both pair updates of column 2 by panel 1 pivot on row 1; only the
+    # 1c-iii disjunction rows see the overlap, as both sides are relaxed
+    assert _overlap_violations(3, 2, "y_3_1_2_1", "y_2_1_2_1") == {
+        "c1ciii_or_3_1_2_2_1", "c1ciii_or_2_1_3_2_1"}
+
+
+def test_zeroings_sharing_a_pivot_overlap_rejected():
+    assert _overlap_violations(3, 1, "z_3_1_1", "z_2_1_1") == {"c1d1_or_3_1_2_1"}
+
+
 # sha256 pins taken before the variable-name tables replaced per-call name
 # formatting: full renders of capacity models, completed assignments of one
 # uncapacitated and one capacitated schedule.  Re-taken when the rows that
-# kept rows imply were deleted.
+# kept rows imply were deleted and again when the disjunction rows became
+# <= 1.
 CAPACITY_RENDER_SHA256 = {
-    (3, 2, 16, 1): "54b34e2ae4dc6d5b99842fb4c271eded72d461159bcfad25cd8e9eba11c3c666",
-    (4, 3, 30, 2): "a96fbe91e545ac5253a5f562899f7f77697fb2a3f20af0213e4acb8473e28dd0",
-    (5, 5, 44, 4): "cb979d63685a3427a91c0dc37c41e94b68ce6ab36d716a136e63d125b9c9c8be",
+    (3, 2, 16, 1): "167b16cece83efa0e673de09ca72412807bc76763459a63be5cfca32461933ca",
+    (4, 3, 30, 2): "531daaff475cac7f5426cedf284e3e256f20867c37446467770ebf72eb313c43",
+    (5, 5, 44, 4): "2c1cc00b5a7e73fffd149df3ca26f2a879612dea4833751711d046bbda15ee2d",
 }
 COMPLETED_SHA256 = {
-    False: "bba5a9c2e594ddfaab46f01888156d2f78e89e2350f1c19d95450ea895fefee1",
-    True: "f93b85e8d829958a009c714c21a125f94ae94eed1cd81e2bf4c1d0df05d2fbec",
+    False: "024cd91b7664bc9b421c683f54d6f87014c568c670671bcaa486587fa5bc8eb2",
+    True: "7ab30c7001dd1696a3d3d3e2a651e1d824bf0f34d72a71b22f9564164514db76",
 }
 
 
@@ -445,8 +480,8 @@ def test_double_orientation_rejected():
 # named-tree schedule per shape q <= p <= 6 and four seeded in-domain
 # mutations of each (times redrawn in [0, T], hats in {0, 1})
 MUTATION_SHA256 = {
-    False: "c67d2df12b42c2e835612012c1fa1a761165dc0962b121c1517117ea1dad9c5f",
-    True: "1e96e065117af55bf4b95c571162f0217502819b762f5262c26ff221ba247047",
+    False: "655e27dc149b2b20cbf3da317061e70e20ae7986326bcc4de9d21d8b02678c43",
+    True: "343b876d729b9c01c0d99bc321d6520f78d09fa3f8b256082b95552417a9bac6",
 }
 
 
