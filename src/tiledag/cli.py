@@ -54,7 +54,8 @@ def _procs(spec):
 
 
 def _positive(spec):
-    """argparse type of a positive integer (a processor count or a horizon)."""
+    """argparse type of a positive integer (a processor count, a horizon or
+    a column count)."""
     try:
         n = int(spec)
     except ValueError:
@@ -218,7 +219,7 @@ def cmd_sched(args):
         _write(args, results[-1][1].to_csv(graph, weights), suffix=".gantt")
     if args.check and args.algo == "cholesky":
         return _check([("cp {} != {}", annotate_cp(graph, weights).cp_length,
-                        9 * args.t - 10)])
+                        cholesky.chol_cp_oracle(args.t, "fact"))])
     return 0
 
 
@@ -328,7 +329,7 @@ def main(argv=None):
     p.add_argument("--algo", default="greedy", choices=list(qr.TREE_ALGOS))
     p.add_argument("--family", default="TT", choices=["TT", "TS"])
     p.add_argument("--bs", type=int, help="plasmatree domain size")
-    p.add_argument("--i", type=int, default=1, help="grasap trailing asap columns")
+    p.add_argument("--i", type=_positive, default=1, help="grasap trailing asap columns")
 
     p = add("qr-cp-table", cmd_qr_cp_table, check=True, help="critical-path comparison table")
     p.add_argument("--p", type=int, required=True)
@@ -380,6 +381,10 @@ def main(argv=None):
         args = ap.parse_args(argv)
         if "bs" in args and args.algo == "plasmatree" and args.bs is None:
             ap.error("--algo plasmatree needs --bs")
+        if "i" in args and args.algo == "grasap" and args.i > args.q:
+            ap.error("--i must not exceed --q")
+        if "family" in args and args.family == "TS" and args.algo in ("asap", "grasap"):
+            ap.error(f"--algo {args.algo} is defined over TT kernels")
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:

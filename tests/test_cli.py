@@ -247,6 +247,19 @@ def test_plasmatree_needs_bs_exit_2(capsys, cmd):
     assert main([cmd, "--algo", "plasmatree", "--p", "6", "--q", "3", "--bs", "2"]) == 0
 
 
+@pytest.mark.parametrize("argv,needle", [
+    (["--algo", "grasap", "--i", "0"], "--i"),
+    (["--algo", "grasap", "--i", "4"], "--i"),
+    (["--algo", "asap", "--family", "TS"], "TT kernels"),
+    (["--algo", "grasap", "--family", "TS"], "TT kernels"),
+])
+def test_bad_tree_flags_exit_2(capsys, argv, needle):
+    assert main(["qr-tiled", "--p", "4", "--q", "3", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and needle in captured.err
+    assert main(["qr-tiled", "--p", "4", "--q", "3", "--algo", "grasap", "--i", "3"]) == 0
+
+
 def test_internal_error_exit_1(capsys):
     assert main(["qr-coarse", "--p", "3", "--q", "5"]) == 1   # p < q
     err = capsys.readouterr().err
