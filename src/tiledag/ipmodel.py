@@ -370,10 +370,10 @@ def emit_ip(p, q, horizon, capacity=None) -> IPModel:
 # ---------------------------------------------------------------------------
 # schedules -> assignments
 
-def schedule_to_assignment(graph, schedule, weights=None) -> dict:
-    """Map a TT-kernel schedule to IP variable values (half-unit finish
-    times); indicator and auxiliary variables are derived consistently."""
-    weights = weights or WeightModel.qr_tt()
+def schedule_to_assignment(graph, schedule) -> dict:
+    """Map a TT-kernel schedule under `WeightModel.QR` to IP variable values
+    (half-unit finish times) and the hats of the performed actions."""
+    weights = WeightModel.qr_tt()
     assign = {}
     for t in graph.tasks:
         if t.kind not in (GEQRT, TTQRT, UNMQR, TTMQR):

@@ -303,9 +303,7 @@ def coarse_cp_oracle(p, q, algo):
         raise ValueError("need p >= q >= 1")
     algo = algo.lower()
     if algo in FLAT_TREE_NAMES:
-        if p == q:
-            return 2 * q - 3 if q > 1 else 0
-        return p + q - 2
+        return sk_coarse_closed_form(p, q)
     if algo == "fibonacci":
         x = fibonacci_x(p)
         if p == q:

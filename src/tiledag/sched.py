@@ -279,7 +279,7 @@ def rooftop_bound(graph: TaskGraph, weights: WeightModel, p: int) -> Fraction:
     return bounds_table(graph, weights, [p])[0].t_roof
 
 
-def alpha_min(t: int, p_cap=None):
+def alpha_min(t: int):
     """Smallest processor count whose max-priority list schedule attains
     the weighted critical path 9t-10; alpha = p_opt / t^2.
 
@@ -292,10 +292,10 @@ def alpha_min(t: int, p_cap=None):
     graph = build_from_trace(trace)
     weights = WeightModel.cholesky()
     ann = annotate_cp(graph, weights)
-    target = 9 * t - 10
+    target = cholesky.chol_cp_oracle(t, "fact")
     if ann.cp_length != target:
         raise AssertionError(f"critical path {ann.cp_length} != 9t-10 = {target}")
-    cap = p_cap or (t - 1) ** 2
+    cap = (t - 1) ** 2
     for p in range(1, cap + 1):
         ms = list_schedule(graph, weights, p, MAX_CP, annotation=ann).makespan
         if ms == target:

@@ -118,7 +118,7 @@ def test_non_tt_graph_rejected():
     g = build_from_trace(b.trace)
     s = list_schedule(g, WeightModel.qr_tt(), 2, "max")
     with pytest.raises(ValueError, match="TT kernels"):
-        schedule_to_assignment(g, s, WeightModel.qr_tt())
+        schedule_to_assignment(g, s)
 
 
 def test_assignment_round_trip():
