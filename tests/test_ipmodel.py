@@ -286,9 +286,9 @@ def _milp_optimum(model):
     return round(res.fun) if res.status == 0 else None
 
 
-# optima of the overlap-binary capacity block this formulation replaced;
-# 3x2 P=2 is 16, the best list-schedule makespan, since the disjunction rows
-# allow at most one relaxed side (it read 15 while both could be relaxed)
+# optima of the overlap-binary capacity block this formulation replaced,
+# except 3x2 P=2: 16, the best list-schedule makespan (that block's 15 came
+# from disjunction rows that let both sides be relaxed)
 @pytest.mark.parametrize("p,q,procs,T,optimum", [
     (2, 2, 1, 24, 16),
     (3, 2, 1, 32, 28),
