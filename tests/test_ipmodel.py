@@ -11,6 +11,8 @@ from tiledag import (
 from tiledag.ipmodel import assignment_text
 
 WQ = WeightModel.qr_tt()
+ROTATED_TREES = ("flattree", "greedy", "binarytree", "grasap")   # one per shape
+NAMED_TREES = ("flattree", "fibonacci", "greedy", "binarytree", "asap", "grasap")
 
 
 def _schedule(p, q, algo, procs):
@@ -305,8 +307,7 @@ def test_capacity_optimum_matches_solver(p, q, procs, T, optimum):
 @pytest.mark.parametrize("p,q,T,optimum", [(3, 2, 24, 14), (4, 3, 36, 22)])
 def test_uncapacitated_optimum_matches_solver(p, q, T, optimum):
     pytest.importorskip("scipy")
-    trees = ("flattree", "fibonacci", "greedy", "binarytree", "asap", "grasap")
-    assert min(build_tree(p, q, tree).cp for tree in trees) == 2 * optimum
+    assert min(build_tree(p, q, tree).cp for tree in NAMED_TREES) == 2 * optimum
     assert _milp_optimum(emit_ip(p, q, T)) == optimum
 
 
@@ -378,15 +379,14 @@ def test_greedy_7x5_feasible():
 def test_named_tree_round_trip_p8():
     """Every named tree's list schedule on 1 and 1000 processors, q <= p <= 8,
     is feasible; one model per shape, its horizon past the longest schedule."""
-    trees = ("flattree", "fibonacci", "greedy", "binarytree", "asap", "grasap")
     for p in range(1, 9):
         for q in range(1, p + 1):
-            cases = [_schedule(p, q, tree, procs) for tree in trees for procs in (1, 1000)]
+            cases = [_schedule(p, q, tree, procs) for tree in NAMED_TREES for procs in (1, 1000)]
             model = emit_ip(p, q, max(s.makespan for _, s in cases) // 2 + 4)
             for n, (g, s) in enumerate(cases):
                 assign = complete_assignment(model, schedule_to_assignment(g, s))
                 ok, violated = check_feasible(model, assign)
-                assert ok, (p, q, trees[n // 2], [v.name for v in violated[:3]])
+                assert ok, (p, q, NAMED_TREES[n // 2], [v.name for v in violated[:3]])
 
 
 def test_domain_violations_reported():
@@ -461,10 +461,9 @@ def test_double_orientation_rejected():
     """A pair update run in both orientations (both hats set, one finish
     time) breaks a 1a-ii, 1a-iii or 1b-ii row, so no row of its own is
     needed to forbid it."""
-    trees = ("flattree", "greedy", "binarytree", "grasap")
     for p in range(1, 6):
         for q in range(1, p + 1):
-            g, s = _schedule(p, q, trees[(p + q) % len(trees)], 3)
+            g, s = _schedule(p, q, ROTATED_TREES[(p + q) % 4], 3)
             model = emit_ip(p, q, s.makespan // 2 + 4)
             times = schedule_to_assignment(g, s)
             for (i, j, k, l), var in model.y.items():
@@ -502,11 +501,10 @@ def _mutation_cases(capacitated):
     """(model, completed assignment) of one named-tree schedule per shape
     q <= p <= 6 and four seeded in-domain mutations of each."""
     rng = random.Random(20261018)
-    trees = ("flattree", "greedy", "binarytree", "grasap")
     procs = 2 if capacitated else 3
     for p in range(1, 7):
         for q in range(1, p + 1):
-            g, s = _schedule(p, q, trees[(p + q) % len(trees)], procs)
+            g, s = _schedule(p, q, ROTATED_TREES[(p + q) % 4], procs)
             model = emit_ip(p, q, s.makespan // 2 + 4, capacity=procs if capacitated else None)
             times = schedule_to_assignment(g, s)
             for assign in [times, *_mutants(model, times, rng, 4)]:
@@ -535,11 +533,10 @@ VERDICT_SHA256 = {
 
 @pytest.mark.parametrize("capacitated", [False, True])
 def test_verdicts_pinned(capacitated):
-    trees = ("flattree", "fibonacci", "greedy", "binarytree", "asap", "grasap")
     digest = hashlib.sha256()
     for p in range(1, 7):
         for q in range(1, p + 1):
-            cases = [_schedule(p, q, tree, procs) for tree in trees for procs in (1, 3)]
+            cases = [_schedule(p, q, tree, procs) for tree in NAMED_TREES for procs in (1, 3)]
             model = emit_ip(p, q, max(s.makespan for _, s in cases) // 2 + 4,
                             capacity=2 if capacitated else None)
             for g, s in cases:
