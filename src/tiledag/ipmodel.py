@@ -16,6 +16,12 @@ The precedence block never binds: 4b, c11za and c11yb make its link hold,
 its AND/OR gadgets then have a solution unless a pair update runs in both
 orientations, and 1a-iii with 1b-ii already reject that.
 
+Group 4b corrects the appendix's row, which reads z_ij + z_ji <= y_ij,l +
+y_ji,l: that orders only the finish times, so a pair update could run
+alongside the zeroing whose transform it applies.  The emitted row adds
+D_UPDATE*(zhat_ij + zhat_ji) to the left side: a performed zeroing ends
+before the pair update starts.  The proofs above hold with the stronger row.
+
 An optional processor-capacity block bounds the number of simultaneously
 running kernels; without it the formulation is the unbounded-processor
 problem.  The block is the time-indexed pulse formulation (Pritsker,
@@ -265,14 +271,15 @@ class IPModel:
                 for l in range(k + 1, q + 1):
                     con("c4a_%s_%s_%s" % (i, k, l), "4a",
                         [(1, x[i, k]), (-1, w[i, l, k])], "<=", -D_UPDATE)
-        # 4b: zeroing forces pair updates in later columns
+        # 4b: zeroing forces pair updates in later columns, which start
+        # once it has finished
         for i, j, k in z:
             if i > j:
                 continue
             for l in range(k + 1, q + 1):
                 con("c4b_%s_%s_%s_%s" % (i, j, k, l), "4b",
-                    [(1, z[i, j, k]), (1, z[j, i, k]), (-1, y[i, j, l, k]), (-1, y[j, i, l, k])],
-                    "<=", 0)
+                    [(1, z[i, j, k]), (1, z[j, i, k]), (-1, y[i, j, l, k]), (-1, y[j, i, l, k]),
+                     (D_UPDATE, zhat[i, j, k]), (D_UPDATE, zhat[j, i, k])], "<=", 0)
         # 8: triangularizations take two steps
         for (i, k), name in x.items():
             if i >= k:

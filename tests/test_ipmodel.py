@@ -290,12 +290,14 @@ def _milp_optimum(model):
 
 # optima of the overlap-binary capacity block this formulation replaced,
 # except 3x2 P=2: 16, the best list-schedule makespan (that block's 15 came
-# from disjunction rows that let both sides be relaxed)
+# from disjunction rows that let both sides be relaxed), and 3x3 P=2: 30,
+# the exact 2-processor optimum of every named 3x3 tree (that block's 29
+# came from a 4b row that let a pair update run alongside its zeroing)
 @pytest.mark.parametrize("p,q,procs,T,optimum", [
     (2, 2, 1, 24, 16),
     (3, 2, 1, 32, 28),
     (3, 2, 2, 24, 16),
-    (3, 3, 2, 36, 29),
+    (3, 3, 2, 36, 30),
     (3, 2, 1, 22, None),
 ])
 def test_capacity_optimum_matches_solver(p, q, procs, T, optimum):
@@ -331,6 +333,18 @@ def test_pair_updates_sharing_a_row_overlap_rejected():
 
 def test_zeroings_sharing_a_pivot_overlap_rejected():
     assert _overlap_violations(3, 1, "z_3_1_1", "z_2_1_1") == {"c1d1_or_3_1_2_1"}
+
+
+def test_pair_update_before_its_zeroing_ends_rejected():
+    # the 2x2 flat tree on one processor finishes z_2_1_1 at 11 and the
+    # pair update applying its transform at 14; finishing that at 13 starts
+    # it at 10, while the transform is still being made
+    g, s = _schedule(2, 2, "flattree", 1)
+    model = emit_ip(2, 2, s.makespan // 2 + 4)
+    times = schedule_to_assignment(g, s)
+    assert (times["z_2_1_1"], times["y_2_1_2_1"]) == (11, 14)
+    times["y_2_1_2_1"] = 13
+    assert _violated(model, complete_assignment(model, times)) == {"c4b_1_2_1_2"}
 
 
 # sha256 pins taken before the variable-name tables replaced per-call name
