@@ -14,7 +14,11 @@ row whose zeroing pair is the pair update's own rows repeats the first.
 Group 3 (x_r <= z_ij when zhat_ij) follows from 1b-iii, c11zb and x_r <= T.
 The precedence block never binds: 4b, c11za and c11yb make its link hold,
 its AND/OR gadgets then have a solution unless a pair update runs in both
-orientations, and 1a-iii with 1b-ii already reject that.
+orientations, and 1a-iii with 1b-ii already reject that.  A 1c-iii
+disjunction keyed (h, s, o) is emitted only for h > o: its c1ciii_a row is
+the c1ciii_b row of the copy keyed (o, s, h) with dl1 for that copy's dl2,
+and its c1ciii_b row that copy's c1ciii_a with dl2 for dl1, so swapping the
+two binaries maps the solutions of one copy onto those of the other.
 
 Group 4b corrects the appendix's row, which reads z_ij + z_ji <= y_ij,l +
 y_ji,l: that orders only the finish times, so a pair update could run
@@ -210,6 +214,8 @@ class IPModel:
                             if h == i or h == j:
                                 continue
                             for s, o in ((i, j), (j, i)):     # shared, other row
+                                if h < o:       # the copy keyed (o, s, h) is kept
+                                    continue
                                 key = "_%s_%s_%s_%s_%s" % (h, s, o, k, l)
                                 d1, d2 = "dl1" + key, "dl2" + key
                                 a = con("c1ciii_a" + key, "1c-iii",

@@ -1,5 +1,6 @@
 import hashlib
 import random
+from math import comb
 
 import pytest
 
@@ -194,6 +195,20 @@ def test_capacity_block_closed_forms():
         assert not any(v.startswith(("ge_", "le_", "u_")) for v in model.bin_vars)
 
 
+def test_1ciii_closed_forms():
+    # one disjunction per shared row s and unordered pair {h, o} of other
+    # rows of a pair-update column: three rows and two dl binaries each
+    for p, q in ((2, 2), (3, 2), (4, 3), (5, 5), (8, 8)):
+        model = emit_ip(p, q, 30)
+        rows = [c for c in model.constraints if c.group == "1c-iii"]
+        n = 9 * sum(comb(p - l + 1, 3) for k in range(2, q + 1) for l in range(1, k))
+        assert len(rows) == n, (p, q)
+        assert len([v for v in model.aux if v.startswith(("dl1", "dl2"))]) == 2 * n // 3, (p, q)
+    assert n == 6804
+    model = emit_ip(8, 8, 1028)
+    assert (len(model.constraints), len(model.aux)) == (19294, 5292)
+
+
 def _p1_case():
     """A valid single-processor 3x2 schedule, its model and its completed
     assignment."""
@@ -326,9 +341,8 @@ def _overlap_violations(p, q, var, other):
 
 def test_pair_updates_sharing_a_row_overlap_rejected():
     # both pair updates of column 2 by panel 1 pivot on row 1; only the
-    # 1c-iii disjunction rows see the overlap, as both sides are relaxed
-    assert _overlap_violations(3, 2, "y_3_1_2_1", "y_2_1_2_1") == {
-        "c1ciii_or_3_1_2_2_1", "c1ciii_or_2_1_3_2_1"}
+    # 1c-iii disjunction row sees the overlap, as both sides are relaxed
+    assert _overlap_violations(3, 2, "y_3_1_2_1", "y_2_1_2_1") == {"c1ciii_or_3_1_2_2_1"}
 
 
 def test_zeroings_sharing_a_pivot_overlap_rejected():
@@ -457,7 +471,9 @@ def test_model_structure(capacity):
 def test_no_redundant_rows(capacity):
     """No inequality row has a twin with the same left side (>= rows
     negated): of two such rows, the one with the looser right side would
-    follow from the other."""
+    follow from the other.  Nor has it a twin once every auxiliary binary
+    reads as one marker (rows of auxiliaries alone keep their names): the
+    two would state one separation twice, relaxed by different binaries."""
     for p in range(1, 7):
         for q in range(1, p + 1):
             model = emit_ip(p, q, 30, capacity=capacity)
@@ -466,7 +482,9 @@ def test_no_redundant_rows(capacity):
                 if con.sense == "=":
                     continue
                 sign = 1 if con.sense == "<=" else -1
-                lhs = tuple(sorted((v, sign * c) for c, v in con.terms))
+                keep = all(v in model.aux for _, v in con.terms)
+                lhs = tuple(sorted((v if keep or v not in model.aux else "aux", sign * c)
+                                   for c, v in con.terms))
                 assert lhs not in seen, (p, q, seen[lhs], con.name)
                 seen[lhs] = con.name
 
