@@ -154,14 +154,15 @@ def test_bad_capacity():
 
 # sha256 of render(), taken before the pulse capacity block replaced the
 # overlap-binary block: the uncapacitated model must not move.  Re-taken
-# when the rows that kept rows imply were deleted and again when the
-# disjunction rows became <= 1.
+# when the rows that kept rows imply were deleted, when the disjunction
+# rows became <= 1, and when 4b waited for its zeroing's end and 1c-iii
+# lost its mirrored copies.
 RENDER_SHA256 = {
-    (3, 2, 16): "4335c90145143afa5eb62b85b0bbef8034714f6f5a9be7e18b073ced2d043339",
-    (4, 4, 40): "f55a52b5a24f96e2110efbbdf00fd661b641b8cd0aeabbe3f42a21bbc6dfb278",
-    (5, 3, 30): "d4917c7c246d54e52e40f4100be04baac7d99d5d69ef6d7d2df02bd1fb112e65",
+    (3, 2, 16): "317c93c2058d9bd9e7d2540cf0e0ca739d377b6475950acad2f1897d0986edcd",
+    (4, 4, 40): "cac2751a859974f50b010f22953210cd9d02f959be8fe6e6b2afe757b15a512a",
+    (5, 3, 30): "b96033ac719700b80ed8453a701df0d439134c792eafb1e86d057d1b8fe8e370",
 }
-NON_CAPACITY_ROWS_SHA256 = "1d4a9bfad171e908b69dbc904d8df1b396d382c280b376923ff036aa23ad3546"
+NON_CAPACITY_ROWS_SHA256 = "5048cf11938820c20311bebeb614c8f399e349e69ede2a65df83f238137ff038"
 
 
 def _sha(text):
@@ -364,16 +365,16 @@ def test_pair_update_before_its_zeroing_ends_rejected():
 # sha256 pins taken before the variable-name tables replaced per-call name
 # formatting: full renders of capacity models, completed assignments of one
 # uncapacitated and one capacitated schedule.  Re-taken when the rows that
-# kept rows imply were deleted and again when the disjunction rows became
-# <= 1.
+# kept rows imply were deleted, when the disjunction rows became <= 1, and
+# when 4b waited for its zeroing's end and 1c-iii lost its mirrored copies.
 CAPACITY_RENDER_SHA256 = {
-    (3, 2, 16, 1): "167b16cece83efa0e673de09ca72412807bc76763459a63be5cfca32461933ca",
-    (4, 3, 30, 2): "531daaff475cac7f5426cedf284e3e256f20867c37446467770ebf72eb313c43",
-    (5, 5, 44, 4): "2c1cc00b5a7e73fffd149df3ca26f2a879612dea4833751711d046bbda15ee2d",
+    (3, 2, 16, 1): "1e3991a21868b968092f4657caf5676e7910241af86771aab83bb90c152c3b22",
+    (4, 3, 30, 2): "865edf7d0221a641b52589ad50b3faea1b2984686a06dad264f7368547c44576",
+    (5, 5, 44, 4): "a9c427c137af5a3b17de6ff770d68847708a15f7317faed217846feee5e01f3e",
 }
 COMPLETED_SHA256 = {
-    False: "024cd91b7664bc9b421c683f54d6f87014c568c670671bcaa486587fa5bc8eb2",
-    True: "7ab30c7001dd1696a3d3d3e2a651e1d824bf0f34d72a71b22f9564164514db76",
+    False: "611be1870641c6f51d74cea5b6ecade2fbc1411c871ebd1515e7a54792748dc3",
+    True: "3aba0090e726af7c5874eff3c9d166e00a47dbeeb34cd911f0d3c28987b329fa",
 }
 
 
@@ -511,8 +512,8 @@ def test_double_orientation_rejected():
 # named-tree schedule per shape q <= p <= 6 and four seeded in-domain
 # mutations of each (times redrawn in [0, T], hats in {0, 1})
 MUTATION_SHA256 = {
-    False: "655e27dc149b2b20cbf3da317061e70e20ae7986326bcc4de9d21d8b02678c43",
-    True: "343b876d729b9c01c0d99bc321d6520f78d09fa3f8b256082b95552417a9bac6",
+    False: "cfa7dc4d212c37e1a4a1604b5e710d400e37dab316dc42f84944dca061fe8a9e",
+    True: "9d9badf149e5b75592f28854237e22f2a7eac30db667190339883621021edf29",
 }
 
 
