@@ -20,6 +20,7 @@ from tiledag import (  # noqa: E402
     TileRef, TraceTimer, WeightModel, alap_bound, annotate_cp,
     build_from_trace, check_schedule, list_schedule, rooftop_bound,
 )
+from test_qr_coarse import interleaved_list  # noqa: E402
 
 WM = WeightModel.custom({GEMM: 6, SYRK: 3, TRSM: 2, POTRF: 1, COPY: 0})
 TILES = st.sampled_from([TileRef("A", i, 0) for i in range(4)])
@@ -65,21 +66,9 @@ def test_schedules_valid_and_bounded(steps, p, seed):
 
 @st.composite
 def elim_lists(draw):
-    """Any ready target below the column's diagonal against any other ready
-    row of that column, the column drawn at each step."""
     p = draw(st.integers(1, 8))
     q = draw(st.integers(1, p))
-    ready = [[] for _ in range(min(p, q) + 2)]
-    ready[1] = list(range(1, p + 1))
-    entries = []
-    while cols := [k for k in range(1, min(p, q) + 1) if len(ready[k]) >= 2]:
-        k = draw(st.sampled_from(cols))
-        i = draw(st.sampled_from([r for r in ready[k] if r > k]))
-        piv = draw(st.sampled_from([r for r in ready[k] if r != i]))
-        ready[k].remove(i)
-        ready[k + 1].append(i)
-        entries.append(ElimEntry(i, piv, k))
-    return EliminationList(p, q, entries)
+    return interleaved_list(p, q, lambda options: draw(st.sampled_from(options)))
 
 
 @SETTINGS

@@ -105,14 +105,34 @@ def test_validity_rejections():
         EliminationList(3, 2, [ElimEntry(2, 3, 2)]).validate()
 
 
-def _random_list(p, q, rng, rev_cols):
+def interleaved_list(p, q, pick):
+    """A valid elimination list whose columns interleave, with reverse and
+    ex-pivot eliminations: pick(options) chooses, at each step, a column
+    holding two ready rows, a ready target below its diagonal and any other
+    ready row as pivot."""
+    ready = [[] for _ in range(min(p, q) + 2)]
+    ready[1] = list(range(1, p + 1))
+    entries = []
+    while cols := [k for k in range(1, min(p, q) + 1) if len(ready[k]) >= 2]:
+        k = pick(cols)
+        i = pick([r for r in ready[k] if r > k])
+        piv = pick([r for r in ready[k] if r != i])
+        ready[k].remove(i)
+        ready[k + 1].append(i)
+        entries.append(ElimEntry(i, piv, k))
+    return EliminationList(p, q, entries)
+
+
+def _random_list(p, q, rng):
+    """A valid list, column by column, with reverse eliminations in the
+    last column only."""
     entries = []
     for k in range(1, min(p, q) + 1):
         rows = list(range(k, p + 1))
         while len(rows) > 1:
             a, b = sorted(rng.sample(range(len(rows)), 2))
             lo, hi = rows[a], rows[b]
-            if k in rev_cols and lo > k and rng.random() < 0.5:
+            if k == min(p, q) and lo > k and rng.random() < 0.5:
                 entries.append(ElimEntry(lo, hi, k)); rows.remove(lo)
             else:
                 entries.append(ElimEntry(hi, lo, k)); rows.remove(hi)
@@ -124,7 +144,7 @@ def test_normalization_validity_everywhere():
     for _ in range(120):
         p = rng.randint(2, 8)
         q = rng.randint(1, p)
-        lst = _random_list(p, q, rng, rev_cols=set(range(1, q + 1)))
+        lst = interleaved_list(p, q, rng.choice)
         lst.validate()
         norm = lst.normalized()
         norm.validate()
@@ -138,7 +158,7 @@ def test_normalization_preserves_cp_symmetric_histories():
     for _ in range(120):
         p = rng.randint(2, 8)
         q = rng.randint(1, p)
-        lst = _random_list(p, q, rng, rev_cols={min(p, q)})
+        lst = _random_list(p, q, rng)
         norm = lst.normalized()
         c1 = tiled_build(lst, keep_trace=False).cp
         c2 = tiled_build(norm, keep_trace=False).cp
@@ -150,7 +170,7 @@ def test_normalization_preserves_coarse_step_multiset():
     for _ in range(80):
         p = rng.randint(2, 8)
         q = rng.randint(1, p)
-        lst = _random_list(p, q, rng, rev_cols={min(p, q)})
+        lst = _random_list(p, q, rng)
         a = sorted(e.step for e in lst.with_steps())
         b = sorted(e.step for e in lst.normalized().with_steps())
         assert a == b
