@@ -200,14 +200,12 @@ def test_1ciii_closed_forms():
     # one disjunction per shared row s and unordered pair {h, o} of other
     # rows of a pair-update column: three rows and two dl binaries each
     for p, q in ((2, 2), (3, 2), (4, 3), (5, 5), (8, 8)):
-        model = emit_ip(p, q, 30)
+        model = emit_ip(p, q, 1028)
         rows = [c for c in model.constraints if c.group == "1c-iii"]
         n = 9 * sum(comb(p - l + 1, 3) for k in range(2, q + 1) for l in range(1, k))
         assert len(rows) == n, (p, q)
         assert len([v for v in model.aux if v.startswith(("dl1", "dl2"))]) == 2 * n // 3, (p, q)
-    assert n == 6804
-    model = emit_ip(8, 8, 1028)
-    assert (len(model.constraints), len(model.aux)) == (19294, 5292)
+    assert (n, len(model.constraints), len(model.aux)) == (6804, 19294, 5292)   # 8x8
 
 
 def _p1_case():
