@@ -481,8 +481,8 @@ def test_no_redundant_rows(capacity):
                 if con.sense == "=":
                     continue
                 sign = 1 if con.sense == "<=" else -1
-                keep = all(v in model.aux for _, v in con.terms)
-                lhs = tuple(sorted((v if keep or v not in model.aux else "aux", sign * c)
+                only_aux = all(v in model.aux for _, v in con.terms)
+                lhs = tuple(sorted((v if only_aux or v not in model.aux else "aux", sign * c)
                                    for c, v in con.terms))
                 assert lhs not in seen, (p, q, seen[lhs], con.name)
                 seen[lhs] = con.name
