@@ -2,9 +2,11 @@
 
 Variables are task completion times (0 = never performed), measured in
 half-weight units so the kernel durations become GEQRT 2, TTQRT 1,
-UNMQR/TTMQR 3 (the formulation's gap constants match those).  The model is
-emitted in LP text format; simulator schedules map onto assignments whose
-feasibility is checked constraint by constraint.
+UNMQR/TTMQR 3 (the formulation's gap constants match those).  The
+triangularization time x_i_k is declared for i >= k only: the appendix
+fixes the ones above the diagonal at 0, and no emitted row reads them.
+The model is emitted in LP text format; simulator schedules map onto
+assignments whose feasibility is checked constraint by constraint.
 
 Appendix rows that kept rows imply are not emitted; the feasible set over
 the action variables is the same.  Group 5 is 1a-iii (r = i) with right
@@ -39,14 +41,13 @@ covers t sum to at most P).  That is 2*A + T rows.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import eq, ge, itemgetter, le
+from operator import eq, ge, le
 from typing import NamedTuple
 
 from .taskgraph import GEQRT, TTMQR, TTQRT, UNMQR, WeightModel
 
 # kernel durations in half-weight units; UNMQR and TTMQR weigh the same
 D_GEQRT, D_TTQRT, D_UPDATE = (WeightModel.QR[kind] // 2 for kind in (GEQRT, TTQRT, TTMQR))
-_var = itemgetter(1)     # the variable of a (coef, var) term
 _SENSES = {"<=": le, ">=": ge, "=": eq}
 
 
@@ -69,9 +70,10 @@ class IPModel:
 
     The name tables w, x, y, yhat, z and zhat map each index tuple of a
     variable family's domain to the variable's name; they are built once
-    and every row reads its names from them.  aux maps each auxiliary
-    binary (dl*), in emission order, to its rows that bound it from
-    below: >= rows with a positive and <= rows with a negative coefficient."""
+    and every row reads its names from them.  x is declared for i >= k
+    only: no triangularization lies above the diagonal.  aux maps each
+    auxiliary binary (dl*), in emission order, to the one row that bounds
+    it from below, a <= row with a negative coefficient on it."""
 
     def __init__(self, p, q, horizon, capacity=None):
         if not (p >= q >= 1):
@@ -91,11 +93,9 @@ class IPModel:
         self.yhat = {t: "yhat_%s_%s_%s_%s" % t for t in self.y}
         self.z = {t: "z_%s_%s_%s" % t for t in self.z_tuples()}
         self.zhat = {t: "zhat_%s_%s_%s" % t for t in self.z}
-        # x_i_k with i < k is fixed: no triangularization above the diagonal
-        self.fixed = {n: 0 for (i, k), n in self.x.items() if i < k}
         self.int_vars = dict.fromkeys(       # name -> upper bound
-            [*self.w.values(), *(n for n in self.x.values() if n not in self.fixed),
-             *self.y.values(), *self.z.values(), "total_time"], horizon)
+            [*self.w.values(), *self.x.values(), *self.y.values(), *self.z.values(),
+             "total_time"], horizon)
         self.bin_vars = [*self.yhat.values(), *self.zhat.values()]
         self.aux = {}
         self.constraints = []
@@ -111,7 +111,7 @@ class IPModel:
 
     def x_tuples(self):
         for k in range(1, self.q + 1):
-            for i in range(1, self.p + 1):
+            for i in range(k, self.p + 1):
                 yield i, k
 
     def y_tuples(self):
@@ -135,11 +135,7 @@ class IPModel:
     # -- construction --------------------------------------------------------
 
     def _con(self, name, group, terms, sense, rhs):
-        """Append and return a row; fixed variables move to the right-hand side."""
-        fixed = self.fixed
-        if not fixed.keys().isdisjoint(map(_var, terms)):
-            rhs -= sum(c * fixed[v] for c, v in terms if v in fixed)
-            terms = [(c, v) for c, v in terms if v not in fixed]
+        """Append and return a row."""
         row = Constraint(name, group, terms, sense, rhs)
         self.constraints.append(row)
         return row
@@ -230,7 +226,7 @@ class IPModel:
                                         "<=", T - D_UPDATE)
                                 # each dl relaxes one side: at most one may
                                 con("c1ciii_or" + key, "1c-iii", [(1, d1), (1, d2)], "<=", 1)
-                                aux[d1], aux[d2] = [a], [b]
+                                aux[d1], aux[d2] = a, b
         # 1c-iv: pair update precedes any zeroing involving its rows
         for i, j, k, l in y:
             for r in (i, j):
@@ -258,7 +254,7 @@ class IPModel:
                                 [(1, z[h, i, k]), (-1, z[j, i, k]), (T, zhat[j, i, k]), (-T, d6)],
                                 "<=", T - D_TTQRT)
                         con("c1d1_or" + key, "1d-case1", [(1, d5), (1, d6)], "<=", 1)
-                        aux[d5], aux[d6] = [a], [b]
+                        aux[d5], aux[d6] = a, b
         # 1d case 2: pivot duty precedes the pivot's own zeroing
         # (the formulation leaves the row-order of this case open; emitted for
         # all valid row triples)
@@ -288,8 +284,7 @@ class IPModel:
                      (D_UPDATE, zhat[i, j, k]), (D_UPDATE, zhat[j, i, k])], "<=", 0)
         # 8: triangularizations take two steps
         for (i, k), name in x.items():
-            if i >= k:
-                con("c8_%s_%s" % (i, k), "8", [(1, name)], ">=", D_GEQRT)
+            con("c8_%s_%s" % (i, k), "8", [(1, name)], ">=", D_GEQRT)
         # 9: every sub-diagonal tile is zeroed exactly once
         for k in range(1, q + 1):
             for i in range(k + 1, p + 1):
@@ -318,7 +313,7 @@ class IPModel:
         """(var, duration, hat) of every potentially running kernel; hat is
         None for the panel updates and triangularizations, which always run."""
         return ([(v, D_UPDATE, None) for v in self.w.values()]
-                + [(v, D_GEQRT, None) for v in self.x.values() if v not in self.fixed]
+                + [(v, D_GEQRT, None) for v in self.x.values()]
                 + [(v, D_UPDATE, self.yhat[key]) for key, v in self.y.items()]
                 + [(v, D_TTQRT, self.zhat[key]) for key, v in self.z.items()])
 
@@ -357,7 +352,6 @@ class IPModel:
             lines.append(f" {con.name}: {body} {con.sense} {con.rhs}")
         lines.append("Bounds")
         lines += [f" 0 <= {name} <= {ub}" for name, ub in sorted(self.int_vars.items())]
-        lines += [f" {name} = {val}" for name, val in sorted(self.fixed.items())]
         lines.append("Generals")
         lines += [" " + name for name in sorted(self.int_vars)]
         lines.append("Binaries")
@@ -414,17 +408,15 @@ def schedule_to_assignment(graph, schedule) -> dict:
 
 def complete_assignment(model: IPModel, assign: dict) -> dict:
     """Fill in the auxiliaries implied by the action times: in order, each
-    binary of `model.aux` is 0 if its rows hold so, else 1.  Incoming pulse
+    binary of `model.aux` is 0 if its row holds so, else 1.  Incoming pulse
     binaries are dropped and rederived: each action's pulse at its finish
     time is set to 1 if the model declares it (duration <= finish <= T),
     missing variables count as 0."""
     out = {v: x for v, x in assign.items() if not v.startswith("at_")}
-    for var, rows in model.aux.items():
+    for var, row in model.aux.items():
         out[var] = 0
-        for row in rows:
-            if not row.holds(out):
-                out[var] = 1
-                break
+        if not row.holds(out):
+            out[var] = 1
     if model.capacity is not None:
         for var, dur, _ in model._actions():
             fin = out.get(var, 0)
@@ -442,24 +434,19 @@ class DomainViolation(NamedTuple):
 
 def check_feasible(model: IPModel, assignment: dict):
     """(verdict, violations).  Each entry of the assignment must lie in its
-    variable's domain (generals in [0, ub], binaries in {0, 1}, fixed
-    variables at their value), else it is a DomainViolation.  Every row is
-    then evaluated with the fixed variables substituted; missing variables
+    variable's domain (generals in [0, ub], binaries in {0, 1}), else it is
+    a DomainViolation.  Every row is then evaluated; missing variables
     count as 0."""
-    ints, fixed, bins = model.int_vars, model.fixed, set(model.bin_vars)
+    ints, bins = model.int_vars, set(model.bin_vars)
     violated = []
     for name, value in assignment.items():
         if name in ints:
             ok = 0 <= value <= ints[name]
-        elif name in fixed:
-            ok = value == fixed[name]
         else:
             ok = name in bins and value in (0, 1)
         if not ok:
             violated.append(DomainViolation(name))
-    full = dict(fixed)
-    full.update(assignment)
-    violated += [con for con in model.constraints if not con.holds(full)]
+    violated += [con for con in model.constraints if not con.holds(assignment)]
     return (not violated), violated
 
 

@@ -9,7 +9,7 @@ from tiledag import (
     complete_assignment, emit_ip, list_schedule, parse_assignment,
     schedule_to_assignment,
 )
-from tiledag.ipmodel import assignment_text
+from tiledag.ipmodel import Constraint, DomainViolation, assignment_text
 
 WQ = WeightModel.qr_tt()
 ROTATED_TREES = ("flattree", "greedy", "binarytree", "grasap")   # one per shape
@@ -66,7 +66,6 @@ def test_mutation_violates_1biii():
 def test_trivial_1x1():
     g, s = _schedule(1, 1, "flattree", 1)
     model = emit_ip(1, 1, 4)
-    assert model.fixed == {}
     ok, _ = check_feasible(model, complete_assignment(model, schedule_to_assignment(g, s)))
     assert ok
 
@@ -75,34 +74,33 @@ def test_emission_deterministic_and_fixings():
     a = emit_ip(2, 2, 20).render()
     b = emit_ip(2, 2, 20).render()
     assert a == b
-    assert " x_1_2 = 0" in a
+    assert not [line for line in a.splitlines() if line.startswith(" x_") and " = " in line]
     assert "Minimize" in a and a.rstrip().endswith("End")
     model = emit_ip(2, 2, 20)
+    assert (1, 2) not in model.x
     nine = [c for c in model.constraints if c.group == "9"]
     assert len(nine) == 1 and nine[0].sense == "=" and nine[0].rhs == 1
 
 
 def _action_counts(p, q):
-    """(w, free x, fixed x, y, z) counts by direct enumeration."""
+    """(w, x, y, z) counts by direct enumeration."""
     w = sum(1 for k in range(2, q + 1) for l in range(1, k)
             for i in range(l, p + 1))
-    x_free = sum(1 for k in range(1, q + 1) for i in range(k, p + 1))
-    x_fixed = sum(1 for k in range(1, q + 1) for i in range(1, k))
+    x = sum(1 for k in range(1, q + 1) for i in range(k, p + 1))
     y = sum(1 for k in range(2, q + 1) for l in range(1, k)
             for i in range(l, p + 1) for j in range(l, p + 1) if i != j)
     z = sum(1 for k in range(1, q + 1) for i in range(k, p + 1)
             for j in range(k, p + 1) if i != j)
-    return w, x_free, x_fixed, y, z
+    return w, x, y, z
 
 
 def test_variable_counts_match_enumeration():
     for p, q in ((2, 2), (3, 2), (3, 3), (4, 3), (4, 4)):
         model = emit_ip(p, q, 50)
-        w, x_free, x_fixed, y, z = _action_counts(p, q)
+        w, x, y, z = _action_counts(p, q)
         ints = {n for n in model.int_vars if n != "total_time"}
         assert len([n for n in ints if n.startswith("w_")]) == w
-        assert len([n for n in ints if n.startswith("x_")]) == x_free
-        assert len(model.fixed) == x_fixed
+        assert len([n for n in ints if n.startswith("x_")]) == x
         assert len([n for n in ints if n.startswith("y_")]) == y
         assert len([n for n in ints if n.startswith("z_")]) == z
         yhat = [n for n in model.bin_vars if n.startswith("yhat_")]
@@ -155,12 +153,12 @@ def test_bad_capacity():
 # sha256 of render(), taken before the pulse capacity block replaced the
 # overlap-binary block: the uncapacitated model must not move.  Re-taken
 # when the rows that kept rows imply were deleted, when the disjunction
-# rows became <= 1, and when 4b waited for its zeroing's end and 1c-iii
-# lost its mirrored copies.
+# rows became <= 1, when 4b waited for its zeroing's end and 1c-iii lost
+# its mirrored copies, and when the above-diagonal x_i_k = 0 bounds went.
 RENDER_SHA256 = {
-    (3, 2, 16): "317c93c2058d9bd9e7d2540cf0e0ca739d377b6475950acad2f1897d0986edcd",
-    (4, 4, 40): "cac2751a859974f50b010f22953210cd9d02f959be8fe6e6b2afe757b15a512a",
-    (5, 3, 30): "b96033ac719700b80ed8453a701df0d439134c792eafb1e86d057d1b8fe8e370",
+    (3, 2, 16): "8ac27ddb5dbb30668e62b47d5d852fe3544f1da2f749ac38cb47fd80d52ae292",
+    (4, 4, 40): "692587a90a10c10c0867376c2c546ab7edebc8543718e93bd00891396958b03d",
+    (5, 3, 30): "16d152a788d811d4d7be06fd2c16eba6cc6390e1b3fd705ac9d392e44f289981",
 }
 NON_CAPACITY_ROWS_SHA256 = "5048cf11938820c20311bebeb614c8f399e349e69ede2a65df83f238137ff038"
 
@@ -183,7 +181,7 @@ def test_capacity_leaves_other_rows_pinned():
 
 def test_capacity_block_closed_forms():
     for p, q, T in ((1, 1, 4), (2, 2, 20), (3, 2, 16), (4, 3, 30), (5, 5, 44)):
-        w, x, _, y, z = _action_counts(p, q)
+        w, x, y, z = _action_counts(p, q)
         base = emit_ip(p, q, T)
         model = emit_ip(p, q, T, capacity=2)
         cap = [c for c in model.constraints if c.group == "capacity"]
@@ -363,12 +361,13 @@ def test_pair_update_before_its_zeroing_ends_rejected():
 # sha256 pins taken before the variable-name tables replaced per-call name
 # formatting: full renders of capacity models, completed assignments of one
 # uncapacitated and one capacitated schedule.  Re-taken when the rows that
-# kept rows imply were deleted, when the disjunction rows became <= 1, and
-# when 4b waited for its zeroing's end and 1c-iii lost its mirrored copies.
+# kept rows imply were deleted, when the disjunction rows became <= 1, when
+# 4b waited for its zeroing's end and 1c-iii lost its mirrored copies, and
+# (the renders only) when the above-diagonal x_i_k = 0 bounds went.
 CAPACITY_RENDER_SHA256 = {
-    (3, 2, 16, 1): "1e3991a21868b968092f4657caf5676e7910241af86771aab83bb90c152c3b22",
-    (4, 3, 30, 2): "865edf7d0221a641b52589ad50b3faea1b2984686a06dad264f7368547c44576",
-    (5, 5, 44, 4): "a9c427c137af5a3b17de6ff770d68847708a15f7317faed217846feee5e01f3e",
+    (3, 2, 16, 1): "5394759c063a4dbf7549aceb52e092e4dc80de03ae26b818e6c6459f53ab2929",
+    (4, 3, 30, 2): "ed2bd83c2d2dca05bb4162779e1b18bc0d9967ba564e9d309d2a0b5d21901374",
+    (5, 5, 44, 4): "617e3ff1c094e87e46da360b762ade115e4795c59da35a5af1c249f3cd7de803",
 }
 COMPLETED_SHA256 = {
     False: "611be1870641c6f51d74cea5b6ecade2fbc1411c871ebd1515e7a54792748dc3",
@@ -426,16 +425,10 @@ def test_domain_violations_reported():
     ok, violated = check_feasible(model, {**assign, **bad})
     assert not ok
     assert {v.name for v in violated if v.group == "domain"} == set(bad)
-    assert check_feasible(model, {**assign, "x_1_2": 0, "zhat_2_1_1": 1, "total_time": 32})[0]
-
-
-def test_fixed_variable_moves_to_rhs():
-    model = emit_ip(3, 2, 16)
-    assert model.fixed == {"x_1_2": 0} and model.x[1, 2] == "x_1_2"
-    model.fixed["x_1_2"] = 2        # a nonzero fixing shows the substitution
-    model._con("t", "test", [(3, "x_1_2"), (1, "x_2_2")], "<=", 10)
-    row = model.constraints[-1]
-    assert row.terms == [(1, "x_2_2")] and row.rhs == 4
+    assert check_feasible(model, {**assign, "zhat_2_1_1": 1, "total_time": 32})[0]
+    # an above-diagonal triangularization is not declared, even at 0
+    ok, violated = check_feasible(model, {**assign, "x_1_2": 0})
+    assert not ok and violated == [DomainViolation("x_1_2")]
 
 
 @pytest.mark.parametrize("capacity", [None, 2])
@@ -447,22 +440,22 @@ def test_model_structure(capacity):
             assert len(set(names)) == len(names), (p, q)
             assert not set(model.int_vars) & set(model.bin_vars), (p, q)
             assert len(set(model.bin_vars)) == len(model.bin_vars), (p, q)
-            declared = set(model.int_vars) | set(model.bin_vars) | set(model.fixed)
+            declared = set(model.int_vars) | set(model.bin_vars)
             for con in model.constraints:
                 assert con.terms, (p, q, con.name)
                 assert {v for _, v in con.terms} <= declared, (p, q, con.name)
-            # every auxiliary binary is recorded, in emission order, with rows
-            # that bound it from below and hold no later auxiliary
+            # every auxiliary binary is recorded, in emission order, with the
+            # one row that bounds it from below and holds no later auxiliary
             assert list(model.aux) == [v for v in model.bin_vars
                                        if not v.startswith(("yhat_", "zhat_", "at_"))]
             seen = set()
-            for var, rows in model.aux.items():
-                assert rows, (p, q, var)
-                for row in rows:
-                    coef = {v: c for c, v in row.terms}
-                    assert row.sense in ("<=", ">="), row.name
-                    assert coef[var] > 0 if row.sense == ">=" else coef[var] < 0, row.name
-                    assert {v for v in coef if v in model.aux} <= seen | {var}, row.name
+            for var, row in model.aux.items():
+                assert isinstance(row, Constraint), (p, q, var)
+                assert row in model.constraints, (p, q, var)
+                coef = {v: c for c, v in row.terms}
+                assert row.sense in ("<=", ">="), row.name
+                assert coef[var] > 0 if row.sense == ">=" else coef[var] < 0, row.name
+                assert {v for v in coef if v in model.aux} <= seen | {var}, row.name
                 seen.add(var)
 
 
@@ -516,8 +509,7 @@ MUTATION_SHA256 = {
 
 
 def _mutants(model, times, rng, n):
-    names = [v for t in (model.w, model.x, model.y, model.z) for v in t.values()
-             if v not in model.fixed]
+    names = [v for t in (model.w, model.x, model.y, model.z) for v in t.values()]
     hats = [*model.yhat.values(), *model.zhat.values()]
     for _ in range(n):
         m = dict(times)
