@@ -54,8 +54,8 @@ def _procs(spec):
 
 
 def _positive(spec):
-    """argparse type of a positive integer (a processor count, a horizon or
-    a column count)."""
+    """argparse type of a positive integer (a processor count, a horizon, a
+    column count or a domain size)."""
     try:
         n = int(spec)
     except ValueError:
@@ -328,7 +328,7 @@ def main(argv=None):
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--algo", default="greedy", choices=list(qr.TREE_ALGOS))
     p.add_argument("--family", default="TT", choices=["TT", "TS"])
-    p.add_argument("--bs", type=int, help="plasmatree domain size")
+    p.add_argument("--bs", type=_positive, help="plasmatree domain size")
     p.add_argument("--i", type=_positive, default=1, help="grasap trailing asap columns")
 
     p = add("qr-cp-table", cmd_qr_cp_table, check=True, help="critical-path comparison table")
@@ -339,7 +339,7 @@ def main(argv=None):
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--algo", default="grasap", choices=list(qr.TREE_ALGOS))
-    p.add_argument("--bs", type=int)
+    p.add_argument("--bs", type=_positive)
     p.add_argument("--procs", type=_procs, default="1..14")
 
     p = add("sched", cmd_sched, check=True, help="bounded-processor list scheduling")
@@ -348,7 +348,7 @@ def main(argv=None):
     p.add_argument("--t", type=int, default=5, help="tiles per side (cholesky)")
     p.add_argument("--p", type=int, default=5)
     p.add_argument("--q", type=int, default=5)
-    p.add_argument("--bs", type=int)
+    p.add_argument("--bs", type=_positive)
     p.add_argument("--procs", type=_procs, default="1..8")
     p.add_argument("--policy", default="max", choices=["max", "min", "random"])
     p.add_argument("--seed", type=int, default=0)
@@ -373,14 +373,17 @@ def main(argv=None):
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--T", type=_positive, help="horizon in half-weight units")
     p.add_argument("--algo", default="grasap", choices=list(qr.TREE_ALGOS))
-    p.add_argument("--bs", type=int, help="plasmatree domain size")
+    p.add_argument("--bs", type=_positive, help="plasmatree domain size")
     p.add_argument("--procs", type=_positive, help="optional capacity extension")
     p.add_argument("--assignment", help="file of 'name value' lines")
 
     try:
         args = ap.parse_args(argv)
-        if "bs" in args and args.algo == "plasmatree" and args.bs is None:
-            ap.error("--algo plasmatree needs --bs")
+        if "bs" in args and args.algo == "plasmatree":
+            if args.bs is None:
+                ap.error("--algo plasmatree needs --bs")
+            if args.bs > args.p:
+                ap.error("--bs must not exceed --p")
         if "i" in args and args.algo == "grasap" and args.i > args.q:
             ap.error("--i must not exceed --q")
         if "family" in args and args.family == "TS" and args.algo in ("asap", "grasap"):

@@ -248,16 +248,23 @@ def test_plasmatree_needs_bs_exit_2(capsys, cmd):
 
 
 @pytest.mark.parametrize("argv,needle", [
-    (["--algo", "grasap", "--i", "0"], "--i"),
-    (["--algo", "grasap", "--i", "4"], "--i"),
-    (["--algo", "asap", "--family", "TS"], "TT kernels"),
-    (["--algo", "grasap", "--family", "TS"], "TT kernels"),
+    (["qr-tiled", "--algo", "grasap", "--i", "0"], "--i"),
+    (["qr-tiled", "--algo", "grasap", "--i", "4"], "--i"),
+    (["qr-tiled", "--algo", "asap", "--family", "TS"], "TT kernels"),
+    (["qr-tiled", "--algo", "grasap", "--family", "TS"], "TT kernels"),
+    (["qr-tiled", "--algo", "plasmatree", "--bs", "0"], "--bs"),
+    (["qr-tiled", "--algo", "plasmatree", "--bs", "5"], "--bs"),
+    (["qr-tiled", "--algo", "plasmatree", "--bs", "9"], "--bs"),
+    (["sched", "--algo", "plasmatree", "--bs", "-1"], "--bs"),
+    (["ip-check", "--algo", "plasmatree", "--bs", "0"], "--bs"),
+    (["qr-bounds", "--algo", "plasmatree", "--bs", "7"], "--bs"),
 ])
 def test_bad_tree_flags_exit_2(capsys, argv, needle):
-    assert main(["qr-tiled", "--p", "4", "--q", "3", *argv]) == 2
+    assert main([argv[0], "--p", "4", "--q", "3", *argv[1:]]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and needle in captured.err
     assert main(["qr-tiled", "--p", "4", "--q", "3", "--algo", "grasap", "--i", "3"]) == 0
+    assert main(["qr-tiled", "--p", "4", "--q", "3", "--algo", "plasmatree", "--bs", "4"]) == 0
 
 
 def test_internal_error_exit_1(capsys):
