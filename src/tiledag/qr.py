@@ -709,7 +709,7 @@ def column_asap_free(a: ColumnIter) -> ColumnIter:
     avail = sorted(a.values)
     done = []
     while len(avail) > 1:
-        now = avail[1] if avail[1] > avail[0] else avail[0]
+        now = avail[1]
         ready = [t for t in avail if t <= now]
         s = len(ready) // 2
         for _ in range(s):
@@ -741,7 +741,7 @@ def is_iterate(a: ColumnIter, c: ColumnIter) -> bool:
     for h, (ch, mh) in enumerate(cruns):
         window = None
         for k in range(1, qn + 1):
-            lo = aruns[k - 1][0] + w if k >= 1 else None
+            lo = aruns[k - 1][0] + w
             hi = aruns[k][0] if k < qn else None
             if lo <= ch and (hi is None or ch <= hi):
                 window = k

@@ -153,16 +153,12 @@ class TaskGraph:
     def __init__(self, tasks: Sequence[Task], edges):
         self.tasks = list(tasks)
         self.edges = list(edges)
-        self._index = {t.id: i for i, t in enumerate(self.tasks)}
-        if len(self._index) != len(self.tasks):
+        if len({t.id for t in self.tasks}) != len(self.tasks):
             raise ValueError("duplicate task ids")
         self._adj = None
 
     def __len__(self):
         return len(self.tasks)
-
-    def task(self, tid):
-        return self.tasks[self._index[tid]]
 
     def adjacency(self):
         """(successors, predecessors): task id -> neighbour ids in edge

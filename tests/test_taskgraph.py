@@ -107,6 +107,12 @@ def test_singleton_and_cycle():
         annotate_cp(bad, WeightModel.unit())
 
 
+def test_duplicate_task_ids_rejected():
+    with pytest.raises(ValueError, match="duplicate task ids"):
+        TaskGraph([T(0), T(1), T(0)], [])
+    assert len(TaskGraph([T(0), T(1), T(2)], [])) == 3
+
+
 def test_alap_profile_examples():
     wm = WeightModel.custom({GEMM: 4})
     g = build_from_trace([T(0, writes=[("A", 0, 0)])])
