@@ -5,22 +5,53 @@ before the core was refactored, so a refactor that changes any output or
 ordering fails here."""
 
 import hashlib
+import random
 
 import pytest
 
 from tiledag import (
-    CholInvConfig, StrassenParams, WeightModel, alap_bound, alap_profile,
-    annotate_cp, bounds_table, build_from_trace, build_tree, gen_chol_fact,
-    gen_chol_inversion, gen_strassen, list_schedule, lost_area, rooftop_bound,
-    sync_chol_graph,
+    CholInvConfig, StrassenParams, Task, TaskGraph, WeightModel, alap_bound,
+    alap_profile, annotate_cp, bounds_table, build_from_trace, build_tree,
+    gen_chol_fact, gen_chol_inversion, gen_strassen, list_schedule, lost_area,
+    rooftop_bound, sync_chol_graph,
 )
 
 PROCS = (1, 2, 3, 8, 1000)
 RUNS = (("max", 0), ("min", 0), ("random", 0), ("random", 7))
 
 
+def _permuted_graphs():
+    """Graphs built directly, not from a trace: edges come in shuffled order
+    and many run from a later task to an earlier one (so topo_order takes
+    its heap path), zero-weight BARRIER and COPY tasks sit among the
+    kernels, and in all but the first graph of each size the ids do not
+    increase in task order (so list-schedule ties are broken by id rank,
+    not by position)."""
+    rng = random.Random(2013)
+    kinds = ("POTRF", "TRSM", "SYRK", "GEMM", "TRTRI", "TRMM")
+    for n in (2, 7, 16, 40):
+        for g in range(4):
+            ids = sorted(rng.sample(range(3 * n), n))
+            if g:
+                rng.shuffle(ids)
+            topo = list(range(n))
+            rng.shuffle(topo)
+            kind = [rng.choice(kinds) for _ in range(n)]
+            kind[topo[n // 2]] = "BARRIER"
+            kind[topo[-1]] = "COPY"
+            tasks = [Task(ids[i], kind[i], (i % 5, g, n)) for i in range(n)]
+            edges = [(ids[a], ids[b], "RAW")
+                     for x, a in enumerate(topo) for b in topo[x + 1:]
+                     if rng.random() < 3 / n]
+            rng.shuffle(edges)
+            weights = WeightModel.cholesky() if g % 2 else WeightModel.unit()
+            yield TaskGraph(tasks, edges), weights
+
+
 def _graphs(family):
-    if family == "cholesky":
+    if family == "permuted":
+        yield from _permuted_graphs()
+    elif family == "cholesky":
         for variant in ("right", "left", "bordered"):
             for t in (1, 3, 6, 9):
                 yield build_from_trace(gen_chol_fact(t, variant)), WeightModel.cholesky()
@@ -75,6 +106,7 @@ def _digest(family):
 DAG_SHA256 = {
     "cholesky": "cb4bdd9cf60e08542adc2d6d6c0f0195d38afbd8bb54fa0502bda62bee0c27d3",
     "inversion": "8faeac3a491fd52ed0778689b4135018ac208a59775b4bfc7a483732f15ceb1d",
+    "permuted": "b3e8376b16bd5521e852da5ed700ec573f7e685d394b751c61d1bc4cb14eacbe",
     "qr": "25da21cd428fa4b1ac33ac6b3cfa42b4074641259354546589e9b2370132ec45",
     "strassen": "323204ca3f735f112015d32a854a6f6ec16b9e2b61dede09005366af09fb63e3",
     "sync": "bd9f8e97968c9696cff77f936e38b1274fb17f84dd404c757f3d5be4aff6823a",

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from tiledag import (
-    Task, TileRef, WeightModel, alap_bound, alap_profile, alpha_min,
+    Schedule, Task, TaskGraph, TileRef, WeightModel, alap_bound, alap_profile, alpha_min,
     annotate_cp, bounds_table, build_from_trace, build_tree, check_schedule,
     gamma_ub, gen_chol_fact, list_schedule, lost_area, lower_bound_factor,
     rooftop_bound, sync_chol_graph, sync_chol_schedule,
@@ -101,6 +101,35 @@ def test_random_graph_schedule_validity():
             for policy in ("max", "min", "random"):
                 s = list_schedule(g, WC, p, policy, seed=3)
                 check_schedule(g, WC, s)
+
+
+def _checked(assignment):
+    """check_schedule on a fixed graph: GEMM 0 (weight 6) -> POTRF 1
+    (weight 1), with two zero-weight tasks, BARRIER 2 and COPY 3, that
+    carry no edges."""
+    g = TaskGraph([Task(0, "GEMM"), Task(1, "POTRF"), Task(2, "BARRIER"), Task(3, "COPY")],
+                  [(0, 1, "RAW")])
+    return check_schedule(g, WC, Schedule(assignment, 7, 2))
+
+
+def test_check_schedule_rejects_unassigned_task():
+    with pytest.raises(AssertionError, match="task 3 unassigned"):
+        _checked({0: (0, 0), 1: (0, 6), 2: (0, 0)})
+
+
+def test_check_schedule_rejects_overlap_on_a_processor():
+    with pytest.raises(AssertionError, match="overlap on processor 1: tasks 0 and 1"):
+        _checked({0: (1, 0), 1: (1, 5), 2: (0, 0), 3: (0, 0)})
+
+
+def test_check_schedule_rejects_violated_edge():
+    with pytest.raises(AssertionError, match="precedence violated on edge 0->1"):
+        _checked({0: (0, 0), 1: (1, 5), 2: (0, 0), 3: (0, 0)})
+
+
+def test_check_schedule_accepts_zero_weight_tasks_sharing_a_start():
+    assert _checked({0: (0, 0), 1: (0, 6), 2: (0, 6), 3: (0, 6)})
+    assert _checked({0: (0, 0), 1: (1, 6), 2: (0, 3), 3: (0, 3)})
 
 
 def test_lost_area_pairs_and_table42():
