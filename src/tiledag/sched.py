@@ -86,71 +86,76 @@ def list_schedule(graph: TaskGraph, weights: WeightModel, p: int,
         raise ValueError("need at least one processor")
     if policy not in (MAX_CP, MIN_CP, RANDOM_CP):
         raise ValueError(f"unknown policy {policy!r}")
-    ann = annotation or annotate_cp(graph, weights)
+    prio = (annotation or annotate_cp(graph, weights)).priority
     rng = random.Random(seed)
-    succ, pred = graph.adjacency()
-    indeg = {t.id: len(pred[t.id]) for t in graph.tasks}
-    w = {t.id: weights.of(t) for t in graph.tasks}
-    prio = ann.priority
-    sign = -1 if policy == MAX_CP else 1
+    ids, succ, _, indeg = graph.adjacency()
+    rank, by_rank = graph.id_rank()
+    indeg = list(indeg)
+    w = list(map(weights.of, graph.tasks))
+    n = len(ids)
+    # ready key sign*priority*n + rank: equal priorities go to the lowest id
+    sign = -n if policy == MAX_CP else n
+    key = [] if policy == RANDOM_CP else [sign * prio[i] + r for i, r in zip(ids, rank)]
 
-    ready = []   # heap keyed by signed priority, or the random pool
-    def push(tid):
-        if w[tid] == 0:
-            zero_ready.append(tid)
-        elif policy == RANDOM_CP:
-            ready.append(tid)
+    ready = []   # heap of keys, or the random pool of positions
+    def push(v):
+        if w[v] == 0:
+            zero_ready.append(v)
+        elif key:
+            heapq.heappush(ready, key[v])
         else:
-            heapq.heappush(ready, (sign * prio[tid], tid))
+            ready.append(v)
 
     zero_ready = []
-    assignment = {}
-    running = []  # (finish, proc, tid)
+    placed = [None] * n   # position -> (processor, start)
+    running = []  # finish*p + proc, one task per processor in slot
+    slot = [0] * p
     free = list(range(p))
     now = 0
     done = 0
-    total = len(graph.tasks)
-    for t in graph.tasks:
-        if indeg[t.id] == 0:
-            push(t.id)
-    while done < total:
+    for v, d in enumerate(indeg):
+        if d == 0:
+            push(v)
+    while done < n:
         # zero-weight tasks finish instantly and may release successors
         while zero_ready:
-            tid = zero_ready.pop()
-            assignment[tid] = (0, now)
+            u = zero_ready.pop()
+            placed[u] = (0, now)
             done += 1
-            for v in succ[tid]:
+            for v in succ[u]:
                 indeg[v] -= 1
                 if indeg[v] == 0:
                     push(v)
         while free and ready:
-            if policy == RANDOM_CP:
-                n = rng.randrange(len(ready))
-                ready[n], ready[-1] = ready[-1], ready[n]
-                tid = ready.pop()
+            if key:
+                u = by_rank[heapq.heappop(ready) % n]
             else:
-                _, tid = heapq.heappop(ready)
+                k = rng.randrange(len(ready))
+                ready[k], ready[-1] = ready[-1], ready[k]
+                u = ready.pop()
             proc = free.pop()
-            assignment[tid] = (proc, now)
-            heapq.heappush(running, (now + w[tid], proc, tid))
+            placed[u] = (proc, now)
+            slot[proc] = u
+            heapq.heappush(running, (now + w[u]) * p + proc)
             done += 1
         if zero_ready:
             continue
-        if done == total and not running:
+        if done == n and not running:
             break
         if not running:
             raise AssertionError("deadlock: no running task but work remains")
-        now = running[0][0]
-        while running and running[0][0] == now:
-            _, proc, tid = heapq.heappop(running)
+        now = running[0] // p
+        while running and running[0] // p == now:
+            proc = heapq.heappop(running) % p
             free.append(proc)
-            for v in succ[tid]:
+            for v in succ[slot[proc]]:
                 indeg[v] -= 1
                 if indeg[v] == 0:
                     push(v)
         free.sort()
-    makespan = max((assignment[t.id][1] + w[t.id] for t in graph.tasks), default=0)
-    return Schedule(assignment, makespan, p)
+    # every task has started; the last one still running ends the schedule
+    makespan = max(running) // p if running else now
+    return Schedule(dict(zip(ids, placed)), makespan, p)
 
 
 def sync_chol_schedule(t: int, p: int, variant: str = "relaxed") -> Schedule:

@@ -155,46 +155,66 @@ class TaskGraph:
         self.edges = list(edges)
         if len({t.id for t in self.tasks}) != len(self.tasks):
             raise ValueError("duplicate task ids")
-        self._adj = None
+        self._adj = self._rank = None
 
     def __len__(self):
         return len(self.tasks)
 
     def adjacency(self):
-        """(successors, predecessors): task id -> neighbour ids in edge
-        order, built once from a single pass over the edges."""
+        """(ids, succ, pred, indeg) over task positions 0..n-1 in task order:
+        ids[i] is the id at position i, succ[i]/pred[i] its neighbour
+        positions in edge order; built once from a single pass over the edges."""
         if self._adj is None:
-            succ = {t.id: [] for t in self.tasks}
-            pred = {t.id: [] for t in self.tasks}
+            ids = [t.id for t in self.tasks]
+            at = {tid: i for i, tid in enumerate(ids)}
+            succ = [[] for _ in ids]
+            pred = [[] for _ in ids]
             for u, v, _ in self.edges:
+                u, v = at[u], at[v]
                 succ[u].append(v)
                 pred[v].append(u)
-            self._adj = succ, pred
+            self._adj = ids, succ, pred, [len(p) for p in pred]
         return self._adj
 
-    def topo_order(self):
-        """Task ids in topological order; raises on cycles, naming one
-        edge that closes a cycle."""
-        ids = [t.id for t in self.tasks]
-        if all(u < v for u, v, _ in self.edges):
-            return ids  # trace-built graphs are already sorted
-        succ, pred = self.adjacency()
-        indeg = {i: len(pred[i]) for i in ids}
-        ready = [i for i in ids if indeg[i] == 0]
+    def id_rank(self):
+        """(rank, by_rank): the rank of each position's id and its inverse;
+        both are range(n) when ids increase in task order (trace-built)."""
+        if self._rank is None:
+            ids = self.adjacency()[0]
+            rank = by_rank = range(len(ids))
+            if any(a > b for a, b in zip(ids, ids[1:])):
+                by_rank = sorted(rank, key=ids.__getitem__)
+                rank = sorted(rank, key=by_rank.__getitem__)
+            self._rank = rank, by_rank
+        return self._rank
+
+    def topo_positions(self):
+        """Positions in topological order, the lowest id first among ready
+        tasks; raises on cycles, naming one edge that closes a cycle."""
+        ids, succ, _, indeg = self.adjacency()
+        rank, by_rank = self.id_rank()
+        if rank is by_rank and all(u < v for u, v, _ in self.edges):
+            return by_rank  # trace-built graphs are already sorted
+        indeg = list(indeg)
+        ready = [rank[i] for i, d in enumerate(indeg) if d == 0]
         heapq.heapify(ready)
         order = []
         while ready:
-            u = heapq.heappop(ready)
+            u = by_rank[heapq.heappop(ready)]
             order.append(u)
             for v in succ[u]:
                 indeg[v] -= 1
                 if indeg[v] == 0:
-                    heapq.heappush(ready, v)
+                    heapq.heappush(ready, rank[v])
         if len(order) != len(ids):
-            left = {i for i in ids if indeg[i] > 0}
+            left = {ids[i] for i, d in enumerate(indeg) if d > 0}
             u, v, _ = next(e for e in self.edges if e[0] in left and e[1] in left)
             raise ValueError(f"cycle detected, e.g. through edge {u}->{v}")
         return order
+
+    def topo_order(self):
+        """Task ids in topological order (see topo_positions)."""
+        return list(map(self.adjacency()[0].__getitem__, self.topo_positions()))
 
     def without_war_edges(self):
         return TaskGraph(self.tasks, [e for e in self.edges if e[2] != WAR])
@@ -202,15 +222,17 @@ class TaskGraph:
     def transitive_redundant_edges(self):
         """Edges implied by a longer path (flagging only; O(V*E), use on
         small graphs)."""
-        succ, _ = self.adjacency()
+        ids, succ, _, _ = self.adjacency()
+        at = {tid: i for i, tid in enumerate(ids)}
         redundant = []
-        for u, v, cause in self.edges:
+        for a, b, cause in self.edges:
+            u, v = at[a], at[b]
             stack = [w for w in succ[u] if w != v]
             seen = set(stack)
             while stack:
                 x = stack.pop()
                 if x == v:
-                    redundant.append((u, v, cause))
+                    redundant.append((a, b, cause))
                     break
                 for w in succ[x]:
                     if w not in seen:
@@ -296,14 +318,10 @@ def build_from_trace(trace: Sequence[Task]) -> TaskGraph:
             last_write[tile] = t.id
             readers[tile] = []
     # drop duplicate edges, keep first cause
-    seen = set()
-    uniq = []
+    first = {}
     for e in edges:
-        key = (e[0], e[1])
-        if key not in seen:
-            seen.add(key)
-            uniq.append(e)
-    return TaskGraph(trace, uniq)
+        first.setdefault((e[0], e[1]), e)
+    return TaskGraph(trace, list(first.values()))
 
 
 @dataclass
@@ -325,26 +343,27 @@ class CpAnnotation:
 def annotate_cp(graph: TaskGraph, weights: WeightModel) -> CpAnnotation:
     """Backflow pass: each task's priority is its remaining longest path
     including its own weight; cp_length is the weighted critical path."""
-    order = graph.topo_order()
-    w = {t.id: weights.of(t) for t in graph.tasks}
-    succ, pred = graph.adjacency()
-    priority = {}
+    order = graph.topo_positions()
+    ids, succ, pred, _ = graph.adjacency()
+    w = list(map(weights.of, graph.tasks))
+    prio = w[:]
     for u in reversed(order):
         best = 0
         for v in succ[u]:
-            if priority[v] > best:
-                best = priority[v]
-        priority[u] = w[u] + best
-    cp_length = max(priority.values(), default=0)
-    earliest = {}
+            if prio[v] > best:
+                best = prio[v]
+        prio[u] += best
+    est = [0] * len(ids)
     for u in order:
-        est = 0
+        e = 0
         for v in pred[u]:
-            f = earliest[v] + w[v]
-            if f > est:
-                est = f
-        earliest[u] = est
-    return CpAnnotation(priority, cp_length, earliest, w)
+            f = est[v] + w[v]
+            if f > e:
+                e = f
+        est[u] = e
+    # critical_ids() reads the orders: reverse topological, topological, task
+    return CpAnnotation({ids[u]: prio[u] for u in reversed(order)}, max(prio, default=0),
+                        {ids[u]: est[u] for u in order}, dict(zip(ids, w)))
 
 
 @dataclass

@@ -189,11 +189,21 @@ def test_est_lst_and_critical_tasks():
 
 def test_adjacency_in_edge_order():
     g = TaskGraph([T(2), T(0), T(1)], [(2, 1, "RAW"), (0, 1, "WAR"), (2, 0, "WAW")])
-    succ, pred = g.adjacency()
-    assert succ == {2: [1, 0], 0: [1], 1: []}
-    assert pred == {2: [], 0: [2], 1: [2, 0]}
+    ids, succ, pred, indeg = g.adjacency()   # positions 0, 1, 2 hold ids 2, 0, 1
+    assert ids == [2, 0, 1]
+    assert succ == [[2, 1], [2], []]
+    assert pred == [[], [0], [0, 1]]
+    assert indeg == [0, 1, 2]
     assert g.adjacency() is g.adjacency()
     assert g.topo_order() == [2, 0, 1]
+
+
+def test_forward_edges_with_ids_out_of_task_order():
+    # every edge runs from a lower id to a higher one, but the task list is
+    # not in id order, so task order is not a topological order
+    g = TaskGraph([T(2), T(0), T(1)], [(0, 2, "RAW")])
+    assert g.topo_order() == [0, 1, 2]
+    assert annotate_cp(g, WeightModel.unit()).priority == {2: 1, 1: 1, 0: 2}
 
 
 def test_transitive_redundant_edges_flagged():
