@@ -149,7 +149,7 @@ def cmd_qr_coarse(args):
 
 def cmd_qr_tiled(args):
     build = qr.build_tree(args.p, args.q, args.algo, family=args.family,
-                          bs=args.bs, grasap_i=args.i)
+                          bs=args.bs, grasap_i=args.i or 1)
     _write(args, qr.zeroed_table_csv(build))
     if args.check:
         cells = [("total weight mismatch", qr.verify_weight(build), True)]
@@ -329,7 +329,7 @@ def main(argv=None):
     p.add_argument("--algo", default="greedy", choices=list(qr.TREE_ALGOS))
     p.add_argument("--family", default="TT", choices=["TT", "TS"])
     p.add_argument("--bs", type=_positive, help="plasmatree domain size")
-    p.add_argument("--i", type=_positive, default=1, help="grasap trailing asap columns")
+    p.add_argument("--i", type=_positive, help="grasap trailing asap columns (default 1)")
 
     p = add("qr-cp-table", cmd_qr_cp_table, check=True, help="critical-path comparison table")
     p.add_argument("--p", type=int, required=True)
@@ -384,8 +384,13 @@ def main(argv=None):
                 ap.error("--algo plasmatree needs --bs")
             if args.bs > args.p:
                 ap.error("--bs must not exceed --p")
-        if "i" in args and args.algo == "grasap" and args.i > args.q:
-            ap.error("--i must not exceed --q")
+        elif "bs" in args and args.bs is not None:
+            ap.error(f"--bs applies to --algo plasmatree only, not {args.algo}")
+        if "i" in args and args.i is not None:
+            if args.algo != "grasap":
+                ap.error(f"--i applies to --algo grasap only, not {args.algo}")
+            if args.i > args.q:
+                ap.error("--i must not exceed --q")
         if "family" in args and args.family == "TS" and args.algo in ("asap", "grasap"):
             ap.error(f"--algo {args.algo} is defined over TT kernels")
     except SystemExit as e:

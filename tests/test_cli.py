@@ -258,6 +258,14 @@ def test_plasmatree_needs_bs_exit_2(capsys, cmd):
     (["sched", "--algo", "plasmatree", "--bs", "-1"], "--bs"),
     (["ip-check", "--algo", "plasmatree", "--bs", "0"], "--bs"),
     (["qr-bounds", "--algo", "plasmatree", "--bs", "7"], "--bs"),
+    (["qr-tiled", "--algo", "greedy", "--bs", "2"], "--bs"),
+    (["qr-tiled", "--algo", "grasap", "--bs", "2"], "--bs"),
+    (["qr-bounds", "--algo", "flattree", "--bs", "2"], "--bs"),
+    (["sched", "--algo", "cholesky", "--bs", "2"], "--bs"),
+    (["ip-check", "--algo", "greedy", "--bs", "2"], "--bs"),
+    (["qr-tiled", "--algo", "greedy", "--i", "2"], "--i"),
+    (["qr-tiled", "--algo", "asap", "--i", "1"], "--i"),
+    (["qr-tiled", "--algo", "plasmatree", "--bs", "2", "--i", "2"], "--i"),
 ])
 def test_bad_tree_flags_exit_2(capsys, argv, needle):
     assert main([argv[0], "--p", "4", "--q", "3", *argv[1:]]) == 2
@@ -265,6 +273,13 @@ def test_bad_tree_flags_exit_2(capsys, argv, needle):
     assert captured.out == "" and needle in captured.err
     assert main(["qr-tiled", "--p", "4", "--q", "3", "--algo", "grasap", "--i", "3"]) == 0
     assert main(["qr-tiled", "--p", "4", "--q", "3", "--algo", "plasmatree", "--bs", "4"]) == 0
+
+
+def test_grasap_i_defaults_to_1(capsys):
+    assert main(["qr-tiled", "--p", "4", "--q", "3", "--algo", "grasap"]) == 0
+    unset = capsys.readouterr().out
+    assert main(["qr-tiled", "--p", "4", "--q", "3", "--algo", "grasap", "--i", "1"]) == 0
+    assert capsys.readouterr().out == unset
 
 
 def test_internal_error_exit_1(capsys):
