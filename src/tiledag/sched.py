@@ -80,7 +80,8 @@ def list_schedule(graph: TaskGraph, weights: WeightModel, p: int,
     ready, start one chosen by policy (highest priority, lowest priority,
     or seeded-uniform random); equal priorities break toward the lowest
     task id.  Zero-weight tasks complete at their ready time without
-    occupying a processor.
+    occupying a processor.  `annotation` needs only `.priority`, integers
+    keyed by task id.
     """
     if p < 1:
         raise ValueError("need at least one processor")
@@ -95,7 +96,7 @@ def list_schedule(graph: TaskGraph, weights: WeightModel, p: int,
     n = len(ids)
     # ready key sign*priority*n + rank: equal priorities go to the lowest id
     sign = -n if policy == MAX_CP else n
-    key = [] if policy == RANDOM_CP else [sign * prio[i] + r for i, r in zip(ids, rank)]
+    key = None if policy == RANDOM_CP else [sign * prio[i] + r for i, r in zip(ids, rank)]
 
     ready = []   # heap of keys, or the random pool of positions
     def push(v):
