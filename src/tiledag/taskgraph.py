@@ -346,13 +346,13 @@ def annotate_cp(graph: TaskGraph, weights: WeightModel) -> CpAnnotation:
     order = graph.topo_positions()
     ids, succ, pred, _ = graph.adjacency()
     w = list(map(weights.of, graph.tasks))
-    prio = w[:]
+    prio = [0] * len(ids)
     for u in reversed(order):
         best = 0
         for v in succ[u]:
             if prio[v] > best:
                 best = prio[v]
-        prio[u] += best
+        prio[u] = w[u] + best
     est = [0] * len(ids)
     for u in order:
         e = 0
@@ -361,7 +361,7 @@ def annotate_cp(graph: TaskGraph, weights: WeightModel) -> CpAnnotation:
             if f > e:
                 e = f
         est[u] = e
-    # critical_ids() reads the orders: reverse topological, topological, task
+    # insertion orders, which critical_ids() reads: reverse topological, topological, task
     return CpAnnotation({ids[u]: prio[u] for u in reversed(order)}, max(prio, default=0),
                         {ids[u]: est[u] for u in order}, dict(zip(ids, w)))
 
