@@ -178,11 +178,11 @@ class TaskGraph:
 
     def id_rank(self):
         """(rank, by_rank): the rank of each position's id and its inverse;
-        both are range(n) when ids increase in task order (trace-built)."""
+        both are one list 0..n-1 when ids increase in task order (trace-built)."""
         if self._rank is None:
             ids = self.adjacency()[0]
-            rank = by_rank = range(len(ids))
-            if any(a > b for a, b in zip(ids, ids[1:])):
+            rank = by_rank = list(range(len(ids)))
+            if ids != sorted(ids):
                 by_rank = sorted(rank, key=ids.__getitem__)
                 rank = sorted(rank, key=by_rank.__getitem__)
             self._rank = rank, by_rank
@@ -194,7 +194,7 @@ class TaskGraph:
         ids, succ, _, indeg = self.adjacency()
         rank, by_rank = self.id_rank()
         if rank is by_rank and all(u < v for u, v, _ in self.edges):
-            return by_rank  # trace-built graphs are already sorted
+            return by_rank[:]  # trace-built graphs are already sorted
         indeg = list(indeg)
         ready = [rank[i] for i, d in enumerate(indeg) if d == 0]
         heapq.heapify(ready)
