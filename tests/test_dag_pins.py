@@ -23,10 +23,10 @@ RUNS = (("max", 0), ("min", 0), ("random", 0), ("random", 7))
 def _permuted_graphs():
     """Graphs built directly, not from a trace: edges come in shuffled order
     and many run from a later task to an earlier one (so topo_order takes
-    its heap path), zero-weight BARRIER and COPY tasks sit among the
-    kernels, and in all but the first graph of each size the ids do not
-    increase in task order (so list-schedule ties are broken by id rank,
-    not by position)."""
+    its heap path), a zero-weight COPY (and above two tasks a BARRIER) sits
+    among the kernels, and in all but the first graph of each size the ids
+    are shuffled against task order (so list-schedule ties are broken by id
+    rank, not by position)."""
     rng = random.Random(2013)
     kinds = ("POTRF", "TRSM", "SYRK", "GEMM", "TRTRI", "TRMM")
     for n in (2, 7, 16, 40):
