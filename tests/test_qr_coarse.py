@@ -105,6 +105,20 @@ def test_validity_rejections():
         EliminationList(3, 2, [ElimEntry(2, 3, 2)]).validate()
 
 
+def test_not_ready_message_names_first_missing_tile():
+    # row 3 is zeroed in column 1 but not 2 when it pivots in column 3
+    entries = [ElimEntry(i, 1, 1) for i in (5, 4, 3, 2)]
+    entries += [ElimEntry(5, 2, 2), ElimEntry(5, 3, 3)]
+    with pytest.raises(ValueError) as err:
+        EliminationList(5, 3, entries).validate()
+    assert str(err.value) == "entry 5: row 3 not ready for column 3 (tile (3,2) not yet zeroed)"
+    # the target itself, missing its first tile
+    bad = EliminationList(3, 2, [ElimEntry(3, 2, 1), ElimEntry(3, 2, 2), ElimEntry(2, 1, 1)])
+    with pytest.raises(ValueError) as err:
+        bad.validate()
+    assert str(err.value) == "entry 1: row 2 not ready for column 2 (tile (2,1) not yet zeroed)"
+
+
 def interleaved_list(p, q, pick):
     """A valid elimination list whose columns interleave, with reverse and
     ex-pivot eliminations: pick(options) chooses, at each step, a column

@@ -1,9 +1,14 @@
-"""sha256 pin of everything the QR layer constructs for q <= p <= 8: coarse
-tables and lists with their CSVs, eager tables, and every tree's build
-(each bs and grasap i, both kernel families, two weight models, with and
-without a trace).  The digest was taken before the builders were folded
-into one construction path, so a refactor that changes any value, order or
-task fails here."""
+"""sha256 pins of what the QR layer constructs.
+
+QR_SHA256 covers q <= p <= 8: coarse tables and lists with their CSVs,
+eager tables, and every tree's build (each bs and grasap i, both kernel
+families, two weight models, with and without a trace).  The digest was
+taken before the builders were folded into one construction path, so a
+refactor that changes any value, order or task fails here.
+
+LARGE_SHA256 covers the trace-free builds of 9 <= p <= 20, where rows
+carry data through many columns; it was taken before trace-free timing
+kept one data finish time per row."""
 
 import hashlib
 
@@ -14,6 +19,8 @@ from tiledag import (
 )
 
 SKEWED = WeightModel.custom({GEQRT: 3, UNMQR: 5, TTQRT: 1, TTMQR: 7, TSQRT: 2, TSMQR: 11})
+# GEQRT, UNMQR and TSMQR take no time, so finishes tie across rows
+ZERO_FACTOR = WeightModel.custom({GEQRT: 0, UNMQR: 0, TTQRT: 2, TTMQR: 6, TSQRT: 6, TSMQR: 0})
 
 
 def _trees(p, q):
@@ -60,3 +67,23 @@ QR_SHA256 = "a10814724dcc7023084dc9542f79f6d9dcc2c0320aaa034ddca4d5f93520ab34"
 
 def test_qr_outputs_pinned():
     assert _digest(8) == QR_SHA256
+
+
+def _large_digest(pmin, pmax):
+    h = hashlib.sha256()
+    for p in range(pmin, pmax + 1):
+        for q in range(1, p + 1):
+            for algo, family, kw in _trees(p, q):
+                for weights in (None, ZERO_FACTOR):
+                    b = build_tree(p, q, algo, family=family, weights=weights,
+                                   keep_trace=False, **kw)
+                    h.update(repr((p, q, algo, family, kw, sorted(b.zeroed.items()),
+                                   b.cp, b.counts, b.total_weight)).encode())
+    return h.hexdigest()
+
+
+LARGE_SHA256 = "843b3dcf43e15481f50436c6d541b409dc51a80e7f534652c5835017704fd993"
+
+
+def test_large_trace_free_builds_pinned():
+    assert _large_digest(9, 20) == LARGE_SHA256

@@ -332,26 +332,31 @@ def random_elim_list(p, q, rng):
 # distinct weights, so that a kernel timed with another's weight shows
 SKEWED = WeightModel.custom({GEQRT: 3, UNMQR: 5, TTQRT: 1, TTMQR: 7, TSQRT: 2, TSMQR: 11})
 TT_ONLY = WeightModel.custom({GEQRT: 4, UNMQR: 6, TTQRT: 2, TTMQR: 6})
+# only the pair kernels and TSQRT take time, so many finishes tie
+ZERO_FACTOR = WeightModel.custom({GEQRT: 0, UNMQR: 0, TTQRT: 2, TTMQR: 6, TSQRT: 6, TSMQR: 0})
 
 
 def _engine_cases():
     rng = random.Random(2013)
-    for n in range(80):
-        p = rng.randint(1, 9)
-        q = rng.randint(1, p)
-        elim = random_elim_list(p, q, rng)
-        elim.validate()
-        for family in ("TT", "TS"):
-            w = (None, SKEWED)[n % 2]
-            yield (f"random{n}-{family}", w,
-                   lambda kt, p=p, q=q, f=family, w=w, e=elim:
-                   QrBuild(p, q, f, w, kt).run_list(e))
+    # the larger lists make rows carry data through many columns
+    for ns, pmin, pmax, models in ((range(80), 1, 9, (None, SKEWED)),
+                                   (range(80, 110), 10, 14, (None, SKEWED, ZERO_FACTOR))):
+        for n in ns:
+            p = rng.randint(pmin, pmax)
+            q = rng.randint(1, p)
+            elim = random_elim_list(p, q, rng)
+            elim.validate()
+            for family in ("TT", "TS"):
+                w = models[n % len(models)]
+                yield (f"random{n}-{family}", w,
+                       lambda kt, p=p, q=q, f=family, w=w, e=elim:
+                       QrBuild(p, q, f, w, kt).run_list(e))
     for p, q in ((9, 4), (7, 7), (8, 1)):
         for algo in ("flattree", "fibonacci", "greedy", "binarytree", "plasmatree",
                      "asap", "grasap"):
             families = ("TT",) if algo in ("asap", "grasap") else ("TT", "TS")
             for family in families:
-                for w in (None, SKEWED) + ((TT_ONLY,) if family == "TT" else ()):
+                for w in (None, SKEWED, ZERO_FACTOR) + ((TT_ONLY,) if family == "TT" else ()):
                     yield (f"{algo}-{p}x{q}-{family}", w,
                            lambda kt, p=p, q=q, a=algo, f=family, w=w:
                            build_tree(p, q, a, family=f, bs=3, weights=w,
