@@ -379,9 +379,13 @@ class QrBuild:
     With keep_trace the full Task trace is retained.
 
     Times are kept per bundle (a factor kernel and its updates along the
-    row): _data[i][j] is the finish of the last write to data tile (i,j),
-    _tri[(i,k)] that of the triangle in tile (i,k).  TraceTimer over the
-    trace (tiles from KERNEL_TILES) reproduces these times.
+    row): _data[i] is the finish of the last write to the data tiles of
+    row i right of its last factored column, _tri[(i,k)] that of the
+    triangle in tile (i,k).  One time per row is exact: those tiles all
+    start at 0, and each update bundle writes one time to all of columns
+    k+1..q of its rows, so they always share a finish; every data tile
+    read later lies among them.  TraceTimer over the trace (tiles from
+    KERNEL_TILES) reproduces these times.
     """
 
     def __init__(self, p, q, family="TT", weights=None, keep_trace=True):
@@ -399,13 +403,13 @@ class QrBuild:
         self.counts = {GEQRT: 0, TTQRT: 0, TSQRT: 0, UNMQR: 0, TTMQR: 0, TSMQR: 0}
         self.total_weight = 0
         self.elim = None
-        self._data = [[0] * (q + 1) for _ in range(p + 1)]
+        self._data = [0] * (p + 1)
         self._tri = {}
 
-    def _bundle(self, kind, update, idx, start, k, row, other=None):
+    def _bundle(self, kind, update, idx, start, k, i, other):
         """Run factor kernel `kind` on column k from time start, then its
-        `update` kernel on columns k+1..q of data row `row` (and `other`);
-        return the factor's finish."""
+        `update` kernel on columns k+1..q of data rows i and `other` (the
+        same row for a GEQRT); return the factor's finish."""
         w = self.weights[kind]
         fin = last = start + w
         q = self.q
@@ -415,13 +419,11 @@ class QrBuild:
             counts[update] += q - k
             u = self.weights[update]
             w += (q - k) * u
-            if other is None:
-                row[k + 1:] = new = [(d if d > fin else fin) + u for d in row[k + 1:]]
-            else:
-                row[k + 1:] = other[k + 1:] = new = [
-                    (x if x > fin else fin) + u
-                    for x in [x if x > y else y for x, y in zip(row[k + 1:], other[k + 1:])]]
-            last = max(new)
+            data = self._data
+            d = data[i]
+            if data[other] > d:
+                d = data[other]
+            last = data[i] = data[other] = (d if d > fin else fin) + u
         self.total_weight += w
         if last > self.cp:
             self.cp = last
@@ -436,12 +438,10 @@ class QrBuild:
 
     def _triangularize(self, i, k):
         """GEQRT on tile (i,k), then UNMQR along the rest of row i."""
-        row = self._data[i]
-        self._tri[(i, k)] = self._bundle(GEQRT, UNMQR, (i, k), row[k], k, row)
+        self._tri[(i, k)] = self._bundle(GEQRT, UNMQR, (i, k), self._data[i], k, i, i)
 
     def _eliminate(self, kind, update, i, piv, k, start):
-        data = self._data
-        fin = self._bundle(kind, update, (i, piv, k), start, k, data[i], data[piv])
+        fin = self._bundle(kind, update, (i, piv, k), start, k, i, piv)
         self._tri[(piv, k)] = self.zeroed[(i, k)] = fin
         return fin
 
@@ -468,7 +468,7 @@ class QrBuild:
         if (i, k) in tri:
             return self._eliminate(TTQRT, TTMQR, i, piv, k, max(tri[(i, k)], tri[(piv, k)]))
         return self._eliminate(TSQRT, TSMQR, i, piv, k,
-                               max(self._data[i][k], tri[(piv, k)]))
+                               max(self._data[i], tri[(piv, k)]))
 
     def run_list(self, elim: EliminationList):
         self.elim = elim
