@@ -56,7 +56,7 @@ class EliminationList:
     def validate(self):
         """Raise ValueError citing the violated validity condition."""
         p, q = self.p, self.q
-        zeroed = set()   # (row, col) pairs already annihilated
+        zeroed = [0] * (p + 1)   # row r is zeroed in columns 1..zeroed[r]
         for n, e in enumerate(self.entries):
             if not (1 <= e.k <= min(p, q)) or not (e.k < e.i <= p):
                 raise ValueError(f"entry {n}: elim({e.i},{e.piv},{e.k}) out of range")
@@ -65,21 +65,20 @@ class EliminationList:
             if not (e.k <= e.piv <= p):
                 raise ValueError(f"entry {n}: pivot row {e.piv} invalid for column {e.k}")
             for row in (e.i, e.piv):
-                for kk in range(1, e.k):
-                    if (row, kk) not in zeroed:
-                        raise ValueError(
-                            f"entry {n}: row {row} not ready for column {e.k} "
-                            f"(tile ({row},{kk}) not yet zeroed)")
-            if (e.piv, e.k) in zeroed:
+                if zeroed[row] < e.k - 1:
+                    raise ValueError(
+                        f"entry {n}: row {row} not ready for column {e.k} "
+                        f"(tile ({row},{zeroed[row] + 1}) not yet zeroed)")
+            if zeroed[e.piv] >= e.k:
                 raise ValueError(
                     f"entry {n}: pivot row {e.piv} is not a potential annihilator "
                     f"(tile ({e.piv},{e.k}) already zeroed)")
-            if (e.i, e.k) in zeroed:
+            if zeroed[e.i] >= e.k:
                 raise ValueError(f"entry {n}: tile ({e.i},{e.k}) zeroed twice")
-            zeroed.add((e.i, e.k))
+            zeroed[e.i] = e.k
         want = sum(p - k for k in range(1, min(p, q) + 1))
-        if len(zeroed) != want:
-            raise ValueError(f"elimination list incomplete: {len(zeroed)}/{want} tiles zeroed")
+        if len(self) != want:
+            raise ValueError(f"elimination list incomplete: {len(self)}/{want} tiles zeroed")
         return True
 
     def normalized(self):

@@ -112,7 +112,12 @@ def test_not_ready_message_names_first_missing_tile():
     with pytest.raises(ValueError) as err:
         EliminationList(5, 3, entries).validate()
     assert str(err.value) == "entry 5: row 3 not ready for column 3 (tile (3,2) not yet zeroed)"
-    # the target itself, missing its first tile
+    # the first missing tile, not the one left of the column
+    entries = [ElimEntry(5, 1, 1), ElimEntry(4, 1, 1), ElimEntry(5, 4, 2), ElimEntry(5, 3, 3)]
+    with pytest.raises(ValueError) as err:
+        EliminationList(5, 3, entries).validate()
+    assert str(err.value) == "entry 3: row 3 not ready for column 3 (tile (3,1) not yet zeroed)"
+    # the target itself
     bad = EliminationList(3, 2, [ElimEntry(3, 2, 1), ElimEntry(3, 2, 2), ElimEntry(2, 1, 1)])
     with pytest.raises(ValueError) as err:
         bad.validate()
