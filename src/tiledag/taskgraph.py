@@ -155,7 +155,7 @@ class TaskGraph:
         self.edges = list(edges)
         if len({t.id for t in self.tasks}) != len(self.tasks):
             raise ValueError("duplicate task ids")
-        self._adj = self._rank = None
+        self._adj = self._rank = self._topo = None
 
     def __len__(self):
         return len(self.tasks)
@@ -190,11 +190,17 @@ class TaskGraph:
 
     def topo_positions(self):
         """Positions in topological order, the lowest id first among ready
-        tasks; raises on cycles, naming one edge that closes a cycle."""
+        tasks, computed once per graph; raises on cycles, naming one edge
+        that closes a cycle.  Callers must not change the list."""
+        if self._topo is None:
+            self._topo = self._topo_sort()
+        return self._topo
+
+    def _topo_sort(self):
         ids, succ, _, indeg = self.adjacency()
         rank, by_rank = self.id_rank()
         if rank is by_rank and all(u < v for u, v, _ in self.edges):
-            return by_rank[:]  # trace-built graphs are already sorted
+            return by_rank  # trace-built graphs are already sorted
         indeg = list(indeg)
         ready = [rank[i] for i, d in enumerate(indeg) if d == 0]
         heapq.heapify(ready)
