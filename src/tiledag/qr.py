@@ -323,6 +323,12 @@ def plasmatree_list(p, q, bs):
     if not (1 <= bs <= p):
         raise ValueError("domain size must satisfy 1 <= BS <= p")
     entries = []
+    last = [0] * (p + 1)   # with_steps(): the coarse step each row was last used
+
+    def elim(i, piv, k):
+        s = last[i] = last[piv] = max(last[i], last[piv]) + 1
+        entries.append(ElimEntry(i, piv, k, s))
+
     for k in range(1, min(p, q) + 1):
         rows = list(range(k, p + 1))
         heads = []
@@ -330,19 +336,18 @@ def plasmatree_list(p, q, bs):
             dom = rows[lo:lo + bs]
             heads.append(dom[0])
             for i in dom[1:]:
-                entries.append(ElimEntry(i, dom[0], k))
+                elim(i, dom[0], k)
         level = heads
         while len(level) > 1:
             nxt = []
             for a in range(0, len(level) - 1, 2):
-                entries.append(ElimEntry(level[a + 1], level[a], k))
+                elim(level[a + 1], level[a], k)
                 nxt.append(level[a])
             if len(level) % 2:
                 nxt.append(level[-1])
             level = nxt
-    elim = EliminationList(p, q, entries).with_steps()
-    elim.entries.sort(key=lambda e: (e.k, e.step, e.i))
-    return elim
+    entries.sort(key=lambda e: (e.k, e.step, e.i))
+    return EliminationList(p, q, entries)
 
 
 def binary_tree_list(p, q):
@@ -404,19 +409,21 @@ class QrBuild:
         self.elim = None
         self._data = [0] * (p + 1)
         self._tri = {}
+        self._w = {}   # kind -> weight, looked up on first use
 
     def _bundle(self, kind, update, idx, start, k, i, other):
         """Run factor kernel `kind` on column k from time start, then its
         `update` kernel on columns k+1..q of data rows i and `other` (the
         same row for a GEQRT); return the factor's finish."""
-        w = self.weights[kind]
+        ws = self._w
+        w = ws[kind] if kind in ws else ws.setdefault(kind, self.weights[kind])
         fin = last = start + w
         q = self.q
         counts = self.counts
         counts[kind] += 1
         if k < q:
             counts[update] += q - k
-            u = self.weights[update]
+            u = ws[update] if update in ws else ws.setdefault(update, self.weights[update])
             w += (q - k) * u
             data = self._data
             d = data[i]

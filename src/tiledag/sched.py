@@ -54,11 +54,12 @@ def check_schedule(graph: TaskGraph, weights: WeightModel, sched: Schedule):
     every edge's source finishes before its sink starts."""
     fin = {}
     per_proc = {}
-    for t in graph.tasks:
-        if t.id not in sched.assignment:
-            raise AssertionError(f"task {t.id} unassigned")
-        proc, start = sched.assignment[t.id]
-        w = weights.of(t)
+    assignment = sched.assignment
+    for t, w in zip(graph.tasks, graph.weight_list(weights)):
+        try:
+            proc, start = assignment[t.id]
+        except KeyError:
+            raise AssertionError(f"task {t.id} unassigned") from None
         fin[t.id] = start + w
         if w > 0:
             per_proc.setdefault(proc, []).append((start, start + w, t.id))
@@ -68,7 +69,7 @@ def check_schedule(graph: TaskGraph, weights: WeightModel, sched: Schedule):
             if s2 < e1:
                 raise AssertionError(f"overlap on processor {proc}: tasks {a} and {b}")
     for u, v, _ in graph.edges:
-        if fin[u] > sched.assignment[v][1]:
+        if fin[u] > assignment[v][1]:
             raise AssertionError(f"precedence violated on edge {u}->{v}")
     return True
 
@@ -81,7 +82,8 @@ def list_schedule(graph: TaskGraph, weights: WeightModel, p: int,
     or seeded-uniform random); equal priorities break toward the lowest
     task id.  Zero-weight tasks complete at their ready time without
     occupying a processor.  `annotation` needs only `.priority`, integers
-    keyed by task id.
+    keyed by task id; without it the graph's annotate_cp result for
+    `weights`, computed once per graph and model, is used.
     """
     if p < 1:
         raise ValueError("need at least one processor")
@@ -92,7 +94,7 @@ def list_schedule(graph: TaskGraph, weights: WeightModel, p: int,
     ids, succ, _, indeg = graph.adjacency()
     rank, by_rank = graph.id_rank()
     indeg = list(indeg)
-    w = list(map(weights.of, graph.tasks))
+    w = graph.weight_list(weights)
     n = len(ids)
     # ready key sign*priority*n + rank: equal priorities go to the lowest id
     sign = -n if policy == MAX_CP else n

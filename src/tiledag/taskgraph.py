@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from types import MappingProxyType, SimpleNamespace
 from typing import Iterable, NamedTuple, Sequence
 
 # Kernel tags.  BARRIER is a pure synchronization pseudo-task.
@@ -81,6 +82,10 @@ class WeightModel:
     One weight unit is n_b^3/3 flops for the Cholesky and QR models.
     BARRIER always weighs 0; COPY weighs 0 in the unit and Cholesky models
     (the reference critical-path counts include copies in neither).
+
+    The table is read-only, and a model (one that overrides `of` too) must
+    give each task one fixed weight for its lifetime: a TaskGraph caches
+    what a model fixes (see TaskGraph.weight_list).
     """
 
     CHOLESKY = {
@@ -114,7 +119,7 @@ class WeightModel:
                 raise ValueError(f"weight of {kind} must be a nonnegative integer")
         table[BARRIER] = 0
         self.mode = mode
-        self.table = table
+        self.table = MappingProxyType(table)
 
     @classmethod
     def unit(cls):
@@ -155,7 +160,7 @@ class TaskGraph:
         self.edges = list(edges)
         if len({t.id for t in self.tasks}) != len(self.tasks):
             raise ValueError("duplicate task ids")
-        self._adj = self._rank = self._topo = None
+        self._adj = self._rank = self._topo = self._facts = None
 
     def __len__(self):
         return len(self.tasks)
@@ -217,6 +222,21 @@ class TaskGraph:
             u, v, _ = next(e for e in self.edges if e[0] in left and e[1] in left)
             raise ValueError(f"cycle detected, e.g. through edge {u}->{v}")
         return order
+
+    def weight_list(self, weights):
+        """Each task's weight under `weights`, by position, computed once per
+        weight model.  Callers must not change the list."""
+        return self._model_facts(weights).weights
+
+    def _model_facts(self, weights):
+        """The one cache slot of what a model fixes: the weight list, then the
+        annotate_cp and alap_profile results.  Keyed by the model's identity,
+        it holds the model, so the id cannot be reused; another model replaces it."""
+        facts = self._facts
+        if facts is None or facts.model is not weights:
+            facts = self._facts = SimpleNamespace(model=weights, annotation=None, profile=None,
+                                                  weights=list(map(weights.of, self.tasks)))
+        return facts
 
     def topo_order(self):
         """Task ids in topological order (see topo_positions)."""
@@ -348,10 +368,14 @@ class CpAnnotation:
 
 def annotate_cp(graph: TaskGraph, weights: WeightModel) -> CpAnnotation:
     """Backflow pass: each task's priority is its remaining longest path
-    including its own weight; cp_length is the weighted critical path."""
+    including its own weight; cp_length is the weighted critical path.
+    Computed once per graph and model; callers must not change it."""
+    facts = graph._model_facts(weights)
+    if facts.annotation is not None:
+        return facts.annotation
     order = graph.topo_positions()
     ids, succ, pred, _ = graph.adjacency()
-    w = list(map(weights.of, graph.tasks))
+    w = facts.weights
     prio = [0] * len(ids)
     for u in reversed(order):
         best = 0
@@ -368,8 +392,10 @@ def annotate_cp(graph: TaskGraph, weights: WeightModel) -> CpAnnotation:
                 e = f
         est[u] = e
     # insertion orders, which critical_ids() reads: reverse topological, topological, task
-    return CpAnnotation({ids[u]: prio[u] for u in reversed(order)}, max(prio, default=0),
-                        {ids[u]: est[u] for u in order}, dict(zip(ids, w)))
+    facts.annotation = CpAnnotation(
+        {ids[u]: prio[u] for u in reversed(order)}, max(prio, default=0),
+        {ids[u]: est[u] for u in order}, dict(zip(ids, w)))
+    return facts.annotation
 
 
 @dataclass
@@ -394,7 +420,11 @@ class AlapProfile:
 
 def alap_profile(graph: TaskGraph, weights: WeightModel) -> AlapProfile:
     """Profile of the execution where every task starts at its latest
-    slack-free time.  Zero-weight tasks occupy no area."""
+    slack-free time.  Zero-weight tasks occupy no area.  Computed once per
+    graph and model; callers must not change it."""
+    facts = graph._model_facts(weights)
+    if facts.profile is not None:
+        return facts.profile
     ann = annotate_cp(graph, weights)
     makespan, priority = ann.cp_length, ann.priority
     deltas = {}
@@ -412,7 +442,8 @@ def alap_profile(graph: TaskGraph, weights: WeightModel) -> AlapProfile:
         steps.append((time, count))
     if steps and steps[-1][1] == 0 and steps[-1][0] == makespan:
         steps.pop()
-    return AlapProfile(steps, makespan, sum(ann.weight.values()))
+    facts.profile = AlapProfile(steps, makespan, sum(ann.weight.values()))
+    return facts.profile
 
 
 class TraceTimer:

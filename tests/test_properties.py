@@ -56,12 +56,17 @@ def test_timer_matches_hazard_dag(steps):
 @given(STEPS, st.integers(1, 4), st.integers(0, 3))
 def test_schedules_valid_and_bounded(steps, p, seed):
     graph = build_from_trace(_trace(steps))
+    assert graph.weight_list(WM) == [WM.of(t) for t in graph.tasks]
     bound = alap_bound(graph, WM, p)
     assert bound >= rooftop_bound(graph, WM, p)
+    equal = WeightModel.custom(WM.table)   # another model object: the cache must not mix them
     for policy in ("max", "min", "random"):
         s = list_schedule(graph, WM, p, policy, seed=seed)
         check_schedule(graph, WM, s)
         assert s.makespan >= bound
+        again = list_schedule(graph, equal, p, policy, seed=seed)
+        check_schedule(graph, equal, again)
+        assert (again.assignment, again.makespan) == (s.assignment, s.makespan)
 
 
 @st.composite

@@ -5,7 +5,8 @@ import pytest
 from tiledag import (
     BARRIER, GEMM, POTRF, TRSM,
     Task, TaskGraph, TileRef, TraceTimer, WeightModel,
-    alap_profile, annotate_cp, asap_times, build_from_trace, trace_cp,
+    alap_profile, annotate_cp, asap_times, build_from_trace, check_schedule,
+    list_schedule, trace_cp,
 )
 
 
@@ -131,6 +132,57 @@ def test_alap_profile_examples():
     prof2 = alap_profile(g2, PerTask())
     assert prof2.steps == [(0, 1), (3, 2)] and prof2.makespan == 5
     assert prof2.area() == prof2.t_seq == 7
+
+
+def _chain_and_one():
+    """POTRF -> GEMM on one tile, and an independent TRSM."""
+    return build_from_trace([T(0, "POTRF", writes=[("A", 0, 0)]),
+                             T(1, GEMM, reads=[("A", 0, 0)], writes=[("B", 0, 0)]),
+                             T(2, TRSM, writes=[("C", 0, 0)])])
+
+
+def test_weight_model_facts_computed_once_per_model():
+    g = _chain_and_one()
+    chol, unit = WeightModel.cholesky(), WeightModel.unit()
+    assert annotate_cp(g, chol) is annotate_cp(g, chol)
+    assert alap_profile(g, chol) is alap_profile(g, chol)
+    assert g.weight_list(chol) is g.weight_list(chol)
+    want = {chol: ([1, 6, 3], {0: 7, 1: 6, 2: 3}, [(0, 1), (4, 2)], 7, 10),
+            unit: ([1, 1, 1], {0: 2, 1: 1, 2: 1}, [(0, 1), (1, 2)], 2, 3)}
+    # alternating models each get their own facts, never the other's
+    for wm in (chol, unit, chol, unit):
+        weights, prio, steps, cp, seq = want[wm]
+        assert g.weight_list(wm) == weights
+        assert annotate_cp(g, wm).priority == prio
+        prof = alap_profile(g, wm)
+        assert (prof.steps, prof.makespan, prof.t_seq) == (steps, cp, seq)
+        assert list_schedule(g, wm, 1).makespan == seq
+
+
+def test_per_task_weights_honoured_through_the_cache():
+    class PerTask(WeightModel):
+        def __init__(self, weights):
+            self.mode = "per-task"
+            self.table = {}
+            self.weights = weights
+
+        def of(self, task):
+            return self.weights[task.id]
+
+    g = _chain_and_one()
+    for weights, cp in (([1, 1, 5], 5), ([2, 2, 1], 4)):
+        wm = PerTask(weights)
+        assert g.weight_list(wm) == weights
+        assert annotate_cp(g, wm).cp_length == cp
+        s = list_schedule(g, wm, 2)
+        assert check_schedule(g, wm, s) and s.makespan == cp
+
+
+def test_weight_table_read_only():
+    wm = WeightModel.custom({GEMM: 6})
+    with pytest.raises(TypeError):
+        wm.table[GEMM] = 1
+    assert wm[GEMM] == 6
 
 
 def _random_trace(rng, n=40, tiles=8):
