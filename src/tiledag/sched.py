@@ -13,10 +13,11 @@ import heapq
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
 
 from . import cholesky
 from .taskgraph import (
-    BARRIER, GEMM, SYRK, TRSM, Task, TaskGraph, WeightModel, alap_profile,
+    BARRIER, GEMM, POTRF, SYRK, TRSM, Task, TaskGraph, WeightModel, alap_profile,
     annotate_cp, build_from_trace,
 )
 
@@ -35,10 +36,10 @@ class Schedule:
 
     def gantt_rows(self, graph: TaskGraph, weights: WeightModel):
         rows = []
-        for t in graph.tasks:
+        for t, w in zip(graph.tasks, graph.weight_list(weights)):
             proc, start = self.assignment[t.id]
             idx = list(t.indices) + [""] * (3 - len(t.indices))
-            rows.append((proc, start, start + weights.of(t), t.kind, *idx[:3]))
+            rows.append((proc, start, start + w, t.kind, *idx[:3]))
         rows.sort(key=lambda r: (r[0], r[1], r[3]))
         return rows
 
@@ -176,37 +177,23 @@ def sync_chol_schedule(t: int, p: int, variant: str = "relaxed") -> Schedule:
 
 
 def sync_chol_graph(t: int, variant: str = "relaxed"):
+    """The right-looking Cholesky trace in phases: by column (a kernel's last
+    index), then POTRF, TRSM, and GEMM then SYRK (grouped) or all updates in
+    trace order (relaxed).  A barrier closes each phase but a relaxed update."""
     if variant not in ("grouped", "relaxed"):
         raise ValueError(f"unknown variant {variant!r}")
-    trace = cholesky.gen_chol_fact(t, "right")
-    out = []
+    rank = {POTRF: 0, TRSM: 1, GEMM: 2, SYRK: 3 if variant == "grouped" else 2}
 
-    def phase(tasks, barrier=True):
-        """Append the tasks to out, renumbered; a non-empty phase then gets
-        its closing barrier unless barrier is False."""
+    def phase(task):
+        return task.indices[-1], rank[task.kind]
+
+    out = []
+    for (_, r), tasks in groupby(sorted(cholesky.gen_chol_fact(t, "right"), key=phase), phase):
         for task in tasks:
             out.append(Task(len(out), task.kind, task.indices, task.reads, task.writes))
-        if tasks and barrier:
+        if r < 2 or variant == "grouped":
             out.append(Task(len(out), BARRIER))
-
-    pos = 0
-    for k in range(t):
-        phase([trace[pos]]); pos += 1
-        trsms = []
-        while pos < len(trace) and trace[pos].kind == TRSM and trace[pos].indices[1] == k:
-            trsms.append(trace[pos]); pos += 1
-        updates = []
-        while pos < len(trace) and trace[pos].kind in (SYRK, GEMM) and trace[pos].indices[-1] == k:
-            updates.append(trace[pos]); pos += 1
-        phase(trsms)
-        if variant == "grouped":
-            phase([u for u in updates if u.kind == GEMM])
-            phase([u for u in updates if u.kind == SYRK])
-        else:
-            # no trailing barrier: the next POTRF overlaps the update phase
-            phase(updates, barrier=False)
-    graph = build_from_trace(out)
-    return graph, WeightModel.cholesky()
+    return build_from_trace(out), WeightModel.cholesky()
 
 
 # ---------------------------------------------------------------------------

@@ -230,12 +230,14 @@ class TaskGraph:
 
     def _model_facts(self, weights):
         """The one cache slot of what a model fixes: the weight list, then the
-        annotate_cp and alap_profile results.  Keyed by the model's identity,
-        it holds the model, so the id cannot be reused; another model replaces it."""
+        positional priority list with the annotate_cp result, then the
+        alap_profile result.  Keyed by the model's identity, it holds the
+        model, so the id cannot be reused; another model replaces it."""
         facts = self._facts
         if facts is None or facts.model is not weights:
-            facts = self._facts = SimpleNamespace(model=weights, annotation=None, profile=None,
-                                                  weights=list(map(weights.of, self.tasks)))
+            facts = self._facts = SimpleNamespace(
+                model=weights, weights=list(map(weights.of, self.tasks)),
+                priority=None, annotation=None, profile=None)
         return facts
 
     def topo_order(self):
@@ -352,12 +354,12 @@ def build_from_trace(trace: Sequence[Task]) -> TaskGraph:
 
 @dataclass
 class CpAnnotation:
-    """Backflow priorities and slack information of a weighted DAG."""
+    """Backflow priorities and slack information of a weighted DAG; a
+    task's weight is graph.weight_list(weights) at its position."""
 
     priority: dict          # task id -> weight + max successor priority
     cp_length: int
     earliest: dict          # earliest start on unbounded processors
-    weight: dict            # task id -> weight, in task order
 
     def critical_ids(self):
         """Tasks with no slack: earliest start equals the ALAP start
@@ -366,35 +368,38 @@ class CpAnnotation:
         return [i for i, pr in self.priority.items() if self.earliest[i] == cp - pr]
 
 
+def _longest_paths(order, nbrs, w):
+    """Heaviest path through each position u along nbrs, u's own weight
+    included: w[u] + the largest result over nbrs[u].  `order` must visit
+    every neighbour of u before u."""
+    dist = [0] * len(w)
+    for u in order:
+        best = 0
+        for v in nbrs[u]:
+            if dist[v] > best:
+                best = dist[v]
+        dist[u] = w[u] + best
+    return dist
+
+
 def annotate_cp(graph: TaskGraph, weights: WeightModel) -> CpAnnotation:
     """Backflow pass: each task's priority is its remaining longest path
-    including its own weight; cp_length is the weighted critical path.
-    Computed once per graph and model; callers must not change it."""
+    including its own weight; cp_length is the weighted critical path.  The
+    same recurrence over predecessors gives finish times, and earliest
+    start = finish - weight.  Computed once per graph and model; callers
+    must not change it."""
     facts = graph._model_facts(weights)
     if facts.annotation is not None:
         return facts.annotation
     order = graph.topo_positions()
     ids, succ, pred, _ = graph.adjacency()
     w = facts.weights
-    prio = [0] * len(ids)
-    for u in reversed(order):
-        best = 0
-        for v in succ[u]:
-            if prio[v] > best:
-                best = prio[v]
-        prio[u] = w[u] + best
-    est = [0] * len(ids)
-    for u in order:
-        e = 0
-        for v in pred[u]:
-            f = est[v] + w[v]
-            if f > e:
-                e = f
-        est[u] = e
-    # insertion orders, which critical_ids() reads: reverse topological, topological, task
+    prio = facts.priority = _longest_paths(reversed(order), succ, w)
+    fin = _longest_paths(order, pred, w)
+    # insertion orders, which critical_ids() reads: reverse topological, topological
     facts.annotation = CpAnnotation(
         {ids[u]: prio[u] for u in reversed(order)}, max(prio, default=0),
-        {ids[u]: est[u] for u in order}, dict(zip(ids, w)))
+        {ids[u]: fin[u] - w[u] for u in order})
     return facts.annotation
 
 
@@ -425,12 +430,11 @@ def alap_profile(graph: TaskGraph, weights: WeightModel) -> AlapProfile:
     facts = graph._model_facts(weights)
     if facts.profile is not None:
         return facts.profile
-    ann = annotate_cp(graph, weights)
-    makespan, priority = ann.cp_length, ann.priority
+    makespan = annotate_cp(graph, weights).cp_length
     deltas = {}
-    for tid, w in ann.weight.items():
+    for pr, w in zip(facts.priority, facts.weights):
         if w:
-            s = makespan - priority[tid]   # ALAP start
+            s = makespan - pr   # ALAP start
             deltas[s] = deltas.get(s, 0) + 1
             deltas[s + w] = deltas.get(s + w, 0) - 1
     steps = []
@@ -442,7 +446,7 @@ def alap_profile(graph: TaskGraph, weights: WeightModel) -> AlapProfile:
         steps.append((time, count))
     if steps and steps[-1][1] == 0 and steps[-1][0] == makespan:
         steps.pop()
-    facts.profile = AlapProfile(steps, makespan, sum(ann.weight.values()))
+    facts.profile = AlapProfile(steps, makespan, sum(facts.weights))
     return facts.profile
 
 

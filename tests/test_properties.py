@@ -47,8 +47,10 @@ def test_timer_matches_hazard_dag(steps):
     timer = TraceTimer(WM)
     for t in trace:
         timer.add(t)
-    ann = annotate_cp(build_from_trace(trace), WM)
-    assert timer.finish == {i: ann.earliest[i] + ann.weight[i] for i in ann.earliest}
+    graph = build_from_trace(trace)
+    ann = annotate_cp(graph, WM)
+    w = graph.weight_list(WM)   # ids are positions here
+    assert timer.finish == {i: ann.earliest[i] + w[i] for i in ann.earliest}
     assert timer.max_fin == ann.cp_length
 
 
