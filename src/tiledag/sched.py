@@ -35,17 +35,23 @@ class Schedule:
     p: int
 
     def gantt_rows(self, graph: TaskGraph, weights: WeightModel):
+        """(proc, start, end, kind, *indices) per task, by processor and start;
+        indices are padded with "" to the widest index tuple (at least 3)."""
+        width = max([3] + [len(t.indices) for t in graph.tasks])
         rows = []
         for t, w in zip(graph.tasks, graph.weight_list(weights)):
             proc, start = self.assignment[t.id]
-            idx = list(t.indices) + [""] * (3 - len(t.indices))
-            rows.append((proc, start, start + w, t.kind, *idx[:3]))
+            pad = [""] * (width - len(t.indices))
+            rows.append((proc, start, start + w, t.kind, *t.indices, *pad))
         rows.sort(key=lambda r: (r[0], r[1], r[3]))
         return rows
 
     def to_csv(self, graph: TaskGraph, weights: WeightModel):
-        lines = ["proc,start,end,kind,i,j,k"]
-        for row in self.gantt_rows(graph, weights):
+        rows = self.gantt_rows(graph, weights)
+        width = len(rows[0]) - 4 if rows else 3
+        names = [chr(ord("i") + n) for n in range(width)]   # i, j, k, l, ...
+        lines = [",".join(["proc", "start", "end", "kind", *names])]
+        for row in rows:
             lines.append(",".join(str(x) for x in row))
         return "\n".join(lines) + "\n"
 

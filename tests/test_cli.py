@@ -110,6 +110,20 @@ def test_gantt_and_outdir(tmp_path, capsys, monkeypatch):
     assert gantt.splitlines()[0] == "proc,start,end,kind,i,j,k"
 
 
+def test_qr_gantt_rows_name_one_task_each(capsys):
+    from tiledag import build_from_trace, build_tree
+    rc, out = run(capsys, "sched", "--algo", "greedy", "--p", "4", "--q", "3",
+                  "--procs", "4", "--gantt")
+    assert rc == 0
+    lines = out.splitlines()
+    at = lines.index("proc,start,end,kind,i,j,k,l")
+    names = [tuple(line.split(",")[3:]) for line in lines[at + 1:]]
+    tasks = build_from_trace(build_tree(4, 3, "greedy").trace).tasks
+    want = [(t.kind, *map(str, t.indices), *[""] * (4 - len(t.indices))) for t in tasks]
+    # a TTMQR/TSMQR keeps its fourth index, the column it updates
+    assert sorted(names) == sorted(want) and len(set(names)) == len(names)
+
+
 def test_alpha(capsys):
     rc, out = run(capsys, "alpha", "--t", "4")
     assert rc == 0

@@ -107,7 +107,7 @@ DAG_SHA256 = {
     "cholesky": "cb4bdd9cf60e08542adc2d6d6c0f0195d38afbd8bb54fa0502bda62bee0c27d3",
     "inversion": "8faeac3a491fd52ed0778689b4135018ac208a59775b4bfc7a483732f15ceb1d",
     "permuted": "b3e8376b16bd5521e852da5ed700ec573f7e685d394b751c61d1bc4cb14eacbe",
-    "qr": "25da21cd428fa4b1ac33ac6b3cfa42b4074641259354546589e9b2370132ec45",
+    "qr": "1ec95c59c0d936267d9b7e8f6a70c3034fa189e3b6a4f9cd8521617302f856c5",
     "strassen": "323204ca3f735f112015d32a854a6f6ec16b9e2b61dede09005366af09fb63e3",
     "sync": "bd9f8e97968c9696cff77f936e38b1274fb17f84dd404c757f3d5be4aff6823a",
 }
