@@ -108,9 +108,9 @@ def gen_chol_fact(t: int, variant: str = "right") -> list:
     if t < 1:
         raise ValueError("t must be >= 1")
     em = _Emitter()
-    if variant in ("right", "right-looking"):
+    if variant == "right":
         _emit_fact_right(em, t)
-    elif variant in ("left", "left-looking"):
+    elif variant == "left":
         _emit_fact_left(em, t)
     elif variant == "bordered":
         _emit_fact_bordered(em, t)

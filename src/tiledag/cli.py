@@ -54,8 +54,8 @@ def _procs(spec):
 
 
 def _positive(spec):
-    """argparse type of a positive integer (a processor count, a horizon, a
-    column count or a domain size)."""
+    """argparse type of a positive integer (a tile count, a processor count,
+    a horizon, a column count or a domain size)."""
     try:
         n = int(spec)
     except ValueError:
@@ -309,35 +309,35 @@ def main(argv=None):
 
     p = add("chol-cp", cmd_chol_cp, check=True,
             help="per-step and pipelined inversion critical paths")
-    p.add_argument("--t", type=int, required=True)
+    p.add_argument("--t", type=_positive, required=True)
 
     p = add("chol-bounds", cmd_chol_bounds, check=True,
             help="Lost-Area/ALAP and Rooftop bound table")
-    p.add_argument("--t", type=int, required=True)
+    p.add_argument("--t", type=_positive, required=True)
     p.add_argument("--procs", type=_procs, default="1..10")
 
     p = add("qr-coarse", cmd_qr_coarse, check=True, help="coarse time-step table")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
+    p.add_argument("--p", type=_positive, required=True)
+    p.add_argument("--q", type=_positive, required=True)
     p.add_argument("--algo", default="greedy",
                    choices=["sameh-kuck", "fibonacci", "greedy"])
     p.add_argument("--list", action="store_true", help="also write the elimination list CSV")
 
     p = add("qr-tiled", cmd_qr_tiled, check=True, help="tiled zeroed-time table")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
+    p.add_argument("--p", type=_positive, required=True)
+    p.add_argument("--q", type=_positive, required=True)
     p.add_argument("--algo", default="greedy", choices=list(qr.TREE_ALGOS))
     p.add_argument("--family", default="TT", choices=["TT", "TS"])
     p.add_argument("--bs", type=_positive, help="plasmatree domain size")
     p.add_argument("--i", type=_positive, help="grasap trailing asap columns (default 1)")
 
     p = add("qr-cp-table", cmd_qr_cp_table, check=True, help="critical-path comparison table")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--q", type=int, required=True, help="largest column count")
+    p.add_argument("--p", type=_positive, required=True)
+    p.add_argument("--q", type=_positive, required=True, help="largest column count")
 
     p = add("qr-bounds", cmd_qr_bounds, help="per-tree ALAP/Rooftop bounds")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
+    p.add_argument("--p", type=_positive, required=True)
+    p.add_argument("--q", type=_positive, required=True)
     p.add_argument("--algo", default="grasap", choices=list(qr.TREE_ALGOS))
     p.add_argument("--bs", type=_positive)
     p.add_argument("--procs", type=_procs, default="1..14")
@@ -345,9 +345,9 @@ def main(argv=None):
     p = add("sched", cmd_sched, check=True, help="bounded-processor list scheduling")
     p.add_argument("--algo", default="cholesky",
                    choices=["cholesky"] + list(qr.TREE_ALGOS))
-    p.add_argument("--t", type=int, default=5, help="tiles per side (cholesky)")
-    p.add_argument("--p", type=int, default=5)
-    p.add_argument("--q", type=int, default=5)
+    p.add_argument("--t", type=_positive, default=5, help="tiles per side (cholesky)")
+    p.add_argument("--p", type=_positive, default=5)
+    p.add_argument("--q", type=_positive, default=5)
     p.add_argument("--bs", type=_positive)
     p.add_argument("--procs", type=_procs, default="1..8")
     p.add_argument("--policy", default="max", choices=["max", "min", "random"])
@@ -355,22 +355,22 @@ def main(argv=None):
     p.add_argument("--gantt", action="store_true", help="write gantt CSV for the last row")
 
     p = add("alpha", cmd_alpha, help="smallest processor count attaining 9t-10")
-    p.add_argument("--t", type=int, default=10, help="largest t")
+    p.add_argument("--t", type=_positive, default=10, help="largest t")
 
     p = add("strassen-count", cmd_strassen_count, check=True, help="task/flop/cp/temp counters")
-    p.add_argument("--p", type=int, required=True)
+    p.add_argument("--p", type=_positive, required=True)
     p.add_argument("--r", type=int, required=True, help="largest recursion level")
     p.add_argument("--nb", type=int, default=200)
 
     p = add("ip-emit", cmd_ip_emit, help="emit the integer program (LP format)")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
+    p.add_argument("--p", type=_positive, required=True)
+    p.add_argument("--q", type=_positive, required=True)
     p.add_argument("--T", type=_positive, help="horizon in half-weight units")
     p.add_argument("--procs", type=_positive, help="optional capacity extension")
 
     p = add("ip-check", cmd_ip_check, help="check an assignment against the model")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
+    p.add_argument("--p", type=_positive, required=True)
+    p.add_argument("--q", type=_positive, required=True)
     p.add_argument("--T", type=_positive, help="horizon in half-weight units")
     p.add_argument("--algo", default="grasap", choices=list(qr.TREE_ALGOS))
     p.add_argument("--bs", type=_positive, help="plasmatree domain size")

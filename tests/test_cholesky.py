@@ -21,8 +21,9 @@ def test_factorization_task_counts():
             assert counts["GEMM"] == t * (t - 1) * (t - 2) // 6
     with pytest.raises(ValueError):
         gen_chol_fact(0)
-    with pytest.raises(ValueError):
-        gen_chol_fact(3, "sideways")
+    for variant in ("sideways", "right-looking", "left-looking"):
+        with pytest.raises(ValueError):
+            gen_chol_fact(3, variant)
 
 
 def test_lower_triangular_references_only():

@@ -237,6 +237,24 @@ def test_bad_ip_horizon_exit_2(capsys, horizon):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ["qr-cp-table", "--p", "0", "--q", "0"],
+    ["chol-cp", "--t", "0"],
+    ["qr-tiled", "--p", "-1", "--q", "1"],
+    ["chol-bounds", "--t", "0"],
+    ["qr-coarse", "--p", "3", "--q", "0"],
+    ["sched", "--algo", "cholesky", "--t", "-2"],
+    ["sched", "--algo", "greedy", "--p", "0", "--q", "1"],
+    ["alpha", "--t", "0"],
+    ["strassen-count", "--p", "0", "--r", "1"],
+    ["ip-emit", "--p", "2", "--q", "0", "--T", "20"],
+])
+def test_sizes_below_1_exit_2(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "positive integer" in captured.err
+
+
 def test_missing_assignment_file_exit_2(tmp_path, capsys):
     missing = tmp_path / "nonexistent"
     assert main(["ip-check", "--p", "3", "--q", "2", "--assignment", str(missing)]) == 2

@@ -4,6 +4,9 @@ Random traces mix barriers (consecutive ones included), zero-weight COPYs
 and tasks that name a tile more than once.  On each, the streaming
 TraceTimer must agree with build_from_trace + annotate_cp, and every list
 schedule must be valid and no shorter than the ALAP and Rooftop bounds.
+On those traces and on small graphs built directly with shuffled ids,
+annotate_cp's priorities and earliest starts must equal the heaviest
+paths found by enumerating every path.
 
 Random valid elimination lists interleave their columns and contain
 reverse and ex-pivot eliminations; normalizing one must give a valid list
@@ -17,9 +20,10 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from tiledag import (  # noqa: E402
     BARRIER, COPY, GEMM, POTRF, SYRK, TRSM, ElimEntry, EliminationList, Task,
-    TileRef, TraceTimer, WeightModel, alap_bound, annotate_cp,
+    TaskGraph, TileRef, TraceTimer, WeightModel, alap_bound, annotate_cp,
     build_from_trace, check_schedule, list_schedule, rooftop_bound,
 )
+from tiledag.taskgraph import EXPLICIT  # noqa: E402
 from test_qr_coarse import interleaved_list  # noqa: E402
 
 WM = WeightModel.custom({GEMM: 6, SYRK: 3, TRSM: 2, POTRF: 1, COPY: 0})
@@ -69,6 +73,52 @@ def test_schedules_valid_and_bounded(steps, p, seed):
         again = list_schedule(graph, equal, p, policy, seed=seed)
         check_schedule(graph, equal, again)
         assert (again.assignment, again.makespan) == (s.assignment, s.makespan)
+
+
+@st.composite
+def shuffled_graphs(draw):
+    """Small graphs built directly: ids shuffled against task order, edges
+    along a hidden topological order, zero-weight COPYs among the tasks."""
+    n = draw(st.integers(1, 8))
+    ids = draw(st.permutations(range(10, 10 + n)))
+    topo = draw(st.permutations(range(n)))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                          max_size=2 * n))
+    kinds = draw(st.lists(st.sampled_from([GEMM, SYRK, TRSM, POTRF, COPY]),
+                          min_size=n, max_size=n))
+    edges = {(ids[topo[a]], ids[topo[b]], EXPLICIT) for a, b in pairs if a < b}
+    return TaskGraph([Task(i, kind) for i, kind in zip(ids, kinds)], sorted(edges))
+
+
+def _heaviest_paths(graph, weights):
+    """Per task id, the heaviest path starting at it and the heaviest path
+    ending at it, own weight included, found by enumerating every path
+    over graph.edges."""
+    w = {t.id: weights.of(t) for t in graph.tasks}
+    out = {u: [] for u in w}
+    for u, v, _ in graph.edges:
+        out[u].append(v)
+    start, end = dict.fromkeys(w, 0), dict.fromkeys(w, 0)
+
+    def walk(first, last, length):
+        start[first] = max(start[first], length)
+        end[last] = max(end[last], length)
+        for v in out[last]:
+            walk(first, v, length + w[v])
+
+    for u in w:
+        walk(u, u, w[u])
+    return start, end
+
+
+@SETTINGS
+@given(st.one_of(STEPS.map(lambda steps: build_from_trace(_trace(steps))), shuffled_graphs()))
+def test_annotation_matches_path_enumeration(graph):
+    start, end = _heaviest_paths(graph, WM)
+    ann = annotate_cp(graph, WM)
+    assert ann.priority == start
+    assert ann.earliest == {t.id: end[t.id] - WM.of(t) for t in graph.tasks}
+    assert ann.cp_length == max(start.values(), default=0)
 
 
 @st.composite

@@ -1,3 +1,4 @@
+import ast
 import itertools
 import math
 import os
@@ -258,6 +259,16 @@ def test_alpha_min_cp_check_survives_optimize():
     out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                          capture_output=True, text=True, timeout=60)
     assert out.stdout.startswith("raised:"), out.stdout + out.stderr
+
+
+def test_package_has_no_assert_statements():
+    # python -O strips assert statements, so no check in the package may be one
+    import tiledag
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(Path(tiledag.__file__).parent.rglob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Assert)]
+    assert found == []
 
 
 def test_random_policy_spread():
