@@ -197,7 +197,7 @@ def sync_chol_graph(t: int, variant: str = "relaxed"):
     for (_, r), tasks in groupby(sorted(cholesky.gen_chol_fact(t, "right"), key=phase), phase):
         for task in tasks:
             out.append(Task(len(out), task.kind, task.indices, task.reads, task.writes))
-        if r < 2 or variant == "grouped":
+        if variant == "grouped" or r < rank[GEMM]:   # the next POTRF overlaps relaxed updates
             out.append(Task(len(out), BARRIER))
     return build_from_trace(out), WeightModel.cholesky()
 
