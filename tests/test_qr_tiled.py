@@ -334,6 +334,7 @@ SKEWED = WeightModel.custom({GEQRT: 3, UNMQR: 5, TTQRT: 1, TTMQR: 7, TSQRT: 2, T
 TT_ONLY = WeightModel.custom({GEQRT: 4, UNMQR: 6, TTQRT: 2, TTMQR: 6})
 # only the pair kernels and TSQRT take time, so many finishes tie
 ZERO_FACTOR = WeightModel.custom({GEQRT: 0, UNMQR: 0, TTQRT: 2, TTMQR: 6, TSQRT: 6, TSMQR: 0})
+FACTOR_ONLY = WeightModel.custom({GEQRT: 4, TTQRT: 2})
 
 
 def _engine_cases():
@@ -361,6 +362,13 @@ def _engine_cases():
                            lambda kt, p=p, q=q, a=algo, f=family, w=w:
                            build_tree(p, q, a, family=f, bs=3, weights=w,
                                       keep_trace=kt))
+    # a q = 1 build runs GEQRT and TTQRT only, so it may read no other weight
+    for p in (1, 2, 5, 8):
+        for algo in ("flattree", "fibonacci", "greedy", "binarytree", "plasmatree",
+                     "asap", "grasap"):
+            yield (f"{algo}-{p}x1-TT", FACTOR_ONLY,
+                   lambda kt, p=p, a=algo:
+                   build_tree(p, 1, a, bs=min(p, 2), weights=FACTOR_ONLY, keep_trace=kt))
 
 
 def test_engine_trace_free_matches_traced_and_hazard_graph():
@@ -388,12 +396,25 @@ TRACE_SHA256 = {
     (6, 3, "binarytree", "TS"): "2110fac97b99855b3339aaa9b1779a211730b1a3135cfbbdfe6edd3c83815281",
     (6, 4, "asap", "TT"): "b68ae2d6867340107f9aaeaa8eb149e83056aa4956c3ba4c8db0cb6f704fc15e",
     (6, 4, "grasap", "TT"): "81ea48e81b55c8358ebd09f104258676bc47a3a76a9cd46442c2d70902a243d8",
+    (9, 5, "plasmatree", "TS"): "f81199b9fedc6457c6d45fe31eb072325d2cb2da9e493f1b3241c51fdbf12f13",
+    (7, 4, "random", "TS"): "574fbe502f25bec89a44bb13cc5322f4f76c66b92a709c05b9cc252aeabdb093",
+    (9, 6, "fibonacci", "TT"): "4b188e47f894287f26a301c313e82d7769adc993754b8a044a6d04bf959a1187",
 }
+
+
+def _pinned_build(p, q, algo, family):
+    if algo == "random":
+        # a seed whose list makes ex-pivots targets, where TS falls back to TT
+        return QrBuild(p, q, family).run_list(random_elim_list(p, q, random.Random(2)))
+    return build_tree(p, q, algo, family=family, bs=3 if algo == "plasmatree" else None)
 
 
 @pytest.mark.parametrize("p,q,algo,family", sorted(TRACE_SHA256))
 def test_trace_identity(p, q, algo, family):
-    trace = build_tree(p, q, algo, family=family).trace
+    build = _pinned_build(p, q, algo, family)
+    if algo == "random":
+        assert build.counts[TSQRT] and build.counts[TTQRT]
+    trace = build.trace
     rows = [(t.id, t.kind, t.indices, tuple(map(tuple, t.reads)),
              tuple(map(tuple, t.writes))) for t in trace]
     digest = hashlib.sha256(repr(rows).encode()).hexdigest()
