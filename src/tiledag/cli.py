@@ -53,16 +53,22 @@ def _procs(spec):
     return procs
 
 
-def _positive(spec):
-    """argparse type of a positive integer (a tile count, a processor count,
-    a horizon, a column count or a domain size)."""
-    try:
-        n = int(spec)
-    except ValueError:
-        n = 0
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {spec!r}")
-    return n
+def _int_at_least(lo, what):
+    """argparse type of an integer n >= lo; `what` names the range in the
+    error message."""
+    def parse(spec):
+        try:
+            n = int(spec)
+        except ValueError:
+            n = lo - 1
+        if n < lo:
+            raise argparse.ArgumentTypeError(f"expected {what}, got {spec!r}")
+        return n
+    return parse
+
+
+# a tile count, a processor count, a horizon, a column count or a domain size
+_positive = _int_at_least(1, "a positive integer")
 
 
 def _check(rows):
@@ -355,12 +361,14 @@ def main(argv=None):
     p.add_argument("--gantt", action="store_true", help="write gantt CSV for the last row")
 
     p = add("alpha", cmd_alpha, help="smallest processor count attaining 9t-10")
-    p.add_argument("--t", type=_positive, default=10, help="largest t")
+    p.add_argument("--t", type=_int_at_least(3, "a positive integer >= 3"), default=10,
+                   help="largest t (the table starts at t = 3)")
 
     p = add("strassen-count", cmd_strassen_count, check=True, help="task/flop/cp/temp counters")
     p.add_argument("--p", type=_positive, required=True)
-    p.add_argument("--r", type=int, required=True, help="largest recursion level")
-    p.add_argument("--nb", type=int, default=200)
+    p.add_argument("--r", type=_int_at_least(0, "a nonnegative integer"), required=True,
+                   help="largest recursion level")
+    p.add_argument("--nb", type=_positive, default=200)
 
     p = add("ip-emit", cmd_ip_emit, help="emit the integer program (LP format)")
     p.add_argument("--p", type=_positive, required=True)

@@ -112,12 +112,11 @@ class EliminationList:
     def with_steps(self):
         """Recompute coarse time-steps: each elimination occupies both of
         its rows for one unit."""
-        last = {}
+        last = [0] * (self.p + 1)   # the step each row was last used
         out = []
-        for e in self.entries:
-            s = max(last.get(e.i, 0), last.get(e.piv, 0)) + 1
-            last[e.i] = last[e.piv] = s
-            out.append(ElimEntry(e.i, e.piv, e.k, s))
+        for i, piv, k, _ in self.entries:
+            s = last[i] = last[piv] = max(last[i], last[piv]) + 1
+            out.append(ElimEntry(i, piv, k, s))
         return EliminationList(self.p, self.q, out)
 
     def to_csv(self):
@@ -324,29 +323,25 @@ def plasmatree_list(p, q, bs):
         raise ValueError("domain size must satisfy 1 <= BS <= p")
     entries = []
     last = [0] * (p + 1)   # with_steps(): the coarse step each row was last used
-
-    def elim(i, piv, k):
-        s = last[i] = last[piv] = max(last[i], last[piv]) + 1
-        entries.append(ElimEntry(i, piv, k, s))
-
     for k in range(1, min(p, q) + 1):
+        pairs = []   # (i, piv) in tree order
         rows = list(range(k, p + 1))
         heads = []
         for lo in range(0, len(rows), bs):
             dom = rows[lo:lo + bs]
             heads.append(dom[0])
-            for i in dom[1:]:
-                elim(i, dom[0], k)
+            pairs += [(i, dom[0]) for i in dom[1:]]
         level = heads
         while len(level) > 1:
-            nxt = []
-            for a in range(0, len(level) - 1, 2):
-                elim(level[a + 1], level[a], k)
-                nxt.append(level[a])
-            if len(level) % 2:
-                nxt.append(level[-1])
-            level = nxt
-    entries.sort(key=lambda e: (e.k, e.step, e.i))
+            pairs += [(level[a + 1], level[a]) for a in range(0, len(level) - 1, 2)]
+            level = level[::2]
+        col = []   # (step * (p + 1) + i, i, piv): sorts by step, then row
+        for i, piv in pairs:
+            a, b = last[i], last[piv]
+            s = last[i] = last[piv] = (a if a > b else b) + 1
+            col.append((s * (p + 1) + i, i, piv))
+        col.sort()
+        entries += [ElimEntry(i, piv, k, key // (p + 1)) for key, i, piv in col]
     return EliminationList(p, q, entries)
 
 
@@ -374,13 +369,27 @@ KERNEL_TILES = {
 }
 
 
+class _LazyWeights(dict):
+    """kind -> weight, read from the model on first use, so a build reads
+    the weights of the kernels it runs and no others."""
+
+    def __init__(self, model):
+        super().__init__()
+        self.model = model
+
+    def __missing__(self, kind):
+        w = self[kind] = self.model[kind]
+        return w
+
+
 class QrBuild:
-    """Tiled QR task graph with unbounded-processor ASAP times computed
-    during construction.
+    """Tiled QR task graph with unbounded-processor ASAP times, computed
+    from an elimination list without materializing the kernels.
 
     zeroed[(i,k)] is the finish time of the kernel annihilating tile (i,k)
     (the zeroed-time tables); cp is the overall critical path.
-    With keep_trace the full Task trace is retained.
+    With keep_trace the Task trace is rebuilt after timing by replaying
+    `elim` (replay_trace).
 
     Times are kept per bundle (a factor kernel and its updates along the
     row): _data[i] is the finish of the last write to the data tiles of
@@ -388,8 +397,8 @@ class QrBuild:
     triangle in tile (i,k).  One time per row is exact: those tiles all
     start at 0, and each update bundle writes one time to all of columns
     k+1..q of its rows, so they always share a finish; every data tile
-    read later lies among them.  TraceTimer over the trace (tiles from
-    KERNEL_TILES) reproduces these times.
+    read later lies among them.  TraceTimer over the replayed trace (tiles
+    from KERNEL_TILES) reproduces these times.
     """
 
     def __init__(self, p, q, family="TT", weights=None, keep_trace=True):
@@ -401,7 +410,8 @@ class QrBuild:
         self.q = q
         self.family = family
         self.weights = weights if weights is not None else WeightModel.qr_tt()
-        self.trace = [] if keep_trace else None
+        self.keep_trace = keep_trace
+        self.trace = None
         self.zeroed = {}
         self.cp = 0
         self.counts = {GEQRT: 0, TTQRT: 0, TSQRT: 0, UNMQR: 0, TTMQR: 0, TSMQR: 0}
@@ -409,21 +419,22 @@ class QrBuild:
         self.elim = None
         self._data = [0] * (p + 1)
         self._tri = {}
-        self._w = {}   # kind -> weight, looked up on first use
+        self._w = _LazyWeights(self.weights)
 
-    def _bundle(self, kind, update, idx, start, k, i, other):
+    def _bundle(self, kind, start, k, i, other):
         """Run factor kernel `kind` on column k from time start, then its
-        `update` kernel on columns k+1..q of data rows i and `other` (the
+        update kernel on columns k+1..q of data rows i and `other` (the
         same row for a GEQRT); return the factor's finish."""
         ws = self._w
-        w = ws[kind] if kind in ws else ws.setdefault(kind, self.weights[kind])
+        w = ws[kind]
         fin = last = start + w
         q = self.q
         counts = self.counts
         counts[kind] += 1
         if k < q:
+            update = UPDATE_OF[kind]
             counts[update] += q - k
-            u = ws[update] if update in ws else ws.setdefault(update, self.weights[update])
+            u = ws[update]
             w += (q - k) * u
             data = self._data
             d = data[i]
@@ -433,62 +444,132 @@ class QrBuild:
         self.total_weight += w
         if last > self.cp:
             self.cp = last
-        trace = self.trace
-        if trace is not None:
-            trace.append(Task(len(trace), kind, idx, *KERNEL_TILES[kind](*idx)))
-            tiles = KERNEL_TILES[update]
-            for j in range(k + 1, q + 1):
-                ix = idx + (j,)
-                trace.append(Task(len(trace), update, ix, *tiles(*ix)))
         return fin
 
     def _triangularize(self, i, k):
         """GEQRT on tile (i,k), then UNMQR along the rest of row i."""
-        self._tri[(i, k)] = self._bundle(GEQRT, UNMQR, (i, k), self._data[i], k, i, i)
-
-    def _eliminate(self, kind, update, i, piv, k, start):
-        fin = self._bundle(kind, update, (i, piv, k), start, k, i, piv)
-        self._tri[(piv, k)] = self.zeroed[(i, k)] = fin
-        return fin
+        self._tri[(i, k)] = self._bundle(GEQRT, self._data[i], k, i, i)
 
     def preprocess_tt(self):
         for i in range(1, self.p + 1):
             self._triangularize(i, 1)
 
-    def elim_tt(self, i, piv, k):
-        """TT elimination bundle: zero (i,k), update both rows, then move
-        row i into the next column as a fresh triangle."""
-        tri = self._tri
-        fin = self._eliminate(TTQRT, TTMQR, i, piv, k, max(tri[(i, k)], tri[(piv, k)]))
-        if k < self.q:
-            self._triangularize(i, k + 1)
-        return fin
+    def _run_tt(self, entries):
+        """Time TT eliminations in order.  Entry (i, piv, k) runs TTQRT on
+        tiles (i,k) and (piv,k), TTMQR on columns k+1..q of both rows, then
+        moves row i into column k+1: GEQRT on (i,k+1) and UNMQR along the
+        rest of the row.  The arithmetic of four _bundle calls, on locals;
+        weights are never negative, so each kernel of a chain finishes no
+        earlier than the one before it."""
+        if not entries:
+            return
+        q = self.q
+        tri, data, zeroed = self._tri, self._data, self.zeroed
+        ws = self._w
+        wq = ws[TTQRT]
+        if q > 1:
+            wm, wg, wu = ws[TTMQR], ws[GEQRT], ws[UNMQR]
+        cp = self.cp
+        updates = moved = 0   # TTMQR kernels; rows moved into a next column
+        for i, piv, k, _ in entries:
+            a = tri[(i, k)]
+            pk = (piv, k)
+            b = tri[pk]
+            fin = tri[pk] = zeroed[(i, k)] = (a if a > b else b) + wq
+            if k < q:
+                updates += q - k
+                moved += 1
+                d = data[i]
+                if data[piv] > d:
+                    d = data[piv]
+                d = data[i] = data[piv] = (d if d > fin else fin) + wm
+                fin = tri[(i, k + 1)] = d + wg
+                if k + 1 < q:
+                    fin = data[i] = fin + wu
+            if fin > cp:
+                cp = fin
+        self.cp = cp
+        counts = self.counts
+        counts[TTQRT] += len(entries)
+        self.total_weight += len(entries) * wq
+        if moved:
+            counts[TTMQR] += updates
+            counts[GEQRT] += moved
+            counts[UNMQR] += updates - moved
+            self.total_weight += updates * wm + moved * wg + (updates - moved) * wu
 
-    def elim_ts(self, i, piv, k):
-        """TS elimination bundle: pivots are triangularized lazily on first
-        use; a target that already holds a triangle (an ex-pivot) falls
-        back to the TT kernels."""
-        tri = self._tri
-        if (piv, k) not in tri:
-            self._triangularize(piv, k)
-        if (i, k) in tri:
-            return self._eliminate(TTQRT, TTMQR, i, piv, k, max(tri[(i, k)], tri[(piv, k)]))
-        return self._eliminate(TSQRT, TSMQR, i, piv, k,
-                               max(self._data[i], tri[(piv, k)]))
+    def _run_ts(self, elim):
+        """Time a TS list one bundle at a time, in _factor_kernels order."""
+        for kind, idx in _factor_kernels(self.p, self.q, "TS", elim):
+            if kind == GEQRT:
+                self._triangularize(*idx)
+                continue
+            i, piv, k = idx
+            tri = self._tri
+            start = tri[(i, k)] if kind == TTQRT else self._data[i]
+            if tri[(piv, k)] > start:
+                start = tri[(piv, k)]
+            tri[(piv, k)] = self.zeroed[(i, k)] = self._bundle(kind, start, k, i, piv)
+
+    def _finish(self, elim):
+        """Keep the list that was run and, under keep_trace, its trace."""
+        self.elim = elim
+        if self.keep_trace:
+            self.trace = replay_trace(self.p, self.q, self.family, elim)
+        return self
 
     def run_list(self, elim: EliminationList):
-        self.elim = elim
         if self.family == "TT":
             self.preprocess_tt()
-            for e in elim:
-                self.elim_tt(e.i, e.piv, e.k)
+            self._run_tt(elim)
         else:
-            for e in elim:
-                self.elim_ts(e.i, e.piv, e.k)
-            for k in range(1, self.q + 1):
-                if (k, k) not in self._tri:
-                    self._triangularize(k, k)
-        return self
+            self._run_ts(elim)
+        return self._finish(elim)
+
+
+UPDATE_OF = {GEQRT: UNMQR, TTQRT: TTMQR, TSQRT: TSMQR}
+
+
+def _factor_kernels(p, q, family, elim):
+    """(kind, indices) of every factor kernel a build runs, in order; each
+    is followed by its update kernel on columns k+1..q.
+
+    TT: GEQRT on every row of column 1, then per entry TTQRT and GEQRT of
+    the zeroed row on the next column.  TS: a pivot is triangularized on
+    its first use, a target that holds a triangle (an ex-pivot) is zeroed
+    by TTQRT, any other by TSQRT, and diagonal tiles never used as a pivot
+    are triangularized last."""
+    if family == "TT":
+        for i in range(1, p + 1):
+            yield GEQRT, (i, 1)
+        for i, piv, k, _ in elim:
+            yield TTQRT, (i, piv, k)
+            if k < q:
+                yield GEQRT, (i, k + 1)
+        return
+    tri = set()
+    for i, piv, k, _ in elim:
+        if (piv, k) not in tri:
+            tri.add((piv, k))
+            yield GEQRT, (piv, k)
+        yield (TTQRT if (i, k) in tri else TSQRT), (i, piv, k)
+    for k in range(1, q + 1):
+        if (k, k) not in tri:
+            yield GEQRT, (k, k)
+
+
+def replay_trace(p, q, family, elim):
+    """The Task trace of a build that ran `elim`: its kernels in timing
+    order, each with the tiles KERNEL_TILES gives it."""
+    trace = []
+    for kind, idx in _factor_kernels(p, q, family, elim):
+        trace.append(Task(len(trace), kind, idx, *KERNEL_TILES[kind](*idx)))
+        update = UPDATE_OF[kind]
+        tiles = KERNEL_TILES[update]
+        for j in range(idx[-1] + 1, q + 1):
+            ix = idx + (j,)
+            trace.append(Task(len(trace), update, ix, *tiles(*ix)))
+    return trace
 
 
 def tiled_build(elim: EliminationList, family="TT", weights=None,
@@ -508,32 +589,36 @@ def _run_asap_columns(build: QrBuild, first_col):
     Events are (time, col, row) availabilities, seeded by the triangles of
     column first_col; when s eliminations can start in a column, the
     bottom 2s ready rows pair up exactly as Fibonacci and Greedy pair them.
+    The s pairs touch disjoint rows, so they are timed as one group.
     """
     q = build.q
-    avail = {k: [] for k in range(first_col, q + 1)}
-    heap = [(build._tri[(r, first_col)], first_col, r) for r in range(first_col, build.p + 1)]
+    tri = build._tri
+    avail = [[] for _ in range(q + 1)]   # column -> ready rows, ascending
+    heap = [(tri[(r, first_col)], first_col, r) for r in range(first_col, build.p + 1)]
     heapq.heapify(heap)
     entries = []
     while heap:
         now = heap[0][0]
-        touched = set()
+        touched = []   # events leave the heap in column order
         while heap and heap[0][0] == now:
             _, k, row = heapq.heappop(heap)
             insort(avail[k], row)
-            touched.add(k)
-        for k in sorted(touched):
+            if not touched or touched[-1] != k:
+                touched.append(k)
+        for k in touched:
             rows = avail[k]
             s = len(rows) // 2
             if s == 0:
                 continue
             part = rows[len(rows) - 2 * s:]
             del rows[len(rows) - 2 * s:]
-            for piv, tgt in zip(part[:s], part[s:]):
-                fin = build.elim_tt(tgt, piv, k)
-                entries.append(ElimEntry(tgt, piv, k))
-                heapq.heappush(heap, (fin, k, piv))
-                if k + 1 <= q:
-                    heapq.heappush(heap, (build._tri[(tgt, k + 1)], k + 1, tgt))
+            group = [ElimEntry(tgt, piv, k) for piv, tgt in zip(part[:s], part[s:])]
+            build._run_tt(group)
+            entries += group
+            for tgt, piv, _, _ in group:
+                heapq.heappush(heap, (tri[(piv, k)], k, piv))
+                if k < q:
+                    heapq.heappush(heap, (tri[(tgt, k + 1)], k + 1, tgt))
     return entries
 
 
@@ -546,11 +631,9 @@ def grasap_build(p, q, i=1, weights=None, keep_trace=True) -> QrBuild:
         raise ValueError("need 1 <= i <= q")
     b.preprocess_tt()
     static = _coarse_greedy(p, q - i)[1]
-    for e in static:
-        b.elim_tt(e.i, e.piv, e.k)
+    b._run_tt(static)
     dyn = _run_asap_columns(b, q - i + 1)
-    b.elim = EliminationList(p, q, static + dyn).with_steps()
-    return b
+    return b._finish(EliminationList(p, q, static + dyn).with_steps())
 
 
 def build_tree(p, q, algo, family="TT", bs=None, grasap_i=1, weights=None,

@@ -255,6 +255,18 @@ def test_sizes_below_1_exit_2(capsys, argv):
     assert captured.out == "" and "positive integer" in captured.err
 
 
+@pytest.mark.parametrize("argv,needle", [
+    (["alpha", "--t", "2"], ">= 3"),
+    (["alpha", "--t", "1"], ">= 3"),
+    (["strassen-count", "--p", "4", "--r", "-1"], "nonnegative integer"),
+    (["strassen-count", "--p", "4", "--r", "1", "--nb", "0"], "positive integer"),
+])
+def test_flag_below_range_exit_2(capsys, argv, needle):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and needle in captured.err
+
+
 def test_missing_assignment_file_exit_2(tmp_path, capsys):
     missing = tmp_path / "nonexistent"
     assert main(["ip-check", "--p", "3", "--q", "2", "--assignment", str(missing)]) == 2
