@@ -3,10 +3,11 @@
 Coarse-grain schedulers (Sameh-Kuck/FlatTree, Fibonacci, Greedy) produce
 per-tile time-step tables and elimination lists; any valid elimination list
 translates into a tiled task graph over TT or TS kernels.  The tiled graphs
-are timed directly during construction (unbounded-processor ASAP), which
-also yields the zeroed-time tables and critical paths of the reference
-tables.  Asap and GrASAP are event-driven constructions where eliminations
-fire the instant two rows of a column hold triangles.
+are timed straight from the list (unbounded-processor ASAP), which yields
+the zeroed-time tables and critical paths of the reference tables; their
+task traces are replays of the list.  Asap and GrASAP are event-driven
+constructions where eliminations fire the instant two rows of a column
+hold triangles.
 
 Rows and columns are 1-based throughout, matching the reference tables.
 """
@@ -500,12 +501,12 @@ class QrBuild:
 
     def _run_ts(self, elim):
         """Time a TS list one bundle at a time, in _factor_kernels order."""
+        tri = self._tri
         for kind, idx in _factor_kernels(self.p, self.q, "TS", elim):
             if kind == GEQRT:
                 self._triangularize(*idx)
                 continue
             i, piv, k = idx
-            tri = self._tri
             start = tri[(i, k)] if kind == TTQRT else self._data[i]
             if tri[(piv, k)] > start:
                 start = tri[(piv, k)]
