@@ -11,6 +11,7 @@ critical-path oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from .taskgraph import (
     BARRIER, COPY, GEMM, LAUUM, POTRF, SYRK, TRMM, TRSM, TRTRI,
@@ -43,19 +44,17 @@ class CholInvConfig:
             raise ValueError("loop_dirs must be a triple of 'U'/'D'")
 
 
-class _Emitter:
-    def __init__(self):
-        self.trace = []
-
-    def emit(self, kind, indices, reads, writes):
-        self.trace.append(Task(len(self.trace), kind, indices, reads, writes))
-
-    def barrier(self):
-        self.emit(BARRIER, (), (), ())
-
-
 def _a(i, j):
     return TileRef("A", i, j)
+
+
+# kind -> tiles(indices) = (reads, writes) of each factorization kernel
+FACT_TILES = {
+    POTRF: lambda j: ((a := _a(j, j),), (a,)),
+    TRSM: lambda i, j: ((_a(j, j),), (_a(i, j),)),
+    SYRK: lambda i, k: ((_a(i, k),), (_a(i, i),)),
+    GEMM: lambda i, j, k: ((_a(i, k), _a(j, k)), (_a(i, j),)),
+}
 
 
 def _krange(lo, hi, direction):
@@ -63,40 +62,54 @@ def _krange(lo, hi, direction):
     return r if direction == ASC else reversed(r)
 
 
-def _emit_fact_left(em, t, dir1=ASC):
+def _fact_left(t, dir1=ASC):
     # Step 1 of the inversion algorithm: left-looking tile Cholesky.
     for j in range(t):
         for k in range(j):
-            em.emit(SYRK, (j, k), [_a(j, k)], [_a(j, j)])
-        em.emit(POTRF, (j,), [_a(j, j)], [_a(j, j)])
+            yield SYRK, (j, k)
+        yield POTRF, (j,)
         for i in range(j + 1, t):
             for k in _krange(0, j, dir1):
-                em.emit(GEMM, (i, j, k), [_a(i, k), _a(j, k)], [_a(i, j)])
+                yield GEMM, (i, j, k)
         for i in range(j + 1, t):
-            em.emit(TRSM, (i, j), [_a(j, j)], [_a(i, j)])
+            yield TRSM, (i, j)
 
 
-def _emit_fact_right(em, t):
+def _fact_right(t):
     for k in range(t):
-        em.emit(POTRF, (k,), [_a(k, k)], [_a(k, k)])
+        yield POTRF, (k,)
         for i in range(k + 1, t):
-            em.emit(TRSM, (i, k), [_a(k, k)], [_a(i, k)])
+            yield TRSM, (i, k)
         for i in range(k + 1, t):
-            em.emit(SYRK, (i, k), [_a(i, k)], [_a(i, i)])
+            yield SYRK, (i, k)
             for j in range(k + 1, i):
-                em.emit(GEMM, (i, j, k), [_a(i, k), _a(j, k)], [_a(i, j)])
+                yield GEMM, (i, j, k)
 
 
-def _emit_fact_bordered(em, t):
+def _fact_bordered(t):
     # row panel of j is brought up to date, then the diagonal tile
     for j in range(t):
         for k in range(j):
             for k2 in range(k):
-                em.emit(GEMM, (j, k, k2), [_a(j, k2), _a(k, k2)], [_a(j, k)])
-            em.emit(TRSM, (j, k), [_a(k, k)], [_a(j, k)])
+                yield GEMM, (j, k, k2)
+            yield TRSM, (j, k)
         for k in range(j):
-            em.emit(SYRK, (j, k), [_a(j, k)], [_a(j, j)])
-        em.emit(POTRF, (j,), [_a(j, j)], [_a(j, j)])
+            yield SYRK, (j, k)
+        yield POTRF, (j,)
+
+
+_FACT_ORDERS = {"right": _fact_right, "left": _fact_left, "bordered": _fact_bordered}
+
+
+def _with_tiles(kernels):
+    """(kind, indices) -> (kind, indices, reads, writes) through FACT_TILES."""
+    for kind, idx in kernels:
+        yield (kind, idx, *FACT_TILES[kind](*idx))
+
+
+def _tasks(*streams):
+    """Number the (kind, indices, reads, writes) of the streams as one trace."""
+    return [Task(n, *k) for n, k in enumerate(chain(*streams))]
 
 
 def gen_chol_fact(t: int, variant: str = "right") -> list:
@@ -107,94 +120,71 @@ def gen_chol_fact(t: int, variant: str = "right") -> list:
     """
     if t < 1:
         raise ValueError("t must be >= 1")
-    em = _Emitter()
-    if variant == "right":
-        _emit_fact_right(em, t)
-    elif variant == "left":
-        _emit_fact_left(em, t)
-    elif variant == "bordered":
-        _emit_fact_bordered(em, t)
-    else:
+    if variant not in _FACT_ORDERS:
         raise ValueError(f"unknown variant {variant!r}")
-    return em.trace
+    return _tasks(_with_tiles(_FACT_ORDERS[variant](t)))
 
 
-def _emit_trtri(em, t, direction, out_of_place):
+def _copies(t, dst):
+    for i in range(t):
+        for j in range(i + 1):
+            yield COPY, (i, j), (_a(i, j),), (TileRef(dst, i, j),)
+
+
+def _trtri(t, direction, out_of_place):
     # Step 2: invert the triangular factor in place; reads of original L
     # entries go to B in the out-of-place variant.  The diagonal argument of
     # the leading TRMM differs between the variants: (j,j) in place, (i,i)
     # out of place.  This is the dependence structure that reproduces the
     # reference per-step and pipelined critical paths.
+    src = "B" if out_of_place else "A"
     if out_of_place:
-        for i in range(t):
-            for j in range(i + 1):
-                em.emit(COPY, (i, j), [_a(i, j)], [TileRef("B", i, j)])
-
-    def lref(i, j):
-        return TileRef("B", i, j) if out_of_place else _a(i, j)
-
+        yield from _copies(t, src)
     for j in range(t - 1, -1, -1):
-        em.emit(TRTRI, (j,), [_a(j, j)], [_a(j, j)])
+        yield TRTRI, (j,), (_a(j, j),), (_a(j, j),)
         for i in range(t - 1, j, -1):
             diag = _a(i, i) if out_of_place else _a(j, j)
-            em.emit(TRMM, (i, j), [diag], [_a(i, j)])
+            yield TRMM, (i, j), (diag,), (_a(i, j),)
             for k in _krange(j + 1, i, direction):
-                em.emit(GEMM, (i, j, k), [_a(i, k), lref(k, j)], [_a(i, j)])
-            em.emit(TRMM, (i, j), [_a(i, i)], [_a(i, j)])
+                yield GEMM, (i, j, k), (_a(i, k), TileRef(src, k, j)), (_a(i, j),)
+            yield TRMM, (i, j), (_a(i, i),), (_a(i, j),)
 
 
-def _emit_lauum(em, t, direction, out_of_place):
+def _lauum(t, direction, out_of_place):
     # Step 3: A^{-1} = L^{-T} L^{-1}; reads of L^{-1} go to C out of place.
+    src = "C" if out_of_place else "A"
     if out_of_place:
-        for i in range(t):
-            for j in range(i + 1):
-                em.emit(COPY, (i, j), [_a(i, j)], [TileRef("C", i, j)])
-
-    def lref(i, j):
-        return TileRef("C", i, j) if out_of_place else _a(i, j)
-
+        yield from _copies(t, src)
     for i in range(t):
         for j in range(i):
-            em.emit(TRMM, (i, j), [lref(i, i)], [_a(i, j)])
-        em.emit(LAUUM, (i,), [_a(i, i)], [_a(i, i)])
+            yield TRMM, (i, j), (TileRef(src, i, i),), (_a(i, j),)
+        yield LAUUM, (i,), (_a(i, i),), (_a(i, i),)
         for j in range(i):
             for k in _krange(i + 1, t, direction):
-                em.emit(GEMM, (i, j, k), [lref(k, i), lref(k, j)], [_a(i, j)])
+                yield GEMM, (i, j, k), (TileRef(src, k, i), TileRef(src, k, j)), (_a(i, j),)
         for k in range(i + 1, t):
-            em.emit(SYRK, (i, k), [lref(k, i)], [_a(i, i)])
+            yield SYRK, (i, k), (TileRef(src, k, i),), (_a(i, i),)
+
+
+def _inversion_streams(cfg):
+    d1, d2, d3 = cfg.loop_dirs
+    return (_with_tiles(_fact_left(cfg.t, d1)),
+            _trtri(cfg.t, d2, cfg.out_of_place),
+            _lauum(cfg.t, d3, cfg.out_of_place))
 
 
 def gen_chol_inversion(cfg: CholInvConfig) -> list:
     """Three-step tile Cholesky inversion trace (steps separated by
     BARRIER tasks when cfg.pipelined is False)."""
-    em = _Emitter()
-    _emit_fact_left(em, cfg.t, cfg.loop_dirs[0])
-    if not cfg.pipelined:
-        em.barrier()
-    _emit_trtri(em, cfg.t, cfg.loop_dirs[1], cfg.out_of_place)
-    if not cfg.pipelined:
-        em.barrier()
-    _emit_lauum(em, cfg.t, cfg.loop_dirs[2], cfg.out_of_place)
-    return em.trace
+    s1, s2, s3 = _inversion_streams(cfg)
+    barrier = () if cfg.pipelined else [(BARRIER, (), (), ())]
+    return _tasks(s1, barrier, s2, barrier, s3)
 
 
 def inversion_steps(cfg: CholInvConfig):
-    """The three per-step sub-traces of the inversion (task ids are
-    reassigned so each sub-trace stands alone)."""
-    cfg3 = CholInvConfig(cfg.t, cfg.out_of_place, cfg.loop_dirs, pipelined=False)
-    trace = gen_chol_inversion(cfg3)
-    steps, cur = [], []
-    for task in trace:
-        if task.kind == BARRIER:
-            steps.append(cur)
-            cur = []
-        else:
-            cur.append(task)
-    steps.append(cur)
-    out = []
-    for sub in steps:
-        out.append([Task(n, t.kind, t.indices, t.reads, t.writes) for n, t in enumerate(sub)])
-    return out
+    """The three per-step sub-traces of the inversion, each numbered from
+    0 so that it stands alone."""
+    return [_tasks(s) for s in _inversion_streams(cfg)]
 
 
 _ORACLES = {

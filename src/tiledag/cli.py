@@ -3,7 +3,8 @@
 Every subcommand writes deterministic CSV (stdout by default, --out FILE
 otherwise; TILEDAG_OUTDIR overrides the output directory).  --check, on the
 subcommands that have golden values or closed forms, re-derives them.  Flag
-errors exit 2; check mismatches and invalid instances exit 1.
+errors and files that cannot be read or written exit 2; check mismatches and
+invalid instances exit 1.
 """
 
 from __future__ import annotations
@@ -269,13 +270,8 @@ def cmd_ip_emit(args):
 def cmd_ip_check(args):
     horizon = args.T
     if args.assignment:
-        try:
-            with open(args.assignment) as fh:
-                text = fh.read()
-        except OSError as e:
-            print(f"error: cannot read assignment file {args.assignment!r}: {e.strerror}",
-                  file=sys.stderr)
-            return 2
+        with open(args.assignment) as fh:
+            text = fh.read()
         assign = ipmodel.parse_assignment(text)
         if horizon is None:
             if not assign:
@@ -408,6 +404,9 @@ def main(argv=None):
     except (ValueError, AssertionError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    except OSError as e:
+        print(f"error: cannot open {e.filename!r}: {e.strerror}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -17,6 +17,7 @@ from __future__ import annotations
 import heapq
 from bisect import insort
 from dataclasses import dataclass
+from itertools import groupby
 from math import ceil
 from typing import NamedTuple
 
@@ -427,8 +428,7 @@ class QrBuild:
         update kernel on columns k+1..q of data rows i and `other` (the
         same row for a GEQRT); return the factor's finish."""
         ws = self._w
-        w = ws[kind]
-        fin = last = start + w
+        fin = last = start + ws[kind]
         q = self.q
         counts = self.counts
         counts[kind] += 1
@@ -436,13 +436,11 @@ class QrBuild:
             update = UPDATE_OF[kind]
             counts[update] += q - k
             u = ws[update]
-            w += (q - k) * u
             data = self._data
             d = data[i]
             if data[other] > d:
                 d = data[other]
             last = data[i] = data[other] = (d if d > fin else fin) + u
-        self.total_weight += w
         if last > self.cp:
             self.cp = last
         return fin
@@ -492,12 +490,10 @@ class QrBuild:
         self.cp = cp
         counts = self.counts
         counts[TTQRT] += len(entries)
-        self.total_weight += len(entries) * wq
         if moved:
             counts[TTMQR] += updates
             counts[GEQRT] += moved
             counts[UNMQR] += updates - moved
-            self.total_weight += updates * wm + moved * wg + (updates - moved) * wu
 
     def _run_ts(self, elim):
         """Time a TS list one bundle at a time, in _factor_kernels order."""
@@ -513,8 +509,11 @@ class QrBuild:
             tri[(piv, k)] = self.zeroed[(i, k)] = self._bundle(kind, start, k, i, piv)
 
     def _finish(self, elim):
-        """Keep the list that was run and, under keep_trace, its trace."""
+        """Keep the list that was run, the total weight of the kernels it
+        ran and, under keep_trace, its trace."""
         self.elim = elim
+        ws = self._w
+        self.total_weight = sum(n * ws[kind] for kind, n in self.counts.items() if n)
         if self.keep_trace:
             self.trace = replay_trace(self.p, self.q, self.family, elim)
         return self
@@ -746,13 +745,7 @@ class ColumnIter:
             raise ValueError("task weight must be positive")
 
     def runs(self):
-        out = []
-        for v in self.values:
-            if out and out[-1][0] == v:
-                out[-1][1] += 1
-            else:
-                out.append([v, 1])
-        return [(v, n) for v, n in out]
+        return [(v, len(list(g))) for v, g in groupby(self.values)]
 
 
 def optiter(a: ColumnIter) -> ColumnIter:
@@ -761,34 +754,18 @@ def optiter(a: ColumnIter) -> ColumnIter:
     if not a.values:
         raise ValueError("empty column")
     w = a.w
-    ready = list(a.values)       # position 0 is the bottom row
-    alive = list(range(len(ready)))
-    avail = {pos: t for pos, t in zip(alive, ready)}
+    ready = list(a.values)       # surviving rows' ready times, bottom row first
     done = []
-    while len(alive) > 1:
-        times = sorted({avail[pos] for pos in alive})
-        fired = False
-        for now in times:
-            block = []
-            for pos in alive:
-                if avail[pos] <= now:
-                    block.append(pos)
-                else:
-                    break
-            s = len(block) // 2
-            if s == 0:
-                continue
-            targets = block[:s]
-            pivots = block[s:2 * s]
-            for tpos in targets:
-                alive.remove(tpos)
-                done.append(now + w)
-            for ppos in pivots:
-                avail[ppos] = now + w
-            fired = True
-            break
-        if not fired:
-            raise AssertionError("column iteration stalled")
+    while len(ready) > 1:
+        # the two bottom rows and those above them ready by then; the bottom
+        # half of this block is zeroed by the half above it
+        now = max(ready[0], ready[1])
+        n = 2
+        while n < len(ready) and ready[n] <= now:
+            n += 1
+        s = n // 2
+        done += [now + w] * s
+        ready[:2 * s] = [now + w] * s
     return ColumnIter(sorted(done), w)
 
 

@@ -57,8 +57,10 @@ class Schedule:
 
 
 def check_schedule(graph: TaskGraph, weights: WeightModel, sched: Schedule):
-    """Post-hoc validity: all tasks assigned, no overlap on a processor,
-    every edge's source finishes before its sink starts."""
+    """Post-hoc validity: all tasks assigned, every positive-weight task on
+    a processor 0..p-1 and starting at 0 or later, no overlap on a
+    processor, every edge's source finishes before its sink starts, and the
+    makespan is the largest finish."""
     fin = {}
     per_proc = {}
     assignment = sched.assignment
@@ -72,12 +74,20 @@ def check_schedule(graph: TaskGraph, weights: WeightModel, sched: Schedule):
             per_proc.setdefault(proc, []).append((start, start + w, t.id))
     for proc, spans in per_proc.items():
         spans.sort()
+        start, _, first = spans[0]
+        if not 0 <= proc < sched.p:
+            raise AssertionError(f"task {first} on processor {proc}, outside 0..{sched.p - 1}")
+        if start < 0:
+            raise AssertionError(f"task {first} starts at {start}, before 0")
         for (s1, e1, a), (s2, e2, b) in zip(spans, spans[1:]):
             if s2 < e1:
                 raise AssertionError(f"overlap on processor {proc}: tasks {a} and {b}")
     for u, v, _ in graph.edges:
         if fin[u] > assignment[v][1]:
             raise AssertionError(f"precedence violated on edge {u}->{v}")
+    last = max(fin.values(), default=0)
+    if sched.makespan != last:
+        raise AssertionError(f"makespan {sched.makespan} is not the largest finish {last}")
     return True
 
 

@@ -275,6 +275,23 @@ def test_missing_assignment_file_exit_2(tmp_path, capsys):
     assert len(err.strip().splitlines()) == 1
 
 
+def test_out_into_missing_directory_exit_2(tmp_path, capsys):
+    out = tmp_path / "nonexistent" / "x"
+    assert main(["chol-cp", "--t", "3", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert str(out) in err and "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_missing_outdir_exit_2(tmp_path, capsys, monkeypatch):
+    outdir = tmp_path / "nonexistent"
+    monkeypatch.setenv("TILEDAG_OUTDIR", str(outdir))
+    assert main(["chol-cp", "--t", "3", "--out", "x.csv"]) == 2
+    err = capsys.readouterr().err
+    assert str(outdir / "x.csv") in err and "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+
+
 @pytest.mark.parametrize("text,line", [("bad\n", "bad"), ("x_1_1 2\nx_1_1 2.5\n", "x_1_1 2.5")])
 def test_malformed_assignment_file_exit_1(tmp_path, capsys, text, line):
     path = tmp_path / "assign.txt"

@@ -104,13 +104,13 @@ def test_random_graph_schedule_validity():
                 check_schedule(g, WC, s)
 
 
-def _checked(assignment):
-    """check_schedule on a fixed graph: GEMM 0 (weight 6) -> POTRF 1
-    (weight 1), with two zero-weight tasks, BARRIER 2 and COPY 3, that
-    carry no edges."""
+def _checked(assignment, makespan=7):
+    """check_schedule on a fixed graph on 2 processors: GEMM 0 (weight 6)
+    -> POTRF 1 (weight 1), with two zero-weight tasks, BARRIER 2 and COPY 3,
+    that carry no edges."""
     g = TaskGraph([Task(0, "GEMM"), Task(1, "POTRF"), Task(2, "BARRIER"), Task(3, "COPY")],
                   [(0, 1, "RAW")])
-    return check_schedule(g, WC, Schedule(assignment, 7, 2))
+    return check_schedule(g, WC, Schedule(assignment, makespan, 2))
 
 
 def test_check_schedule_rejects_unassigned_task():
@@ -126,6 +126,21 @@ def test_check_schedule_rejects_overlap_on_a_processor():
 def test_check_schedule_rejects_violated_edge():
     with pytest.raises(AssertionError, match="precedence violated on edge 0->1"):
         _checked({0: (0, 0), 1: (1, 5), 2: (0, 0), 3: (0, 0)})
+
+
+def test_check_schedule_rejects_processor_out_of_range():
+    with pytest.raises(AssertionError, match="task 1 on processor 7, outside 0..1"):
+        _checked({0: (0, 0), 1: (7, 6), 2: (0, 0), 3: (0, 0)})
+
+
+def test_check_schedule_rejects_negative_start():
+    with pytest.raises(AssertionError, match="task 0 starts at -3, before 0"):
+        _checked({0: (0, -3), 1: (1, 6), 2: (0, 0), 3: (0, 0)})
+
+
+def test_check_schedule_rejects_makespan_other_than_last_finish():
+    with pytest.raises(AssertionError, match="makespan 1 is not the largest finish 7"):
+        _checked({0: (0, 0), 1: (0, 6), 2: (0, 0), 3: (0, 0)}, makespan=1)
 
 
 def test_check_schedule_accepts_zero_weight_tasks_sharing_a_start():
