@@ -173,21 +173,27 @@ def cmd_qr_tiled(args):
 
 
 def cmd_qr_cp_table(args):
+    p = args.p
     lines = ["q,greedy,fibonacci,plasmatree_best,best_bs,flattree"]
     rows = []
+    # A column's pairs and steps depend only on earlier columns, so the
+    # PlasmaTree list of p x q is the first q columns of that of p x p.
+    plasma = [qr.plasmatree_list(p, p, bs).entries for bs in range(1, p + 1)]
     for q in range(1, args.q + 1):
-        g = qr.build_tree(args.p, q, "greedy", keep_trace=False).cp
-        f = qr.build_tree(args.p, q, "fibonacci", keep_trace=False).cp
+        g = qr.build_tree(p, q, "greedy", keep_trace=False).cp
+        f = qr.build_tree(p, q, "fibonacci", keep_trace=False).cp
+        n = q * p - q * (q + 1) // 2   # eliminations in columns 1..q
         best_bs, best = 1, None
-        for bs in range(1, args.p + 1):
-            cp = qr.build_tree(args.p, q, "plasmatree", bs=bs, keep_trace=False).cp
+        for bs, entries in enumerate(plasma, 1):
+            elim = qr.EliminationList(p, q, entries[:n])
+            cp = qr.QrBuild(p, q, "TT", keep_trace=False).run_list(elim).cp
             if best is None or cp < best:
                 best, best_bs = cp, bs
-        ft = qr.flattree_cp_oracle(args.p, q)
+        ft = qr.flattree_cp_oracle(p, q)
         rows.append((q, g, f, best, best_bs, ft))
         lines.append(f"{q},{g},{f},{best},{best_bs},{ft}")
     _write(args, "\n".join(lines) + "\n")
-    if args.check and args.p == 40:
+    if args.check and p == 40:
         cells = []
         for (q, g, f, best, _, _) in rows:
             cells += [(f"greedy q={q}: {{}} != {{}}", g, golden.GREEDY_CP_P40[q - 1]),

@@ -17,6 +17,7 @@ from __future__ import annotations
 import heapq
 from bisect import insort
 from dataclasses import dataclass
+from functools import partial
 from itertools import groupby
 from math import ceil
 from typing import NamedTuple
@@ -38,6 +39,11 @@ class ElimEntry(NamedTuple):
     piv: int
     k: int
     step: int = 0
+
+
+# ElimEntry from a literal 4-tuple: the call the NamedTuple's own __new__
+# makes, without its Python frame.  The list builders make entries here.
+_entry = partial(tuple.__new__, ElimEntry)
 
 
 class EliminationList:
@@ -117,8 +123,9 @@ class EliminationList:
         last = [0] * (self.p + 1)   # the step each row was last used
         out = []
         for i, piv, k, _ in self.entries:
-            s = last[i] = last[piv] = max(last[i], last[piv]) + 1
-            out.append(ElimEntry(i, piv, k, s))
+            a, b = last[i], last[piv]
+            s = last[i] = last[piv] = (a if a > b else b) + 1
+            out.append(_entry((i, piv, k, s)))
         return EliminationList(self.p, self.q, out)
 
     def to_csv(self):
@@ -204,7 +211,7 @@ def _pair_groups(col_rows_by_step):
         if rows != list(range(rows[0], rows[0] + z)):
             raise AssertionError(f"step {s} column {k}: group {rows} not consecutive")
         for j, i in enumerate(rows):
-            entries.append(ElimEntry(i, rows[0] - z + j, k, s))
+            entries.append(_entry((i, rows[0] - z + j, k, s)))
     return entries
 
 
@@ -217,7 +224,7 @@ def _coarse_sameh_kuck(p, q):
             above = steps.get((i - 1, k), 0)
             s = max(prev_col, above) + 1
             steps[(i, k)] = s
-            entries.append(ElimEntry(i, k, k, s))
+            entries.append(_entry((i, k, k, s)))
     entries.sort(key=lambda e: (e.step, e.k, e.i))
     return steps, entries
 
@@ -343,7 +350,7 @@ def plasmatree_list(p, q, bs):
             s = last[i] = last[piv] = (a if a > b else b) + 1
             col.append((s * (p + 1) + i, i, piv))
         col.sort()
-        entries += [ElimEntry(i, piv, k, key // (p + 1)) for key, i, piv in col]
+        entries += [_entry((i, piv, k, key // (p + 1))) for key, i, piv in col]
     return EliminationList(p, q, entries)
 
 
@@ -423,43 +430,27 @@ class QrBuild:
         self._tri = {}
         self._w = _LazyWeights(self.weights)
 
-    def _bundle(self, kind, start, k, i, other):
-        """Run factor kernel `kind` on column k from time start, then its
-        update kernel on columns k+1..q of data rows i and `other` (the
-        same row for a GEQRT); return the factor's finish."""
-        ws = self._w
-        fin = last = start + ws[kind]
-        q = self.q
-        counts = self.counts
-        counts[kind] += 1
+    def _geqrt_row(self, i, k):
+        """GEQRT on tile (i,k) after the last write to row i, then UNMQR on
+        columns k+1..q of the row; return the finish of the last."""
+        counts, ws, q = self.counts, self._w, self.q
+        counts[GEQRT] += 1
+        fin = self._tri[(i, k)] = self._data[i] + ws[GEQRT]
         if k < q:
-            update = UPDATE_OF[kind]
-            counts[update] += q - k
-            u = ws[update]
-            data = self._data
-            d = data[i]
-            if data[other] > d:
-                d = data[other]
-            last = data[i] = data[other] = (d if d > fin else fin) + u
-        if last > self.cp:
-            self.cp = last
+            counts[UNMQR] += q - k
+            fin = self._data[i] = fin + ws[UNMQR]
         return fin
 
-    def _triangularize(self, i, k):
-        """GEQRT on tile (i,k), then UNMQR along the rest of row i."""
-        self._tri[(i, k)] = self._bundle(GEQRT, self._data[i], k, i, i)
-
     def preprocess_tt(self):
-        for i in range(1, self.p + 1):
-            self._triangularize(i, 1)
+        self.cp = max([self.cp] + [self._geqrt_row(i, 1) for i in range(1, self.p + 1)])
 
     def _run_tt(self, entries):
         """Time TT eliminations in order.  Entry (i, piv, k) runs TTQRT on
         tiles (i,k) and (piv,k), TTMQR on columns k+1..q of both rows, then
         moves row i into column k+1: GEQRT on (i,k+1) and UNMQR along the
-        rest of the row.  The arithmetic of four _bundle calls, on locals;
-        weights are never negative, so each kernel of a chain finishes no
-        earlier than the one before it."""
+        rest of the row.  One fused step per entry, on locals; weights are
+        never negative, so each kernel of a chain finishes no earlier than
+        the one before it."""
         if not entries:
             return
         q = self.q
@@ -496,17 +487,46 @@ class QrBuild:
             counts[UNMQR] += updates - moved
 
     def _run_ts(self, elim):
-        """Time a TS list one bundle at a time, in _factor_kernels order."""
-        tri = self._tri
-        for kind, idx in _factor_kernels(self.p, self.q, "TS", elim):
-            if kind == GEQRT:
-                self._triangularize(*idx)
-                continue
-            i, piv, k = idx
-            start = tri[(i, k)] if kind == TTQRT else self._data[i]
-            if tri[(piv, k)] > start:
-                start = tri[(piv, k)]
-            tri[(piv, k)] = self.zeroed[(i, k)] = self._bundle(kind, start, k, i, piv)
+        """Time a TS list in _factor_kernels order, one fused step per entry
+        on locals: GEQRT and UNMQR on the pivot row at its first use, then
+        TTQRT on tile (i,k) if it holds a triangle (an ex-pivot), else
+        TSQRT, with its update on columns k+1..q of both rows.  Unused
+        diagonal tiles are triangularized last."""
+        q = self.q
+        tri, data, zeroed = self._tri, self._data, self.zeroed
+        ws = self._w
+        cp = self.cp
+        pivots = unmqr = tt = updates = tt_updates = 0
+        for i, piv, k, _ in elim:
+            pk = (piv, k)
+            b = tri.get(pk)
+            if b is None:   # the elimination below finishes after this row
+                b = tri[pk] = data[piv] + ws[GEQRT]
+                pivots += 1
+                if k < q:
+                    unmqr += q - k
+                    data[piv] = b + ws[UNMQR]
+            a = tri.get((i, k))
+            if a is None:
+                kind, update, a = TSQRT, TSMQR, data[i]
+            else:
+                kind, update = TTQRT, TTMQR
+                tt += 1
+                tt_updates += q - k
+            fin = tri[pk] = zeroed[(i, k)] = (a if a > b else b) + ws[kind]
+            if k < q:
+                updates += q - k
+                d = data[i]
+                if data[piv] > d:
+                    d = data[piv]
+                fin = data[i] = data[piv] = (d if d > fin else fin) + ws[update]
+            if fin > cp:
+                cp = fin
+        self.cp = max([cp] + [self._geqrt_row(k, k) for k in range(1, q + 1)
+                              if (k, k) not in tri])
+        for kind, n in ((GEQRT, pivots), (UNMQR, unmqr), (TTQRT, tt), (TSQRT, len(elim) - tt),
+                        (TTMQR, tt_updates), (TSMQR, updates - tt_updates)):
+            self.counts[kind] += n
 
     def _finish(self, elim):
         """Keep the list that was run, the total weight of the kernels it
@@ -586,39 +606,48 @@ def _run_asap_columns(build: QrBuild, first_col):
     """Fire eliminations on columns first_col..q the moment a column holds
     two ready triangles.
 
-    Events are (time, col, row) availabilities, seeded by the triangles of
-    column first_col; when s eliminations can start in a column, the
-    bottom 2s ready rows pair up exactly as Fibonacci and Greedy pair them.
-    The s pairs touch disjoint rows, so they are timed as one group.
+    Events are (time, col, row) availabilities, seeded by the triangles
+    of column first_col, each kept as the int (time·(q+2) + col)·(p+1) +
+    row, which orders as the tuple since times are nonnegative ints.  When
+    s eliminations can start in a column, the bottom 2s ready rows pair up
+    exactly as Fibonacci and Greedy pair them.  All pairs that fire at one
+    time go to one _run_tt call, in column order.  That is exact: a row is
+    ready in one column at a time, so the pairs touch disjoint rows, and
+    their events are pushed after the call, so one at the same time fires
+    in a later round at that time.
     """
-    q = build.q
+    q, rows1 = build.q, build.p + 1
     tri = build._tri
+    stride = (q + 2) * rows1   # one unit of time
     avail = [[] for _ in range(q + 1)]   # column -> ready rows, ascending
-    heap = [(tri[(r, first_col)], first_col, r) for r in range(first_col, build.p + 1)]
+    heap = [(tri[(r, first_col)] * (q + 2) + first_col) * rows1 + r
+            for r in range(first_col, rows1)]
     heapq.heapify(heap)
+    pop, push = heapq.heappop, heapq.heappush
     entries = []
     while heap:
-        now = heap[0][0]
+        end = (heap[0] // stride + 1) * stride
         touched = []   # events leave the heap in column order
-        while heap and heap[0][0] == now:
-            _, k, row = heapq.heappop(heap)
+        while heap and heap[0] < end:
+            k, row = divmod(pop(heap) % stride, rows1)
             insort(avail[k], row)
             if not touched or touched[-1] != k:
                 touched.append(k)
+        fired = []
         for k in touched:
             rows = avail[k]
             s = len(rows) // 2
-            if s == 0:
-                continue
-            part = rows[len(rows) - 2 * s:]
-            del rows[len(rows) - 2 * s:]
-            group = [ElimEntry(tgt, piv, k) for piv, tgt in zip(part[:s], part[s:])]
-            build._run_tt(group)
-            entries += group
-            for tgt, piv, _, _ in group:
-                heapq.heappush(heap, (tri[(piv, k)], k, piv))
+            if s:
+                part = rows[len(rows) - 2 * s:]
+                del rows[len(rows) - 2 * s:]
+                fired += [(tgt, piv, k, 0) for piv, tgt in zip(part[:s], part[s:])]
+        if fired:
+            build._run_tt(fired)
+            entries += fired
+            for tgt, piv, k, _ in fired:
+                push(heap, (tri[(piv, k)] * (q + 2) + k) * rows1 + piv)
                 if k < q:
-                    heapq.heappush(heap, (tri[(tgt, k + 1)], k + 1, tgt))
+                    push(heap, (tri[(tgt, k + 1)] * (q + 2) + k + 1) * rows1 + tgt)
     return entries
 
 

@@ -57,10 +57,12 @@ class Schedule:
 
 
 def check_schedule(graph: TaskGraph, weights: WeightModel, sched: Schedule):
-    """Post-hoc validity: all tasks assigned, every positive-weight task on
-    a processor 0..p-1 and starting at 0 or later, no overlap on a
-    processor, every edge's source finishes before its sink starts, and the
-    makespan is the largest finish."""
+    """Post-hoc validity: all tasks assigned, every task on a processor
+    0..p-1 and starting at 0 or later, no overlap of positive-weight tasks
+    on a processor, every edge's source finishes before its sink starts,
+    and the makespan is the largest finish.  Positive-weight tasks are
+    range-checked once per processor on the sorted spans, zero-weight ones
+    one by one."""
     fin = {}
     per_proc = {}
     assignment = sched.assignment
@@ -72,6 +74,10 @@ def check_schedule(graph: TaskGraph, weights: WeightModel, sched: Schedule):
         fin[t.id] = start + w
         if w > 0:
             per_proc.setdefault(proc, []).append((start, start + w, t.id))
+        elif not 0 <= proc < sched.p:
+            raise AssertionError(f"task {t.id} on processor {proc}, outside 0..{sched.p - 1}")
+        elif start < 0:
+            raise AssertionError(f"task {t.id} starts at {start}, before 0")
     for proc, spans in per_proc.items():
         spans.sort()
         start, _, first = spans[0]

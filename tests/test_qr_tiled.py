@@ -233,6 +233,16 @@ def test_plasmatree_degenerate_domains():
         plasmatree_list(5, 3, 6)
 
 
+def test_plasmatree_list_is_a_prefix_of_the_square_list():
+    # qr-cp-table times the first q columns of one p x p list per domain size
+    for p in range(1, 17):
+        for bs in range(1, p + 1):
+            full = plasmatree_list(p, p, bs).entries
+            for q in range(1, p + 1):
+                part = plasmatree_list(p, q, bs).entries
+                assert part == full[:len(part)] == [e for e in full if e.k <= q], (p, q, bs)
+
+
 def test_asap_spec_values():
     b2 = build_tree(15, 2, "asap")
     col2 = [b2.zeroed[(i, 2)] for i in range(3, 16)]

@@ -143,6 +143,16 @@ def test_check_schedule_rejects_makespan_other_than_last_finish():
         _checked({0: (0, 0), 1: (0, 6), 2: (0, 0), 3: (0, 0)}, makespan=1)
 
 
+def test_check_schedule_rejects_zero_weight_task_out_of_range():
+    with pytest.raises(AssertionError, match="task 2 on processor 99, outside 0..1"):
+        _checked({0: (0, 0), 1: (0, 6), 2: (99, 0), 3: (0, 0)})
+
+
+def test_check_schedule_rejects_zero_weight_task_before_0():
+    with pytest.raises(AssertionError, match="task 3 starts at -5, before 0"):
+        _checked({0: (0, 0), 1: (0, 6), 2: (0, 0), 3: (1, -5)})
+
+
 def test_check_schedule_accepts_zero_weight_tasks_sharing_a_start():
     assert _checked({0: (0, 0), 1: (0, 6), 2: (0, 6), 3: (0, 6)})
     assert _checked({0: (0, 0), 1: (1, 6), 2: (0, 3), 3: (0, 3)})
