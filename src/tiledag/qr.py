@@ -500,7 +500,7 @@ class QrBuild:
         for i, piv, k, _ in elim:
             pk = (piv, k)
             b = tri.get(pk)
-            if b is None:   # the elimination below finishes after this row
+            if b is None:   # _geqrt_row inline; the step below ends later
                 b = tri[pk] = data[piv] + ws[GEQRT]
                 pivots += 1
                 if k < q:
