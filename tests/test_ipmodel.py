@@ -155,12 +155,22 @@ def test_bad_capacity():
 # when the rows that kept rows imply were deleted, when the disjunction
 # rows became <= 1, when 4b waited for its zeroing's end and 1c-iii lost
 # its mirrored copies, and when the above-diagonal x_i_k = 0 bounds went.
+# (8, 8, 1028), whose big-M coefficients have four digits, was added before
+# the rows were built from shared term blocks.
 RENDER_SHA256 = {
     (3, 2, 16): "8ac27ddb5dbb30668e62b47d5d852fe3544f1da2f749ac38cb47fd80d52ae292",
     (4, 4, 40): "692587a90a10c10c0867376c2c546ab7edebc8543718e93bd00891396958b03d",
     (5, 3, 30): "16d152a788d811d4d7be06fd2c16eba6cc6390e1b3fd705ac9d392e44f289981",
+    (8, 8, 1028): "3b98ba74bcf43dbac0a87db744ca78d0d1590bb1544bb50e9ebe71bc7acd4fb8",
 }
 NON_CAPACITY_ROWS_SHA256 = "5048cf11938820c20311bebeb614c8f399e349e69ede2a65df83f238137ff038"
+# sha256 of every row (name|group|terms|sense|rhs) and of list(model.aux)
+# of each shape q <= p <= 7 at T = 12, taken before the rows were built
+# from shared term blocks
+ROWS_SHA256 = {
+    None: "b2c48d8dde04ae79cb06d4be051b144a935a9f652f619f16774e2a8c5009d904",
+    2: "d726d5b94233946727f10462d6dbf17b5a80b63124347070b2b0cd9453e7a052",
+}
 
 
 def _sha(text):
@@ -177,6 +187,18 @@ def test_capacity_leaves_other_rows_pinned():
     rows = "\n".join(f"{c.name}|{c.group}|{c.terms}|{c.sense}|{c.rhs}"
                      for c in model.constraints if c.group != "capacity")
     assert _sha(rows) == NON_CAPACITY_ROWS_SHA256
+
+
+@pytest.mark.parametrize("capacity", [None, 2])
+def test_rows_and_aux_pinned(capacity):
+    digest = hashlib.sha256()
+    for p in range(1, 8):
+        for q in range(1, p + 1):
+            model = emit_ip(p, q, 12, capacity=capacity)
+            for c in model.constraints:
+                digest.update(f"{c.name}|{c.group}|{c.terms}|{c.sense}|{c.rhs}\n".encode())
+            digest.update(f"{list(model.aux)}\n".encode())
+    assert digest.hexdigest() == ROWS_SHA256[capacity]
 
 
 def test_capacity_block_closed_forms():
@@ -364,10 +386,12 @@ def test_pair_update_before_its_zeroing_ends_rejected():
 # kept rows imply were deleted, when the disjunction rows became <= 1, when
 # 4b waited for its zeroing's end and 1c-iii lost its mirrored copies, and
 # (the renders only) when the above-diagonal x_i_k = 0 bounds went.
+# (5, 4, 60, 2) was added before the rows were built from shared term blocks.
 CAPACITY_RENDER_SHA256 = {
     (3, 2, 16, 1): "5394759c063a4dbf7549aceb52e092e4dc80de03ae26b818e6c6459f53ab2929",
     (4, 3, 30, 2): "ed2bd83c2d2dca05bb4162779e1b18bc0d9967ba564e9d309d2a0b5d21901374",
     (5, 5, 44, 4): "617e3ff1c094e87e46da360b762ade115e4795c59da35a5af1c249f3cd7de803",
+    (5, 4, 60, 2): "9216f6c13834200a6fcf57093e67384f86d73fe26c9690b2229f0aadacdf67b6",
 }
 COMPLETED_SHA256 = {
     False: "611be1870641c6f51d74cea5b6ecade2fbc1411c871ebd1515e7a54792748dc3",
@@ -441,6 +465,8 @@ def test_model_structure(capacity):
             assert not set(model.int_vars) & set(model.bin_vars), (p, q)
             assert len(set(model.bin_vars)) == len(model.bin_vars), (p, q)
             declared = set(model.int_vars) | set(model.bin_vars)
+            # rows may share term tuples, never a terms list
+            assert len({id(c.terms) for c in model.constraints}) == len(model.constraints)
             for con in model.constraints:
                 assert con.terms, (p, q, con.name)
                 assert {v for _, v in con.terms} <= declared, (p, q, con.name)
