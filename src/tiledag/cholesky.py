@@ -122,7 +122,8 @@ def gen_chol_fact(t: int, variant: str = "right") -> list:
         raise ValueError("t must be >= 1")
     if variant not in _FACT_ORDERS:
         raise ValueError(f"unknown variant {variant!r}")
-    return _tasks(_with_tiles(_FACT_ORDERS[variant](t)))
+    return [Task(n, kind, idx, *FACT_TILES[kind](*idx))
+            for n, (kind, idx) in enumerate(_FACT_ORDERS[variant](t))]
 
 
 def _copies(t, dst):

@@ -6,7 +6,11 @@ UNMQR/TTMQR 3 (the formulation's gap constants match those).  The
 triangularization time x_i_k is declared for i >= k only: the appendix
 fixes the ones above the diagonal at 0, and no emitted row reads them.
 The model is emitted in LP text format; simulator schedules map onto
-assignments whose feasibility is checked constraint by constraint.
+assignments whose feasibility is checked constraint by constraint.  A row's
+terms concatenate blocks built once per model: both orientations' finish
+terms of a pair update or zeroing, alone or with their hats' big-M terms.
+Term tuples are thus shared between rows, but each row owns its terms
+list, so editing one row's list in place leaves every other row as it was.
 
 Appendix rows that kept rows imply are not emitted; the feasible set over
 the action variables is the same.  Group 5 is 1a-iii (r = i) with right
@@ -41,14 +45,13 @@ covers t sum to at most P).  That is 2*A + T rows.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import eq, ge, le
+from itertools import chain, repeat
 from typing import NamedTuple
 
 from .taskgraph import GEQRT, TTMQR, TTQRT, UNMQR, WeightModel
 
 # kernel durations in half-weight units; UNMQR and TTMQR weigh the same
 D_GEQRT, D_TTQRT, D_UPDATE = (WeightModel.QR[kind] // 2 for kind in (GEQRT, TTQRT, TTMQR))
-_SENSES = {"<=": le, ">=": ge, "=": eq}
 
 
 @dataclass(slots=True)
@@ -59,9 +62,26 @@ class Constraint:
     sense: str           # "<=", ">=", "="
     rhs: int
 
-    def holds(self, assignment):
-        get = assignment.get
-        return _SENSES[self.sense](sum([c * get(v, 0) for c, v in self.terms]), self.rhs)
+
+def _pair_terms(names, coef):
+    """index -> [(coef, v), (coef, v')] for each variable v of a pair family,
+    v' being v with the pair's two rows swapped; v and v' share the tuples."""
+    terms = {t: (coef, v) for t, v in names.items()}
+    return {t: [term, terms[(t[1], t[0]) + t[2:]]] for t, term in terms.items()}
+
+
+def _broken(rows, assignment):
+    """The rows that the assignment breaks, in order; missing variables are 0."""
+    get = assignment.get
+    out = []
+    for row in rows:
+        lhs = 0
+        for coef, var in row.terms:
+            lhs += coef * get(var, 0)
+        sense, rhs = row.sense, row.rhs
+        if lhs > rhs if sense == "<=" else lhs < rhs if sense == ">=" else lhs != rhs:
+            out.append(row)
+    return out
 
 
 class IPModel:
@@ -129,185 +149,163 @@ class IPModel:
                     if i != j:
                         yield i, j, k
 
-    def _rows_from(self, k):
-        return range(k, self.p + 1)
-
     # -- construction --------------------------------------------------------
 
-    def _con(self, name, group, terms, sense, rhs):
-        """Append and return a row."""
-        row = Constraint(name, group, terms, sense, rhs)
-        self.constraints.append(row)
-        return row
-
     def _build(self):
-        p, q, T, con, aux = self.p, self.q, self.T, self._con, self.aux
+        p, q, T, aux = self.p, self.q, self.T, self.aux
         w, x, y, yhat, z, zhat = self.w, self.x, self.y, self.yhat, self.z, self.zhat
+        cons, C = self.constraints, Constraint
+        add = cons.append
+        ru, rz = T - D_UPDATE, T - D_TTQRT
+        # shared term blocks of each pair (a, b, ...): both orientations'
+        # finishes, and those with their hats' big-M terms (off unless run)
+        yfin, ypos, yhats = _pair_terms(y, -1), _pair_terms(y, 1), _pair_terms(yhat, T)
+        yoff = {t: b + yhats[t] for t, b in yfin.items()}
+        zfin, zpos, zhats = _pair_terms(z, -1), _pair_terms(z, 1), _pair_terms(zhat, T)
+        zoff = {t: b + zhats[t] for t, b in zfin.items()}
+        zone = {t: b[::2] for t, b in zoff.items()}    # one orientation's
         # 1a-i: updates of one tile from successive panels
         for k in range(2, q + 1):
             for l in range(2, k):
                 for l1 in range(1, l):
                     for i in range(l, p + 1):
-                        con("c1ai_%s_%s_%s_%s" % (i, k, l, l1), "1a-i",
-                            [(1, w[i, k, l]), (-1, w[i, k, l1])], ">=", D_UPDATE)
+                        add(C("c1ai_%s_%s_%s_%s" % (i, k, l, l1), "1a-i",
+                              [(1, w[i, k, l]), (-1, w[i, k, l1])], ">=", D_UPDATE))
         # 1a-ii: panel update follows earlier pair updates of the same tile
         for k in range(2, q + 1):
             for l in range(2, k):
                 for l1 in range(1, l):
                     for i in range(l, p + 1):
-                        for j in self._rows_from(l1):
-                            if j == i:
-                                continue
-                            con("c1aii_%s_%s_%s_%s_%s" % (i, j, k, l, l1), "1a-ii",
-                                [(1, w[i, k, l]), (-1, y[i, j, k, l1]), (-1, y[j, i, k, l1])],
-                                ">=", D_UPDATE)
+                        head = (1, w[i, k, l])
+                        for j in range(l1, p + 1):
+                            if j != i:
+                                add(C("c1aii_%s_%s_%s_%s_%s" % (i, j, k, l, l1), "1a-ii",
+                                      [head, *yfin[i, j, k, l1]], ">=", D_UPDATE))
         # 1a-iii: panel update precedes the pair update of the same column
-        for i, j, k, l in y:
-            if i > j:
-                continue
-            for r in (i, j):
-                con("c1aiii_%s_%s_%s_%s_%s" % (r, i, j, k, l), "1a-iii",
-                    [(1, w[r, k, l]), (-1, y[i, j, k, l]), (-1, y[j, i, k, l]),
-                     (T, yhat[i, j, k, l]), (T, yhat[j, i, k, l])], "<=", T - D_UPDATE)
+        for (i, j, k, l), off in yoff.items():
+            if i < j:
+                for r in (i, j):
+                    add(C("c1aiii_%s_%s_%s_%s_%s" % (r, i, j, k, l), "1a-iii",
+                          [(1, w[r, k, l]), *off], "<=", ru))
         # 1a-iv / 1b-i: update before triangularization
         for k in range(2, q + 1):
             for l in range(1, k):
                 for i in range(k, p + 1):
-                    con("c1aiv_%s_%s_%s" % (i, k, l), "1a-iv",
-                        [(1, x[i, k]), (-1, w[i, k, l])], ">=", D_GEQRT)
+                    add(C("c1aiv_%s_%s_%s" % (i, k, l), "1a-iv",
+                          [(1, x[i, k]), (-1, w[i, k, l])], ">=", D_GEQRT))
         # 1a-v / 1d-a: update before zeroing of the same column
         for k in range(2, q + 1):
             for l in range(1, k):
                 for i in range(k, p + 1):
                     for j in range(i + 1, p + 1):
+                        off = zoff[i, j, k]
                         for r in (i, j):
-                            con("c1av_%s_%s_%s_%s_%s" % (r, i, j, k, l), "1a-v",
-                                [(1, w[r, k, l]), (-1, z[i, j, k]), (-1, z[j, i, k]),
-                                 (T, zhat[i, j, k]), (T, zhat[j, i, k])], "<=", T - D_TTQRT)
+                            add(C("c1av_%s_%s_%s_%s_%s" % (r, i, j, k, l), "1a-v",
+                                  [(1, w[r, k, l]), *off], "<=", rz))
         # 1b-ii: pair update before triangularization
-        for i, j, k, l in y:
-            if i > j:
-                continue
-            for r in (i, j):
-                if r >= k:
-                    con("c1bii_%s_%s_%s_%s_%s" % (r, i, j, k, l), "1b-ii",
-                        [(1, x[r, k]), (-1, y[i, j, k, l]), (-1, y[j, i, k, l])], ">=", D_GEQRT)
+        for (i, j, k, l), fin in yfin.items():
+            if i < j:
+                for r in (i, j):
+                    if r >= k:
+                        add(C("c1bii_%s_%s_%s_%s_%s" % (r, i, j, k, l), "1b-ii",
+                              [(1, x[r, k]), *fin], ">=", D_GEQRT))
         # 1b-iii: triangularization before zeroing
-        for i, j, k in z:
-            if i >= j:
-                continue
-            for r in (i, j):
-                con("c1biii_%s_%s_%s_%s" % (r, i, j, k), "1b-iii",
-                    [(1, x[r, k]), (-1, z[i, j, k]), (-1, z[j, i, k]),
-                     (T, zhat[i, j, k]), (T, zhat[j, i, k])], "<=", T - D_TTQRT)
+        for (i, j, k), off in zoff.items():
+            if i < j:
+                for r in (i, j):
+                    add(C("c1biii_%s_%s_%s_%s" % (r, i, j, k), "1b-iii",
+                          [(1, x[r, k]), *off], "<=", rz))
         # 1c-iii: pair updates involving a shared row are separated
         for k in range(2, q + 1):
             for l in range(1, k):
-                rows = self._rows_from(l)
-                for i in rows:
+                kl = "_%s_%s" % (k, l)
+                for i in range(l, p + 1):
                     for j in range(i + 1, p + 1):
-                        for h in rows:
+                        for h in range(l, p + 1):
                             if h == i or h == j:
                                 continue
                             for s, o in ((i, j), (j, i)):     # shared, other row
                                 if h < o:       # the copy keyed (o, s, h) is kept
                                     continue
-                                key = "_%s_%s_%s_%s_%s" % (h, s, o, k, l)
+                                key = "_%s_%s_%s%s" % (h, s, o, kl)
                                 d1, d2 = "dl1" + key, "dl2" + key
-                                a = con("c1ciii_a" + key, "1c-iii",
-                                        [(1, y[o, s, k, l]), (1, y[s, o, k, l]),
-                                         (-1, y[h, s, k, l]), (-1, y[s, h, k, l]),
-                                         (T, yhat[h, s, k, l]), (T, yhat[s, h, k, l]), (-T, d1)],
-                                        "<=", T - D_UPDATE)
-                                b = con("c1ciii_b" + key, "1c-iii",
-                                        [(1, y[h, s, k, l]), (1, y[s, h, k, l]),
-                                         (-1, y[o, s, k, l]), (-1, y[s, o, k, l]),
-                                         (T, yhat[o, s, k, l]), (T, yhat[s, o, k, l]), (-T, d2)],
-                                        "<=", T - D_UPDATE)
+                                a = aux[d1] = C("c1ciii_a" + key, "1c-iii",
+                                                [*ypos[o, s, k, l], *yoff[h, s, k, l], (-T, d1)],
+                                                "<=", ru)
+                                b = aux[d2] = C("c1ciii_b" + key, "1c-iii",
+                                                [*ypos[h, s, k, l], *yoff[o, s, k, l], (-T, d2)],
+                                                "<=", ru)
                                 # each dl relaxes one side: at most one may
-                                con("c1ciii_or" + key, "1c-iii", [(1, d1), (1, d2)], "<=", 1)
-                                aux[d1], aux[d2] = a, b
+                                cons += a, b, C("c1ciii_or" + key, "1c-iii", [(1, d1), (1, d2)],
+                                                "<=", 1)
         # 1c-iv: pair update precedes any zeroing involving its rows
-        for i, j, k, l in y:
+        for (i, j, k, l), (head, _) in ypos.items():
             for r in (i, j):
-                if r < k:
-                    continue
-                for h in self._rows_from(k):
-                    if h != r and (r, h) != (j, i):    # {r, h} = {i, j} once
-                        con("c1civ_%s_%s_%s_%s_%s_%s" % (i, j, k, l, r, h), "1c-iv",
-                            [(1, y[i, j, k, l]), (-1, z[h, r, k]), (-1, z[r, h, k]),
-                             (T, zhat[h, r, k]), (T, zhat[r, h, k])], "<=", T - D_UPDATE)
+                if r >= k:
+                    for h in range(k, p + 1):
+                        if h != r and (r, h) != (j, i):    # {r, h} = {i, j} once
+                            add(C("c1civ_%s_%s_%s_%s_%s_%s" % (i, j, k, l, r, h), "1c-iv",
+                                  [head, *zoff[h, r, k]], "<=", ru))
         # 1d-d: zeroing actions sharing a pivot are separated
         for k in range(1, q + 1):
-            rows = self._rows_from(k)
-            for i in rows:            # pivot
-                for j in rows:
+            for i in range(k, p + 1):            # pivot
+                for j in range(k, p + 1):
                     for h in range(j + 1, p + 1):
                         if i in (j, h):
                             continue
                         key = "_%s_%s_%s_%s" % (h, i, j, k)
                         d5, d6 = "dl5" + key, "dl6" + key
-                        a = con("c1d1_a" + key, "1d-case1",
-                                [(1, z[j, i, k]), (-1, z[h, i, k]), (T, zhat[h, i, k]), (-T, d5)],
-                                "<=", T - D_TTQRT)
-                        b = con("c1d1_b" + key, "1d-case1",
-                                [(1, z[h, i, k]), (-1, z[j, i, k]), (T, zhat[j, i, k]), (-T, d6)],
-                                "<=", T - D_TTQRT)
-                        con("c1d1_or" + key, "1d-case1", [(1, d5), (1, d6)], "<=", 1)
-                        aux[d5], aux[d6] = a, b
+                        a = aux[d5] = C("c1d1_a" + key, "1d-case1",
+                                        [zpos[j, i, k][0], *zone[h, i, k], (-T, d5)], "<=", rz)
+                        b = aux[d6] = C("c1d1_b" + key, "1d-case1",
+                                        [zpos[h, i, k][0], *zone[j, i, k], (-T, d6)], "<=", rz)
+                        cons += a, b, C("c1d1_or" + key, "1d-case1", [(1, d5), (1, d6)], "<=", 1)
         # 1d case 2: pivot duty precedes the pivot's own zeroing
         # (the formulation leaves the row-order of this case open; emitted for
         # all valid row triples)
         for k in range(1, q + 1):
-            rows = self._rows_from(k)
+            rows = range(k, p + 1)
             for i in rows:
                 for j in rows:
                     for h in rows:
                         if len({i, j, h}) == 3:
-                            con("c1d2_%s_%s_%s_%s" % (h, i, j, k), "1d-case2",
-                                [(1, z[j, i, k]), (-1, z[i, h, k]), (T, zhat[i, h, k])],
-                                "<=", T - D_TTQRT)
+                            add(C("c1d2_%s_%s_%s_%s" % (h, i, j, k), "1d-case2",
+                                  [zpos[j, i, k][0], *zone[i, h, k]], "<=", rz))
         # 4a: triangularization forces updates in later columns
         for k in range(1, q):
             for i in range(k, p + 1):
                 for l in range(k + 1, q + 1):
-                    con("c4a_%s_%s_%s" % (i, k, l), "4a",
-                        [(1, x[i, k]), (-1, w[i, l, k])], "<=", -D_UPDATE)
+                    add(C("c4a_%s_%s_%s" % (i, k, l), "4a",
+                          [(1, x[i, k]), (-1, w[i, l, k])], "<=", -D_UPDATE))
         # 4b: zeroing forces pair updates in later columns, which start
         # once it has finished
-        for i, j, k in z:
-            if i > j:
-                continue
-            for l in range(k + 1, q + 1):
-                con("c4b_%s_%s_%s_%s" % (i, j, k, l), "4b",
-                    [(1, z[i, j, k]), (1, z[j, i, k]), (-1, y[i, j, l, k]), (-1, y[j, i, l, k]),
-                     (D_UPDATE, zhat[i, j, k]), (D_UPDATE, zhat[j, i, k])], "<=", 0)
+        for (i, j, k), done in zpos.items():
+            if i < j:
+                end = [(D_UPDATE, zhat[i, j, k]), (D_UPDATE, zhat[j, i, k])]
+                for l in range(k + 1, q + 1):
+                    add(C("c4b_%s_%s_%s_%s" % (i, j, k, l), "4b",
+                          [*done, *yfin[i, j, l, k], *end], "<=", 0))
         # 8: triangularizations take two steps
         for (i, k), name in x.items():
-            con("c8_%s_%s" % (i, k), "8", [(1, name)], ">=", D_GEQRT)
+            add(C("c8_%s_%s" % (i, k), "8", [(1, name)], ">=", D_GEQRT))
         # 9: every sub-diagonal tile is zeroed exactly once
         for k in range(1, q + 1):
             for i in range(k + 1, p + 1):
-                con("c9_%s_%s" % (i, k), "9",
-                    [(1, zhat[i, j, k]) for j in self._rows_from(k) if j != i], "=", 1)
+                add(C("c9_%s_%s" % (i, k), "9",
+                      [(1, zhat[i, j, k]) for j in range(k, p + 1) if j != i], "=", 1))
         # 11: indicator forcing (rows named by the variable's index suffix)
-        for key, v in y.items():
-            sfx = v[1:]
-            con("c11ya" + sfx, "11", [(1, yhat[key]), (-1, v)], "<=", 0)
-            con("c11yb" + sfx, "11", [(T, yhat[key]), (-1, v)], ">=", 0)
-        for key, v in z.items():
-            sfx = v[1:]
-            con("c11za" + sfx, "11", [(1, zhat[key]), (-1, v)], "<=", 0)
-            con("c11zb" + sfx, "11", [(T, zhat[key]), (-1, v)], ">=", 0)
-        self.bin_vars += self.aux
-        self._objective_block()
-        if self.capacity is not None:
-            self._capacity_block()
-
-    def _objective_block(self):
+        for names, fins, hats in ((y, yfin, yhats), (z, zfin, zhats)):
+            for key, v in names.items():
+                sfx, fin, hat = v[1:], fins[key][0], hats[key][0]
+                add(C("c11%sa%s" % (v[0], sfx), "11", [(1, hat[1]), fin], "<=", 0))
+                add(C("c11%sb%s" % (v[0], sfx), "11", [hat, fin], ">=", 0))
+        self.bin_vars += aux
+        total = (1, "total_time")
         for name in self.int_vars:
             if name != "total_time":
-                self._con("obj_" + name, "objective", [(1, "total_time"), (-1, name)], ">=", 0)
+                add(C("obj_" + name, "objective", [total, (-1, name)], ">=", 0))
+        if self.capacity is not None:
+            self._capacity_block()
 
     def _actions(self):
         """(var, duration, hat) of every potentially running kernel; hat is
@@ -318,23 +316,27 @@ class IPModel:
                 + [(v, D_TTQRT, self.zhat[key]) for key, v in self.z.items()])
 
     def _capacity_block(self):
-        T, P = self.T, self.capacity
-        slot_terms = [[] for _ in range(T + 1)]
+        T, P, add = self.T, self.capacity, self.constraints.append
+        ts = [str(t) for t in range(T + 1)]
+        negs = range(0, -T - 1, -1)
+        # at_<var>_<t> = 1 iff the action finishes at t, so it runs in slots
+        # t-dur+1..t (slot t is the interval (t-1, t]): the pulses of slot s
+        # are those at indices max(s-dur, 0)..s-1 of the action's list
+        spans = {d: [slice(max(s - d, 0), s) for s in range(1, T + 1)]
+                 for d in {D_GEQRT, D_TTQRT, D_UPDATE}}
+        slot_parts = []
         for var, dur, hat in self._actions():
-            # at_<var>_<t> = 1 iff the action finishes at t, so it runs in
-            # slots t-dur+1..t (slot t is the interval (t-1, t])
-            finishes = range(dur, T + 1)
-            pulses = ["at_%s_%s" % (var, t) for t in finishes]
+            pre = "at_" + var + "_"
+            pulses = [pre + t for t in ts[dur:]]
             self.bin_vars += pulses
-            ones = [(1, at) for at in pulses]
-            self._con("capfin_" + var, "capacity",
-                      [(1, var)] + [(-t, at) for t, at in zip(finishes, pulses)], "=", 0)
-            self._con("capone_" + var, "capacity",
-                      ones + [(-1, hat)] if hat else ones, "=", 0 if hat else 1)
-            for s in range(1, T + 1):
-                slot_terms[s] += ones[max(s - dur, 0):s]
-        for t in range(1, T + 1):
-            self._con("cap_%s" % t, "capacity", slot_terms[t], "<=", P)
+            ones = list(zip(repeat(1), pulses))
+            add(Constraint("capfin_" + var, "capacity", [(1, var), *zip(negs[dur:], pulses)],
+                           "=", 0))
+            add(Constraint("capone_" + var, "capacity", ones + [(-1, hat)] if hat else ones,
+                           "=", 0 if hat else 1))
+            slot_parts.append(map(ones.__getitem__, spans[dur]))
+        for t, parts in enumerate(zip(*slot_parts), 1):
+            add(Constraint("cap_%s" % t, "capacity", [*chain.from_iterable(parts)], "<=", P))
 
     # -- rendering ------------------------------------------------------------
 
@@ -344,8 +346,6 @@ class IPModel:
                  "Minimize", " obj: total_time", "Subject To"]
         prefix = _Prefixes()
         for con in self.constraints:
-            if not con.terms:
-                continue
             body = " ".join([prefix[coef] + var for coef, var in con.terms])
             if body.startswith("+ "):
                 body = body[2:]
@@ -415,7 +415,7 @@ def complete_assignment(model: IPModel, assign: dict) -> dict:
     out = {v: x for v, x in assign.items() if not v.startswith("at_")}
     for var, row in model.aux.items():
         out[var] = 0
-        if not row.holds(out):
+        if _broken((row,), out):
             out[var] = 1
     if model.capacity is not None:
         for var, dur, _ in model._actions():
@@ -446,7 +446,7 @@ def check_feasible(model: IPModel, assignment: dict):
             ok = name in bins and value in (0, 1)
         if not ok:
             violated.append(DomainViolation(name))
-    violated += [con for con in model.constraints if not con.holds(assignment)]
+    violated += _broken(model.constraints, assignment)
     return (not violated), violated
 
 

@@ -602,9 +602,9 @@ def tiled_build(elim: EliminationList, family="TT", weights=None,
 # ---------------------------------------------------------------------------
 # event-driven Asap / GrASAP
 
-def _run_asap_columns(build: QrBuild, first_col):
+def _run_asap_columns(build: QrBuild, first_col, prefix):
     """Fire eliminations on columns first_col..q the moment a column holds
-    two ready triangles.
+    two ready triangles, after the timed entries `prefix`.
 
     Events are (time, col, row) availabilities, seeded by the triangles
     of column first_col, each kept as the int (time·(q+2) + col)·(p+1) +
@@ -614,9 +614,13 @@ def _run_asap_columns(build: QrBuild, first_col):
     time go to one _run_tt call, in column order.  That is exact: a row is
     ready in one column at a time, so the pairs touch disjoint rows, and
     their events are pushed after the call, so one at the same time fires
-    in a later round at that time.
+    in a later round at that time.  Each entry takes its with_steps() step
+    as it fires, the steps of `prefix` being its with_steps() steps.
     """
     q, rows1 = build.q, build.p + 1
+    last = [0] * rows1   # the coarse step each row was last used
+    for i, piv, _, step in prefix:
+        last[i] = last[piv] = step
     tri = build._tri
     stride = (q + 2) * rows1   # one unit of time
     avail = [[] for _ in range(q + 1)]   # column -> ready rows, ascending
@@ -640,7 +644,10 @@ def _run_asap_columns(build: QrBuild, first_col):
             if s:
                 part = rows[len(rows) - 2 * s:]
                 del rows[len(rows) - 2 * s:]
-                fired += [(tgt, piv, k, 0) for piv, tgt in zip(part[:s], part[s:])]
+                for piv, tgt in zip(part[:s], part[s:]):
+                    a, b = last[tgt], last[piv]
+                    step = last[tgt] = last[piv] = (a if a > b else b) + 1
+                    fired.append(_entry((tgt, piv, k, step)))
         if fired:
             build._run_tt(fired)
             entries += fired
@@ -661,8 +668,8 @@ def grasap_build(p, q, i=1, weights=None, keep_trace=True) -> QrBuild:
     b.preprocess_tt()
     static = _coarse_greedy(p, q - i)[1]
     b._run_tt(static)
-    dyn = _run_asap_columns(b, q - i + 1)
-    return b._finish(EliminationList(p, q, static + dyn).with_steps())
+    dyn = _run_asap_columns(b, q - i + 1, static)
+    return b._finish(EliminationList(p, q, static + dyn))
 
 
 def build_tree(p, q, algo, family="TT", bs=None, grasap_i=1, weights=None,

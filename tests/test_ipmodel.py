@@ -594,3 +594,49 @@ def test_verdicts_pinned(capacitated):
     for model, done in _mutation_cases(capacitated):
         digest.update(b"1" if check_feasible(model, done)[0] else b"0")
     assert digest.hexdigest() == VERDICT_SHA256[capacitated]
+
+
+def _parse_rows(text):
+    """(name, terms, sense, rhs) of each row of render()'s Subject To
+    section, read back from the LP text alone."""
+    lines = text.splitlines()
+    rows = []
+    for line in lines[lines.index("Subject To") + 1:lines.index("Bounds")]:
+        name, *tokens, sense, rhs = line.split()
+        terms, sign, coef = [], 1, 1
+        for tok in tokens:
+            if tok in ("+", "-"):
+                sign = 1 if tok == "+" else -1
+            elif tok.isdigit():
+                coef = int(tok)
+            else:
+                terms.append((sign * coef, tok))
+                sign, coef = 1, 1
+        rows.append((name.removesuffix(":"), terms, sense, int(rhs)))
+    return rows
+
+
+_SENSE = {"<=": lambda a, b: a <= b, ">=": lambda a, b: a >= b, "=": lambda a, b: a == b}
+
+
+@pytest.mark.parametrize("p,q,procs", [(8, 8, None), (5, 4, 2)])
+def test_rendered_rows_judge_like_check_feasible(p, q, procs):
+    """The rows read back from render() are the model's rows, and evaluated
+    on their own they break exactly the rows check_feasible reports, on
+    seeded in-domain assignments: a schedule, its mutants, and draws of
+    every declared variable."""
+    g, s = _schedule(p, q, "greedy", procs or 3)
+    model = emit_ip(p, q, s.makespan // 2 + 4, capacity=procs)
+    rows = _parse_rows(model.render())
+    assert rows == [(c.name, c.terms, c.sense, c.rhs) for c in model.constraints]
+    rng = random.Random(20261019)
+    times = schedule_to_assignment(g, s)
+    cases = [complete_assignment(model, m) for m in [times, *_mutants(model, times, rng, 4)]]
+    for _ in range(2):
+        draw = {v: rng.randint(0, ub) for v, ub in model.int_vars.items()}
+        cases.append({**draw, **{v: rng.randint(0, 1) for v in model.bin_vars}})
+    for assign in cases:
+        broken = [name for name, terms, sense, rhs in rows
+                  if not _SENSE[sense](sum(c * assign.get(v, 0) for c, v in terms), rhs)]
+        ok, violated = check_feasible(model, assign)
+        assert [v.name for v in violated] == broken and ok == (not broken)
