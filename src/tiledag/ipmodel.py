@@ -157,13 +157,13 @@ class IPModel:
         cons, C = self.constraints, Constraint
         add = cons.append
         ru, rz = T - D_UPDATE, T - D_TTQRT
-        # shared term blocks of each pair (a, b, ...): both orientations'
-        # finishes, and those with their hats' big-M terms (off unless run)
+        # term blocks of each pair (a, b, ...): both orientations' finishes;
+        # *off adds the hats' big-M terms, which switch a row off unless run
         yfin, ypos, yhats = _pair_terms(y, -1), _pair_terms(y, 1), _pair_terms(yhat, T)
         yoff = {t: b + yhats[t] for t, b in yfin.items()}
         zfin, zpos, zhats = _pair_terms(z, -1), _pair_terms(z, 1), _pair_terms(zhat, T)
         zoff = {t: b + zhats[t] for t, b in zfin.items()}
-        zone = {t: b[::2] for t, b in zoff.items()}    # one orientation's
+        zone = {t: b[::2] for t, b in zoff.items()}    # orientation (a, b) alone
         # 1a-i: updates of one tile from successive panels
         for k in range(2, q + 1):
             for l in range(2, k):
@@ -240,12 +240,13 @@ class IPModel:
                                                 "<=", 1)
         # 1c-iv: pair update precedes any zeroing involving its rows
         for (i, j, k, l), (head, _) in ypos.items():
+            pre = "c1civ_%s_%s_%s_%s_" % (i, j, k, l)
             for r in (i, j):
                 if r >= k:
                     for h in range(k, p + 1):
-                        if h != r and (r, h) != (j, i):    # {r, h} = {i, j} once
-                            add(C("c1civ_%s_%s_%s_%s_%s_%s" % (i, j, k, l, r, h), "1c-iv",
-                                  [head, *zoff[h, r, k]], "<=", ru))
+                        if h != r and (r != j or h != i):    # {r, h} = {i, j} once
+                            add(C(pre + "%s_%s" % (r, h), "1c-iv", [head, *zoff[h, r, k]],
+                                  "<=", ru))
         # 1d-d: zeroing actions sharing a pivot are separated
         for k in range(1, q + 1):
             for i in range(k, p + 1):            # pivot
@@ -318,7 +319,6 @@ class IPModel:
     def _capacity_block(self):
         T, P, add = self.T, self.capacity, self.constraints.append
         ts = [str(t) for t in range(T + 1)]
-        negs = range(0, -T - 1, -1)
         # at_<var>_<t> = 1 iff the action finishes at t, so it runs in slots
         # t-dur+1..t (slot t is the interval (t-1, t]): the pulses of slot s
         # are those at indices max(s-dur, 0)..s-1 of the action's list
@@ -330,8 +330,8 @@ class IPModel:
             pulses = [pre + t for t in ts[dur:]]
             self.bin_vars += pulses
             ones = list(zip(repeat(1), pulses))
-            add(Constraint("capfin_" + var, "capacity", [(1, var), *zip(negs[dur:], pulses)],
-                           "=", 0))
+            add(Constraint("capfin_" + var, "capacity",
+                           [(1, var), *zip(range(-dur, -T - 1, -1), pulses)], "=", 0))
             add(Constraint("capone_" + var, "capacity", ones + [(-1, hat)] if hat else ones,
                            "=", 0 if hat else 1))
             slot_parts.append(map(ones.__getitem__, spans[dur]))
