@@ -1,3 +1,4 @@
+import hashlib
 import math
 from collections import Counter
 
@@ -135,3 +136,38 @@ def test_acyclic_and_chain_depth():
     build_from_trace(trace)  # raises on trace-order violations
     # leaf products are 4x4 tiled gemms: chains of length 4 inside
     assert trace_cp(trace, WU) == 9
+
+
+# sha256 of (id, kind, indices, reads, writes) over every task, with the
+# temporary-tile count of each Strassen trace: list schedules break ties on
+# task ids and the hazard DAG follows the tiles, so the traces must stay
+# identical task for task.  A power of two p covers every r in 0..log2(p).
+STRASSEN_TRACE_SHA256 = {
+    1: "6903c34a5ef19b4672dfb3dcf74f60ba86d604bf0c3e05c2fa0c9005acde330d",
+    2: "b5c12135422e77147edd1ae40ecb47c2b35602e7a5fa6c490251daec9fbd01b1",
+    4: "b9acada4cdb11490f2bf2593644f9f4c2737ebade014a0dfe3b574457243f7db",
+    8: "9486cac9d2a4af056c1eea3de0a37edae06220334b96bca320031ee8cb70fbac",
+    16: "a529e60b5f40d60ee68ff2313fa6909c2b01cc0930c2e876177e020705c9459d",
+    "tiled_gemm": "7c208c261899468db8f6b006b1dcf03ea69eab499e60a730b2774b5e0e6eeef6",
+}
+
+
+def _rows(trace):
+    return [(t.id, t.kind, t.indices, tuple(map(tuple, t.reads)),
+             tuple(map(tuple, t.writes))) for t in trace]
+
+
+def _pinned_traces(key):
+    if key == "tiled_gemm":
+        return [_rows(gen_tiled_gemm(n)) for n in range(1, 5)]
+    out = []
+    for r in range(int(math.log2(key)) + 1):
+        trace, temps = gen_strassen(StrassenParams(key, r))
+        out.append((_rows(trace), temps))
+    return out
+
+
+@pytest.mark.parametrize("key", sorted(STRASSEN_TRACE_SHA256, key=repr))
+def test_trace_identity(key):
+    digest = hashlib.sha256(repr(_pinned_traces(key)).encode()).hexdigest()
+    assert digest == STRASSEN_TRACE_SHA256[key]
