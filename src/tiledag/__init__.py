@@ -5,9 +5,8 @@ trees, Strassen-Winograd multiplication)."""
 from .taskgraph import (
     ALL_KINDS, BARRIER, COPY, GEADD, GEMM, GEQRT, LAUUM, POTRF, SYRK, TRMM,
     TRSM, TRTRI, TSMQR, TSQRT, TTMQR, TTQRT, UNMQR,
-    AlapProfile, CpAnnotation, Task, TaskGraph, TileRef, TraceTimer,
-    WeightModel, alap_profile, annotate_cp, asap_times, build_from_trace,
-    t_seq, trace_cp,
+    AlapProfile, CpAnnotation, Task, TaskGraph, TileRef, WeightModel,
+    alap_profile, annotate_cp, asap_times, build_from_trace, t_seq, trace_cp,
 )
 from .cholesky import (
     CholInvConfig, chol_cp_oracle, gen_chol_fact, gen_chol_inversion,
@@ -28,7 +27,7 @@ from .sched import (
 )
 from .strassen import (
     StrassenParams, gemm_flops, gen_strassen, gen_tiled_gemm, r_min,
-    strassen_counts, strassen_flops, strassen_task_count,
+    strassen_counts, strassen_cp, strassen_flops, strassen_task_count,
     strassen_weight_model, temp_tile_count,
 )
 from .ipmodel import (

@@ -15,7 +15,7 @@ from itertools import chain
 
 from .taskgraph import (
     BARRIER, COPY, GEMM, LAUUM, POTRF, SYRK, TRMM, TRSM, TRTRI,
-    Task, TileRef,
+    Task, TileRef, trace_of,
 )
 
 ASC = "U"   # ascending innermost GEMM loop
@@ -107,11 +107,6 @@ def _with_tiles(kernels):
         yield (kind, idx, *FACT_TILES[kind](*idx))
 
 
-def _tasks(*streams):
-    """Number the (kind, indices, reads, writes) of the streams as one trace."""
-    return [Task(n, *k) for n, k in enumerate(chain(*streams))]
-
-
 def gen_chol_fact(t: int, variant: str = "right") -> list:
     """Tiled Cholesky factorization trace.
 
@@ -179,13 +174,13 @@ def gen_chol_inversion(cfg: CholInvConfig) -> list:
     BARRIER tasks when cfg.pipelined is False)."""
     s1, s2, s3 = _inversion_streams(cfg)
     barrier = () if cfg.pipelined else [(BARRIER, (), (), ())]
-    return _tasks(s1, barrier, s2, barrier, s3)
+    return trace_of(chain(s1, barrier, s2, barrier, s3))
 
 
 def inversion_steps(cfg: CholInvConfig):
     """The three per-step sub-traces of the inversion, each numbered from
     0 so that it stands alone."""
-    return [_tasks(s) for s in _inversion_streams(cfg)]
+    return [trace_of(s) for s in _inversion_streams(cfg)]
 
 
 _ORACLES = {

@@ -72,6 +72,14 @@ def _int_at_least(lo, what):
 _positive = _int_at_least(1, "a positive integer")
 
 
+def _power_of_two(spec):
+    """argparse type of a Strassen tile count: a positive power of two."""
+    n = _positive(spec)
+    if n & (n - 1):
+        raise argparse.ArgumentTypeError(f"expected a power of two, got {spec!r}")
+    return n
+
+
 def _check(rows):
     """--check verdict over (template, got, want) rows: each row whose got
     differs from want prints template.format(got, want) to stderr.  Exit
@@ -256,10 +264,12 @@ def cmd_strassen_count(args):
     _write(args, strassen.counters_csv(rows))
     if args.check:
         cells = []
-        for (_, r, tasks, _, _, temps) in rows:
+        for (_, r, tasks, _, cp, temps) in rows:
             cells += [(f"r={r}: tasks {{}} != {{}}", tasks,
                        strassen.strassen_task_count(args.p, r)),
-                      (f"r={r}: temp tiles {{}}", temps, strassen.temp_tile_count(args.p, r))]
+                      (f"r={r}: temp tiles {{}}", temps, strassen.temp_tile_count(args.p, r)),
+                      (f"r={r}: cp {{}} != closed form {{}}", cp,
+                       strassen.strassen_cp(args.p, r, wu))]
         return _check(cells)
     return 0
 
@@ -367,7 +377,7 @@ def main(argv=None):
                    help="largest t (the table starts at t = 3)")
 
     p = add("strassen-count", cmd_strassen_count, check=True, help="task/flop/cp/temp counters")
-    p.add_argument("--p", type=_positive, required=True)
+    p.add_argument("--p", type=_power_of_two, required=True)
     p.add_argument("--r", type=_int_at_least(0, "a nonnegative integer"), required=True,
                    help="largest recursion level")
     p.add_argument("--nb", type=_positive, default=200)
@@ -403,6 +413,8 @@ def main(argv=None):
                 ap.error("--i must not exceed --q")
         if "family" in args and args.family == "TS" and args.algo in ("asap", "grasap"):
             ap.error(f"--algo {args.algo} is defined over TT kernels")
+        if args.cmd == "strassen-count" and 2 ** args.r > args.p:
+            ap.error("--r must not exceed log2(--p)")
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:

@@ -76,6 +76,11 @@ class Task:
         return f"{self.kind}({idx})#{self.id}"
 
 
+def trace_of(kernels: Iterable[tuple]) -> list:
+    """Number a stream of (kind, indices, reads, writes) as one trace."""
+    return [Task(n, *k) for n, k in enumerate(kernels)]
+
+
 class WeightModel:
     """Maps kernel kinds to integer durations.
 
@@ -100,6 +105,8 @@ class WeightModel:
     }
 
     def __init__(self, mode="unit", table=None):
+        if table is not None and mode != "custom":
+            raise ValueError(f"a weight table needs mode 'custom', not {mode!r}")
         if mode == "unit":
             table = {k: 1 for k in ALL_KINDS}
             table[BARRIER] = 0
@@ -450,64 +457,47 @@ def alap_profile(graph: TaskGraph, weights: WeightModel) -> AlapProfile:
     return facts.profile
 
 
-class TraceTimer:
-    """Streaming ASAP evaluator: start/finish times of the hazard DAG of a
-    trace, computed in one pass without materializing edges.
+def asap_times(trace: Iterable[Task], weights: WeightModel):
+    """(finish times by id, cp) of the hazard DAG of a trace on unbounded
+    processors, computed in one pass without materializing edges.
 
     Matches build_from_trace + annotate_cp earliest times, including
     BARRIER semantics.
     """
-
-    def __init__(self, weights: WeightModel):
-        self.weights = weights
-        self.write_fin = {}   # tile -> finish of last write
-        self.read_fin = {}    # tile -> max reader finish since last write
-        self.floor = 0        # barrier time
-        self.max_fin = 0
-        self.finish = {}      # task id -> finish
-
-    def add(self, task: Task) -> tuple:
-        w = self.weights.of(task)
+    weight = weights.of
+    write_fin = {}   # tile -> finish of last write
+    read_fin = {}    # tile -> max reader finish since last write
+    wget, rget = write_fin.get, read_fin.get
+    floor = cp = 0   # barrier time, largest finish
+    finish = {}
+    for task in trace:
         if task.kind == BARRIER:
-            start = self.max_fin
-            self.write_fin.clear()
-            self.read_fin.clear()
-            self.floor = start
-            self.finish[task.id] = start
-            return start, start
-        start = self.floor
-        wf = self.write_fin
-        rf = self.read_fin
+            write_fin.clear()
+            read_fin.clear()
+            floor = finish[task.id] = cp
+            continue
+        start = floor
         for tile in task.reads:
-            f = wf.get(tile, 0)
+            f = wget(tile, 0)
             if f > start:
                 start = f
         for tile in task.writes:
-            f = wf.get(tile, 0)
+            f = wget(tile, 0)
             if f > start:
                 start = f
-            f = rf.get(tile, 0)
+            f = rget(tile, 0)
             if f > start:
                 start = f
-        fin = start + w
+        fin = finish[task.id] = start + weight(task)
         for tile in task.reads:
-            if rf.get(tile, 0) < fin:
-                rf[tile] = fin
+            if rget(tile, 0) < fin:
+                read_fin[tile] = fin
         for tile in task.writes:
-            wf[tile] = fin
-            rf[tile] = 0
-        if fin > self.max_fin:
-            self.max_fin = fin
-        self.finish[task.id] = fin
-        return start, fin
-
-
-def asap_times(trace: Iterable[Task], weights: WeightModel):
-    """(finish times by id, cp) of a trace under unbounded processors."""
-    timer = TraceTimer(weights)
-    for t in trace:
-        timer.add(t)
-    return timer.finish, timer.max_fin
+            write_fin[tile] = fin
+            read_fin[tile] = 0
+        if fin > cp:
+            cp = fin
+    return finish, cp
 
 
 def trace_cp(trace: Iterable[Task], weights: WeightModel) -> int:

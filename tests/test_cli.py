@@ -260,6 +260,8 @@ def test_sizes_below_1_exit_2(capsys, argv):
     (["alpha", "--t", "1"], ">= 3"),
     (["strassen-count", "--p", "4", "--r", "-1"], "nonnegative integer"),
     (["strassen-count", "--p", "4", "--r", "1", "--nb", "0"], "positive integer"),
+    (["strassen-count", "--p", "3", "--r", "0"], "--p"),
+    (["strassen-count", "--p", "4", "--r", "3"], "--r"),
 ])
 def test_flag_below_range_exit_2(capsys, argv, needle):
     assert main(argv) == 2

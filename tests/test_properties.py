@@ -2,7 +2,7 @@
 
 Random traces mix barriers (consecutive ones included), zero-weight COPYs
 and tasks that name a tile more than once.  On each, the streaming
-TraceTimer must agree with build_from_trace + annotate_cp, and every list
+asap_times must agree with build_from_trace + annotate_cp, and every list
 schedule must be valid and no shorter than the ALAP and Rooftop bounds.
 On those traces and on small graphs built directly with shuffled ids,
 annotate_cp's priorities and earliest starts must equal the heaviest
@@ -20,7 +20,7 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from tiledag import (  # noqa: E402
     BARRIER, COPY, GEMM, POTRF, SYRK, TRSM, ElimEntry, EliminationList, Task,
-    TaskGraph, TileRef, TraceTimer, WeightModel, alap_bound, annotate_cp,
+    TaskGraph, TileRef, WeightModel, alap_bound, annotate_cp, asap_times,
     build_from_trace, check_schedule, list_schedule, rooftop_bound,
 )
 from tiledag.taskgraph import EXPLICIT  # noqa: E402
@@ -48,14 +48,12 @@ X = TileRef("A", 0, 0)
 @example([(GEMM, [], [X, X])])
 def test_timer_matches_hazard_dag(steps):
     trace = _trace(steps)
-    timer = TraceTimer(WM)
-    for t in trace:
-        timer.add(t)
+    finish, cp = asap_times(trace, WM)
     graph = build_from_trace(trace)
     ann = annotate_cp(graph, WM)
     w = graph.weight_list(WM)   # ids are positions here
-    assert timer.finish == {i: ann.earliest[i] + w[i] for i in ann.earliest}
-    assert timer.max_fin == ann.cp_length
+    assert finish == {i: ann.earliest[i] + w[i] for i in ann.earliest}
+    assert cp == ann.cp_length
 
 
 @settings(SETTINGS, max_examples=150)

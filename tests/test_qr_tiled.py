@@ -6,7 +6,7 @@ import pytest
 
 from tiledag import (
     GEQRT, TSMQR, TSQRT, TTMQR, TTQRT, UNMQR,
-    ElimEntry, EliminationList, QrBuild, TraceTimer, WeightModel, annotate_cp,
+    ElimEntry, EliminationList, QrBuild, WeightModel, annotate_cp,
     asap_times, build_from_trace, build_tree, coarse_schedule, eager_coarse,
     elim_weight, fibonacci_cp_bounds, fibonacci_x, flattree_cp_composed,
     flattree_cp_oracle, plasmatree_list, tiled_build, tiled_translation,
@@ -389,12 +389,11 @@ def test_engine_trace_free_matches_traced_and_hazard_graph():
             assert getattr(fast, attr) == getattr(full, attr), (name, attr)
         assert Counter(t.kind for t in full.trace) == +Counter(full.counts), name
         w = w or WeightModel.qr_tt()
-        timer = TraceTimer(w)
+        fins, _ = asap_times(full.trace, w)
         for t in full.trace:
-            _, fin = timer.add(t)
             if t.kind in (TTQRT, TSQRT):
                 i, _, k = t.indices
-                assert fin == full.zeroed[(i, k)], (name, t)
+                assert fins[t.id] == full.zeroed[(i, k)], (name, t)
         assert full.cp == annotate_cp(build_from_trace(full.trace), w).cp_length, name
 
 

@@ -5,9 +5,10 @@ from collections import Counter
 import pytest
 
 from tiledag import (
-    StrassenParams, WeightModel, build_from_trace, gemm_flops, gen_strassen,
-    gen_tiled_gemm, r_min, strassen_counts, strassen_flops,
-    strassen_task_count, strassen_weight_model, temp_tile_count, trace_cp,
+    GEADD, GEMM, StrassenParams, WeightModel, build_from_trace, gemm_flops,
+    gen_strassen, gen_tiled_gemm, r_min, strassen_counts, strassen_cp,
+    strassen_flops, strassen_task_count, strassen_weight_model,
+    temp_tile_count, trace_cp,
 )
 
 WU = WeightModel.unit()
@@ -71,6 +72,25 @@ def test_phase_structure():
             if tile.matrix.startswith("Q") and tile in byid[v].reads \
                     and tile not in byid[v].writes:
                 assert byid[v].kind == "GEADD"
+
+
+# (1, 0) and (0, 1) isolate the GEMM chain and the GEADD levels, so a
+# closed form that is exact under both and under (1, 5) has both terms right.
+CP_MODELS = [WU, strassen_weight_model(200), WeightModel.custom({GEMM: 1, GEADD: 5}),
+             WeightModel.custom({GEMM: 1, GEADD: 0}), WeightModel.custom({GEMM: 0, GEADD: 1})]
+
+
+@pytest.mark.parametrize("p", [1, 2, 4, 8, 16])
+def test_cp_closed_form(p):
+    for r in range(int(math.log2(p)) + 1):
+        trace, _ = gen_strassen(StrassenParams(p, r))
+        for wm in CP_MODELS:
+            assert trace_cp(trace, wm) == strassen_cp(p, r, wm), (p, r, wm.table)
+
+
+def test_cp_closed_form_p32_r5():
+    trace, _ = gen_strassen(StrassenParams(32, 5))
+    assert trace_cp(trace, WU) == strassen_cp(32, 5, WU) == 1 + 25
 
 
 def test_r_min_table_and_formula_floor():

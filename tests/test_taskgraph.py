@@ -4,7 +4,7 @@ import pytest
 
 from tiledag import (
     BARRIER, GEMM, POTRF, TRSM,
-    Task, TaskGraph, TileRef, TraceTimer, WeightModel,
+    Task, TaskGraph, TileRef, WeightModel,
     alap_profile, annotate_cp, asap_times, build_from_trace, check_schedule,
     list_schedule, trace_cp,
 )
@@ -292,3 +292,10 @@ def test_unknown_weight_mode():
     for mode in ("qr-full", "nonsense"):
         with pytest.raises(ValueError, match="unknown weight mode"):
             WeightModel(mode)
+
+
+@pytest.mark.parametrize("mode", ["unit", "cholesky", "qr-tt"])
+def test_weight_table_needs_custom_mode(mode):
+    with pytest.raises(ValueError, match="custom"):
+        WeightModel(mode, {GEMM: 5})
+    assert WeightModel("custom", {GEMM: 5})[GEMM] == 5
