@@ -1,14 +1,97 @@
+import hashlib
 import os
+from pathlib import Path
 
 import pytest
 
 from tiledag.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run(capsys, *argv):
     rc = main(list(argv))
     out = capsys.readouterr().out
     return rc, out
+
+
+# Every README "Command line" line, `sched` on every algo, `qr-bounds` and
+# `ip-check` on four trees, `chol-bounds --check` on three sizes, and the
+# exit-1 and exit-2 paths (whose stdout is empty).
+CLI_RUNS = [
+    "chol-cp --t 8",
+    "chol-cp --t 4 --check",
+    "chol-bounds --t 5 --procs 1..10 --check",
+    "chol-bounds --t 3 --check",
+    "chol-bounds --t 5 --check",
+    "chol-bounds --t 8 --check",
+    "qr-coarse --p 15 --q 6 --algo greedy --list",
+    "qr-coarse --p 15 --q 6 --algo sameh-kuck --check",
+    "qr-coarse --p 9 --q 5 --algo fibonacci --check --list --out coarse.csv",
+    "qr-tiled --p 15 --q 6 --algo plasmatree --bs 5",
+    "qr-tiled --p 15 --q 6 --algo flattree --check",
+    "qr-tiled --p 7 --q 4 --algo greedy --family TS --check",
+    "qr-tiled --p 8 --q 5 --algo grasap --i 2",
+    "qr-tiled --p 8 --q 5 --algo asap",
+    "qr-cp-table --p 40 --q 40",
+    "qr-bounds --p 34 --q 4 --algo grasap --procs 1..20",
+    "qr-bounds --p 8 --q 4 --algo flattree",
+    "qr-bounds --p 8 --q 4 --algo greedy",
+    "qr-bounds --p 8 --q 4 --algo plasmatree --bs 3",
+    "qr-bounds --p 8 --q 4",
+    "sched --algo fibonacci --p 34 --q 4 --procs 10 --policy max",
+    "sched --algo cholesky --t 8 --procs 1..12 --gantt --out run.csv",
+    "sched --check",
+    "sched --algo flattree --procs 1..4 --policy min",
+    "sched --algo fibonacci --p 6 --q 4 --policy random --seed 3",
+    "sched --algo greedy --procs 3 --gantt",
+    "sched --algo binarytree --p 7 --q 3",
+    "sched --algo plasmatree --bs 2 --procs 2,5",
+    "sched --algo asap --p 6 --q 3 --policy min",
+    "sched --algo grasap --policy random --seed 1 --gantt --out g.csv",
+    "alpha --t 12",
+    "strassen-count --p 32 --r 4",
+    "strassen-count --p 8 --r 3 --check",
+    "ip-emit --p 5 --q 5 --procs 11 --out model",
+    "ip-emit --p 3 --q 2 --T 20",
+    "ip-check --p 4 --q 3 --algo grasap --procs 3",
+    "ip-check --p 4 --q 3 --algo flattree --procs 2",
+    "ip-check --p 4 --q 3 --algo greedy --procs 2",
+    "ip-check --p 4 --q 3 --algo plasmatree --bs 2 --procs 2",
+    "ip-check --p 4 --q 3 --algo grasap --procs 2",
+    "ip-check --p 4 --q 3 --algo greedy --procs 1 --T 5",
+    "qr-coarse --p 3 --q 5",
+    "qr-tiled --p 4 --q 3 --algo greedy --bs 2",
+    "qr-tiled --p 4 --q 3 --algo asap --family TS",
+    "sched --algo plasmatree",
+    "strassen-count --p 4 --r 3",
+    "nonsense",
+]
+# sha256 of (argv, exit code, stdout, files written) over CLI_RUNS, taken
+# before the subcommands shared their graph builder and tree flags.
+CLI_SHA256 = "42d0e103595617b8bd97f8a4c78d4f2ab2cc1677704b0288c090e12fbd1a92c2"
+
+
+def test_cli_runs_pinned(tmp_path, capsys, monkeypatch):
+    digest = hashlib.sha256()
+    for n, line in enumerate(CLI_RUNS):
+        outdir = tmp_path / str(n)
+        outdir.mkdir()
+        monkeypatch.setenv("TILEDAG_OUTDIR", str(outdir))
+        rc = main(line.split())
+        out = capsys.readouterr().out.replace(str(outdir), "<OUTDIR>")
+        files = sorted((f.name, f.read_text()) for f in outdir.iterdir())
+        digest.update(repr((line, rc, out, files)).encode())
+    assert digest.hexdigest() == CLI_SHA256
+
+
+def test_readme_command_lines_are_pinned():
+    text = (ROOT / "README.md").read_text()
+    block = text.split("## Command line\n\n```sh\n", 1)[1].split("```", 1)[0]
+    commands = [line.split("#")[0].split() for line in block.splitlines()]
+    assert commands
+    for words in commands:
+        assert words[0] == "tiledag" and " ".join(words[1:]) in CLI_RUNS, words
 
 
 def test_chol_cp(capsys):
