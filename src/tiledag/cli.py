@@ -127,13 +127,21 @@ def cmd_chol_cp(args):
     return 0
 
 
-def cmd_chol_bounds(args):
-    trace = cholesky.gen_chol_fact(args.t, "right")
-    graph = build_from_trace(trace)
-    wc = WeightModel.cholesky()
-    rows = sched.bounds_table(graph, wc, args.procs)
+def _graph(args):
+    """(graph, weights) of --algo: right-looking Cholesky on --t tiles, or
+    the QR tree on --p x --q."""
+    if args.algo == "cholesky":
+        return (build_from_trace(cholesky.gen_chol_fact(args.t, "right")),
+                WeightModel.cholesky())
+    build = qr.build_tree(args.p, args.q, args.algo, bs=args.bs)
+    return build_from_trace(build.trace), WeightModel.qr_tt()
+
+
+def cmd_bounds(args):
+    graph, weights = _graph(args)
+    rows = sched.bounds_table(graph, weights, args.procs)
     _write(args, _bounds_csv(rows))
-    if args.check and args.t == 5:
+    if args.algo == "cholesky" and args.check and args.t == 5:   # qr-bounds has no --check
         cells = []
         for r in rows:
             ref = golden.CHOL_BOUNDS_T5.get(r.p)
@@ -212,23 +220,8 @@ def cmd_qr_cp_table(args):
     return 0
 
 
-def cmd_qr_bounds(args):
-    build = qr.build_tree(args.p, args.q, args.algo, bs=args.bs)
-    graph = build_from_trace(build.trace)
-    w = WeightModel.qr_tt()
-    _write(args, _bounds_csv(sched.bounds_table(graph, w, args.procs)))
-    return 0
-
-
 def cmd_sched(args):
-    if args.algo == "cholesky":
-        trace = cholesky.gen_chol_fact(args.t, "right")
-        weights = WeightModel.cholesky()
-    else:
-        build = qr.build_tree(args.p, args.q, args.algo, bs=args.bs)
-        trace = build.trace
-        weights = WeightModel.qr_tt()
-    graph = build_from_trace(trace)
+    graph, weights = _graph(args)
     results = []
     for p in args.procs:
         s = sched.list_schedule(graph, weights, p, args.policy, seed=args.seed)
@@ -295,9 +288,8 @@ def cmd_ip_check(args):
                                  "give --T to check it")
             horizon = max(assign.values()) + 4
     else:
-        build = qr.build_tree(args.p, args.q, args.algo, bs=args.bs)
-        graph = build_from_trace(build.trace)
-        s = sched.list_schedule(graph, WeightModel.qr_tt(), args.procs or 1, "max")
+        graph, weights = _graph(args)
+        s = sched.list_schedule(graph, weights, args.procs or 1, "max")
         if horizon is None:
             horizon = s.makespan // 2 + 4   # big-M headroom past the last finish
         assign = ipmodel.schedule_to_assignment(graph, s)
@@ -325,12 +317,21 @@ def main(argv=None):
                            help="re-derive golden values; exit 1 on mismatch")
         return p
 
+    def tree(p, algo, choices=(), size=None):
+        """--p, --q, --algo and --bs of a subcommand that builds a QR tree;
+        --p and --q are required unless given a default size."""
+        for flag in ("--p", "--q"):
+            p.add_argument(flag, type=_positive, default=size, required=size is None)
+        p.add_argument("--algo", default=algo, choices=[*choices, *qr.TREE_ALGOS])
+        p.add_argument("--bs", type=_positive, help="plasmatree domain size")
+
     p = add("chol-cp", cmd_chol_cp, check=True,
             help="per-step and pipelined inversion critical paths")
     p.add_argument("--t", type=_positive, required=True)
 
-    p = add("chol-bounds", cmd_chol_bounds, check=True,
+    p = add("chol-bounds", cmd_bounds, check=True,
             help="Lost-Area/ALAP and Rooftop bound table")
+    p.set_defaults(algo="cholesky")
     p.add_argument("--t", type=_positive, required=True)
     p.add_argument("--procs", type=_procs, default="1..10")
 
@@ -342,31 +343,21 @@ def main(argv=None):
     p.add_argument("--list", action="store_true", help="also write the elimination list CSV")
 
     p = add("qr-tiled", cmd_qr_tiled, check=True, help="tiled zeroed-time table")
-    p.add_argument("--p", type=_positive, required=True)
-    p.add_argument("--q", type=_positive, required=True)
-    p.add_argument("--algo", default="greedy", choices=list(qr.TREE_ALGOS))
+    tree(p, "greedy")
     p.add_argument("--family", default="TT", choices=["TT", "TS"])
-    p.add_argument("--bs", type=_positive, help="plasmatree domain size")
     p.add_argument("--i", type=_positive, help="grasap trailing asap columns (default 1)")
 
     p = add("qr-cp-table", cmd_qr_cp_table, check=True, help="critical-path comparison table")
     p.add_argument("--p", type=_positive, required=True)
     p.add_argument("--q", type=_positive, required=True, help="largest column count")
 
-    p = add("qr-bounds", cmd_qr_bounds, help="per-tree ALAP/Rooftop bounds")
-    p.add_argument("--p", type=_positive, required=True)
-    p.add_argument("--q", type=_positive, required=True)
-    p.add_argument("--algo", default="grasap", choices=list(qr.TREE_ALGOS))
-    p.add_argument("--bs", type=_positive)
+    p = add("qr-bounds", cmd_bounds, help="per-tree ALAP/Rooftop bounds")
+    tree(p, "grasap")
     p.add_argument("--procs", type=_procs, default="1..14")
 
     p = add("sched", cmd_sched, check=True, help="bounded-processor list scheduling")
-    p.add_argument("--algo", default="cholesky",
-                   choices=["cholesky"] + list(qr.TREE_ALGOS))
+    tree(p, "cholesky", ["cholesky"], 5)
     p.add_argument("--t", type=_positive, default=5, help="tiles per side (cholesky)")
-    p.add_argument("--p", type=_positive, default=5)
-    p.add_argument("--q", type=_positive, default=5)
-    p.add_argument("--bs", type=_positive)
     p.add_argument("--procs", type=_procs, default="1..8")
     p.add_argument("--policy", default="max", choices=["max", "min", "random"])
     p.add_argument("--seed", type=int, default=0)
@@ -389,32 +380,30 @@ def main(argv=None):
     p.add_argument("--procs", type=_positive, help="optional capacity extension")
 
     p = add("ip-check", cmd_ip_check, help="check an assignment against the model")
-    p.add_argument("--p", type=_positive, required=True)
-    p.add_argument("--q", type=_positive, required=True)
+    tree(p, "grasap")
     p.add_argument("--T", type=_positive, help="horizon in half-weight units")
-    p.add_argument("--algo", default="grasap", choices=list(qr.TREE_ALGOS))
-    p.add_argument("--bs", type=_positive, help="plasmatree domain size")
     p.add_argument("--procs", type=_positive, help="optional capacity extension")
     p.add_argument("--assignment", help="file of 'name value' lines")
 
     try:
         args = ap.parse_args(argv)
+        error = sub.choices[args.cmd].error   # prints the subcommand's usage
         if "bs" in args and args.algo == "plasmatree":
             if args.bs is None:
-                ap.error("--algo plasmatree needs --bs")
+                error("--algo plasmatree needs --bs")
             if args.bs > args.p:
-                ap.error("--bs must not exceed --p")
+                error("--bs must not exceed --p")
         elif "bs" in args and args.bs is not None:
-            ap.error(f"--bs applies to --algo plasmatree only, not {args.algo}")
+            error(f"--bs applies to --algo plasmatree only, not {args.algo}")
         if "i" in args and args.i is not None:
             if args.algo != "grasap":
-                ap.error(f"--i applies to --algo grasap only, not {args.algo}")
+                error(f"--i applies to --algo grasap only, not {args.algo}")
             if args.i > args.q:
-                ap.error("--i must not exceed --q")
+                error("--i must not exceed --q")
         if "family" in args and args.family == "TS" and args.algo in ("asap", "grasap"):
-            ap.error(f"--algo {args.algo} is defined over TT kernels")
+            error(f"--algo {args.algo} is defined over TT kernels")
         if args.cmd == "strassen-count" and 2 ** args.r > args.p:
-            ap.error("--r must not exceed log2(--p)")
+            error("--r must not exceed log2(--p)")
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:

@@ -452,17 +452,22 @@ def check_feasible(model: IPModel, assignment: dict):
 
 def parse_assignment(text) -> dict:
     """Parse 'name value' lines (integer values; blank and # lines are
-    skipped).  A malformed line raises ValueError naming its number."""
-    assign = {}
+    skipped).  A malformed line, or a name given twice, raises ValueError
+    naming the line numbers."""
+    assign, seen = {}, {}
     for no, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         try:
             name, value = line.split()
-            assign[name] = int(value)
+            value = int(value)
         except ValueError:
             raise ValueError(f"assignment line {no} is not 'name integer': {line!r}") from None
+        if name in seen:
+            raise ValueError(f"assignment name {name!r} is given on lines {seen[name]} and {no}")
+        seen[name] = no
+        assign[name] = value
     return assign
 
 

@@ -29,7 +29,6 @@ from .taskgraph import (
 
 TREE_ALGOS = ("flattree", "fibonacci", "greedy", "binarytree", "plasmatree",
               "asap", "grasap")
-FLAT_TREE_NAMES = ("sameh-kuck", "samehkuck", "flattree")
 
 
 class ElimEntry(NamedTuple):
@@ -281,10 +280,8 @@ def coarse_schedule(p, q, algo):
     classical schemes."""
     if not (p >= q >= 1):
         raise ValueError("need p >= q >= 1")
-    algo = algo.lower()
-    if algo in FLAT_TREE_NAMES:
+    if algo == "sameh-kuck":
         steps, entries = _coarse_sameh_kuck(p, q)
-        algo = "sameh-kuck"
     elif algo == "fibonacci":
         steps, entries = _coarse_fibonacci(p, q)
     elif algo == "greedy":
@@ -308,8 +305,7 @@ def coarse_cp_oracle(p, q, algo):
     the constructed table)."""
     if not (p >= q >= 1):
         raise ValueError("need p >= q >= 1")
-    algo = algo.lower()
-    if algo in FLAT_TREE_NAMES:
+    if algo == "sameh-kuck":
         return sk_coarse_closed_form(p, q)
     if algo == "fibonacci":
         x = fibonacci_x(p)
@@ -406,7 +402,7 @@ class QrBuild:
     triangle in tile (i,k).  One time per row is exact: those tiles all
     start at 0, and each update bundle writes one time to all of columns
     k+1..q of its rows, so they always share a finish; every data tile
-    read later lies among them.  TraceTimer over the replayed trace (tiles
+    read later lies among them.  asap_times over the replayed trace (tiles
     from KERNEL_TILES) reproduces these times.
     """
 
@@ -675,14 +671,13 @@ def grasap_build(p, q, i=1, weights=None, keep_trace=True) -> QrBuild:
 def build_tree(p, q, algo, family="TT", bs=None, grasap_i=1, weights=None,
                keep_trace=True) -> QrBuild:
     """One-stop construction of any of the studied elimination trees."""
-    algo = algo.lower()
     if algo in ("asap", "grasap"):
         if family != "TT":
             name = "Asap" if algo == "asap" else "GrASAP"
             raise ValueError(f"{name} is defined over TT kernels")
         return grasap_build(p, q, q if algo == "asap" else grasap_i, weights, keep_trace)
-    if algo in FLAT_TREE_NAMES + ("fibonacci", "greedy"):
-        elim = coarse_schedule(p, q, algo)[1]
+    if algo in ("flattree", "fibonacci", "greedy"):
+        elim = coarse_schedule(p, q, "sameh-kuck" if algo == "flattree" else algo)[1]
     elif algo == "binarytree":
         elim = binary_tree_list(p, q)
     elif algo == "plasmatree":

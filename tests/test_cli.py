@@ -255,10 +255,12 @@ def test_ip_check_assignment_file(tmp_path, capsys):
 
 @pytest.mark.parametrize("extra", ["total_time 1000000", "x_9_9 5", "zhat_2_1_1 2"])
 def test_ip_check_out_of_domain_entry_exit_1(tmp_path, capsys, extra):
-    path = _assignment_file(tmp_path, extra + "\n")
+    name = extra.split()[0]
+    path = _assignment_file(tmp_path)
+    kept = [line for line in path.read_text().splitlines() if line.split()[0] != name]
+    path.write_text("\n".join(kept + [extra]) + "\n")   # the file names each variable once
     rc, out = run(capsys, "ip-check", "--p", "3", "--q", "2", "--T", "32",
                   "--assignment", str(path))
-    name = extra.split()[0]
     assert rc == 1 and out.splitlines()[:2] == ["infeasible", f"  violated [domain] {name}"]
 
 
@@ -350,6 +352,8 @@ def test_flag_below_range_exit_2(capsys, argv, needle):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and needle in captured.err
+    if argv[0] == "strassen-count":
+        assert captured.err.startswith("usage: tiledag strassen-count ")
 
 
 def test_missing_assignment_file_exit_2(tmp_path, capsys):
@@ -386,10 +390,22 @@ def test_malformed_assignment_file_exit_1(tmp_path, capsys, text, line):
     assert f"line {text.count(chr(10))}" in err and repr(line) in err
 
 
+def test_repeated_assignment_name_exit_1(tmp_path, capsys):
+    path = _assignment_file(tmp_path, "x_1_1 1\n")
+    lines = path.read_text().splitlines()
+    first = lines.index("x_1_1 7") + 1
+    assert main(["ip-check", "--p", "3", "--q", "2", "--assignment", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+    assert len(captured.err.strip().splitlines()) == 1
+    assert f"'x_1_1' is given on lines {first} and {len(lines)}" in captured.err
+
+
 @pytest.mark.parametrize("cmd", ["qr-tiled", "qr-bounds", "sched", "ip-check"])
 def test_plasmatree_needs_bs_exit_2(capsys, cmd):
     assert main([cmd, "--algo", "plasmatree", "--p", "6", "--q", "3"]) == 2
-    assert "--bs" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: tiledag {cmd} ") and "--bs" in err
     assert main([cmd, "--algo", "plasmatree", "--p", "6", "--q", "3", "--bs", "2"]) == 0
 
 
@@ -417,6 +433,7 @@ def test_bad_tree_flags_exit_2(capsys, argv, needle):
     assert main([argv[0], "--p", "4", "--q", "3", *argv[1:]]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and needle in captured.err
+    assert captured.err.startswith(f"usage: tiledag {argv[0]} ")
     assert main(["qr-tiled", "--p", "4", "--q", "3", "--algo", "grasap", "--i", "3"]) == 0
     assert main(["qr-tiled", "--p", "4", "--q", "3", "--algo", "plasmatree", "--bs", "4"]) == 0
 

@@ -3,8 +3,8 @@ import random
 import pytest
 
 from tiledag import (
-    ColumnIter, ElimEntry, EliminationList, coarse_cp_oracle, coarse_schedule,
-    column_asap_free, eager_coarse, fibonacci_x, is_iterate, optiter,
+    ColumnIter, ElimEntry, EliminationList, build_tree, coarse_cp_oracle,
+    coarse_schedule, column_asap_free, eager_coarse, fibonacci_x, is_iterate, optiter,
     tiled_build,
 )
 
@@ -58,6 +58,13 @@ def test_oracles():
         coarse_schedule(3, 4, "greedy")
     with pytest.raises(ValueError):
         coarse_cp_oracle(4, 4, "nope")
+    # one name per tree: FlatTree is "flattree" to build_tree and
+    # "sameh-kuck" to the coarse functions, in lower case only
+    for call, args in ((build_tree, (4, 3, "Greedy")), (coarse_schedule, (4, 3, "flattree")),
+                       (coarse_schedule, (4, 3, "samehkuck")),
+                       (coarse_cp_oracle, (4, 4, "flattree"))):
+        with pytest.raises(ValueError, match="unknown"):
+            call(*args)
 
 
 def test_greedy_matches_full_rescan():
