@@ -4,12 +4,10 @@ ALAP activity profile, Lost-Area and Rooftop bounds, list schedules under
 three priority policies, synchronized schedules, and the processor count
 needed to reach the critical path."""
 
-import math
-
 from tiledag import (
     WeightModel, alap_profile, alpha_min, annotate_cp, bounds_table,
     build_from_trace, gen_chol_fact, list_schedule, lost_area,
-    lower_bound_factor, sync_chol_schedule,
+    lower_bound_factor, sync_chol_graph,
 )
 
 t = 5
@@ -41,11 +39,12 @@ for p in (1, 2, 4, 6, 8):
 
 print("\nsynchronized schedules vs free list scheduling (p=4):")
 for variant in ("grouped", "relaxed"):
-    print(f"  {variant:8s} {sync_chol_schedule(t, 4, variant).makespan}")
+    sync = list_schedule(*sync_chol_graph(t, variant), 4, "max")
+    print(f"  {variant:8s} {sync.makespan}")
 print(f"  {'list':8s} {list_schedule(graph, wc, 4, 'max').makespan}")
 
 print("\nsmallest processor count whose CP schedule attains 9t-10:")
 for tt in range(3, 9):
     p_opt, alpha = alpha_min(tt)
     print(f"  t={tt}: p_opt={p_opt:3d}  alpha=p/t^2={float(alpha):.3f}  "
-          f"(relaxed-sync cap {math.ceil((tt - 1) ** 2 / 2)})")
+          f"(relaxed sync needs {(tt - 1) ** 2 // 2 + 1})")

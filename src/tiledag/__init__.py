@@ -21,14 +21,13 @@ from .qr import (
     total_weight, verify_weight, zeroed_table_csv,
 )
 from .sched import (
-    BoundsRow, Schedule, alap_bound, alpha_min, bounds_table, check_schedule,
-    gamma_ub, list_schedule, lost_area, lower_bound_factor, rooftop_bound,
-    sync_chol_graph, sync_chol_schedule,
+    BoundsRow, Schedule, alpha_min, bounds_table, check_schedule, gamma_ub,
+    list_schedule, lost_area, lower_bound_factor, sync_chol_graph,
 )
 from .strassen import (
     StrassenParams, gemm_flops, gen_strassen, gen_tiled_gemm, r_min,
-    strassen_counts, strassen_cp, strassen_flops, strassen_task_count,
-    strassen_weight_model, temp_tile_count,
+    strassen_cp, strassen_flops, strassen_task_count, strassen_weight_model,
+    temp_tile_count,
 )
 from .ipmodel import (
     IPModel, check_feasible, complete_assignment, emit_ip, parse_assignment,

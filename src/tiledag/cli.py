@@ -317,11 +317,11 @@ def main(argv=None):
                            help="re-derive golden values; exit 1 on mismatch")
         return p
 
-    def tree(p, algo, choices=(), size=None):
+    def tree(p, algo, choices=(), required=True):
         """--p, --q, --algo and --bs of a subcommand that builds a QR tree;
-        --p and --q are required unless given a default size."""
+        unset --p and --q are None when not required."""
         for flag in ("--p", "--q"):
-            p.add_argument(flag, type=_positive, default=size, required=size is None)
+            p.add_argument(flag, type=_positive, required=required)
         p.add_argument("--algo", default=algo, choices=[*choices, *qr.TREE_ALGOS])
         p.add_argument("--bs", type=_positive, help="plasmatree domain size")
 
@@ -356,8 +356,8 @@ def main(argv=None):
     p.add_argument("--procs", type=_procs, default="1..14")
 
     p = add("sched", cmd_sched, check=True, help="bounded-processor list scheduling")
-    tree(p, "cholesky", ["cholesky"], 5)
-    p.add_argument("--t", type=_positive, default=5, help="tiles per side (cholesky)")
+    tree(p, "cholesky", ["cholesky"], required=False)
+    p.add_argument("--t", type=_positive, help="tiles per side (cholesky)")
     p.add_argument("--procs", type=_procs, default="1..8")
     p.add_argument("--policy", default="max", choices=["max", "min", "random"])
     p.add_argument("--seed", type=int, default=0)
@@ -380,7 +380,7 @@ def main(argv=None):
     p.add_argument("--procs", type=_positive, help="optional capacity extension")
 
     p = add("ip-check", cmd_ip_check, help="check an assignment against the model")
-    tree(p, "grasap")
+    tree(p, None)   # grasap, unless an --assignment file fixes the schedule
     p.add_argument("--T", type=_positive, help="horizon in half-weight units")
     p.add_argument("--procs", type=_positive, help="optional capacity extension")
     p.add_argument("--assignment", help="file of 'name value' lines")
@@ -388,6 +388,16 @@ def main(argv=None):
     try:
         args = ap.parse_args(argv)
         error = sub.choices[args.cmd].error   # prints the subcommand's usage
+        if args.cmd == "sched":   # one family's sizes; each unset one is 5
+            own = ("t",) if args.algo == "cholesky" else ("p", "q")
+            for name in ("t", "p", "q"):
+                if name not in own and getattr(args, name) is not None:
+                    error(f"--{name} does not apply to --algo {args.algo}")
+            args.t, args.p, args.q = (n or 5 for n in (args.t, args.p, args.q))
+        if args.cmd == "ip-check":
+            if args.assignment and (args.algo or args.bs):
+                error("--assignment fixes the schedule; drop --algo and --bs")
+            args.algo = args.algo or "grasap"
         if "bs" in args and args.algo == "plasmatree":
             if args.bs is None:
                 error("--algo plasmatree needs --bs")

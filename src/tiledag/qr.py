@@ -31,6 +31,12 @@ TREE_ALGOS = ("flattree", "fibonacci", "greedy", "binarytree", "plasmatree",
               "asap", "grasap")
 
 
+def _check_shape(p, q):
+    """The shape rule of the QR layer: a tall or square p x q tile grid."""
+    if not (p >= q >= 1):
+        raise ValueError("need p >= q >= 1")
+
+
 class ElimEntry(NamedTuple):
     """elim(i, piv, k): zero tile (i,k) by combining rows i and piv."""
 
@@ -63,9 +69,10 @@ class EliminationList:
     def validate(self):
         """Raise ValueError citing the violated validity condition."""
         p, q = self.p, self.q
+        _check_shape(p, q)
         zeroed = [0] * (p + 1)   # row r is zeroed in columns 1..zeroed[r]
         for n, e in enumerate(self.entries):
-            if not (1 <= e.k <= min(p, q)) or not (e.k < e.i <= p):
+            if not (1 <= e.k <= q) or not (e.k < e.i <= p):
                 raise ValueError(f"entry {n}: elim({e.i},{e.piv},{e.k}) out of range")
             if e.i == e.piv:
                 raise ValueError(f"entry {n}: a row cannot annihilate itself")
@@ -83,7 +90,7 @@ class EliminationList:
             if zeroed[e.i] >= e.k:
                 raise ValueError(f"entry {n}: tile ({e.i},{e.k}) zeroed twice")
             zeroed[e.i] = e.k
-        want = sum(p - k for k in range(1, min(p, q) + 1))
+        want = sum(p - k for k in range(1, q + 1))
         if len(self) != want:
             raise ValueError(f"elimination list incomplete: {len(self)}/{want} tiles zeroed")
         return True
@@ -278,8 +285,7 @@ def _coarse_greedy(p, q):
 def coarse_schedule(p, q, algo):
     """Coarse time-step table plus elimination list for one of the three
     classical schemes."""
-    if not (p >= q >= 1):
-        raise ValueError("need p >= q >= 1")
+    _check_shape(p, q)
     if algo == "sameh-kuck":
         steps, entries = _coarse_sameh_kuck(p, q)
     elif algo == "fibonacci":
@@ -303,8 +309,7 @@ def eager_coarse(elim: EliminationList) -> CoarseTable:
 def coarse_cp_oracle(p, q, algo):
     """Closed-form coarse critical paths (Greedy has none and is read off
     the constructed table)."""
-    if not (p >= q >= 1):
-        raise ValueError("need p >= q >= 1")
+    _check_shape(p, q)
     if algo == "sameh-kuck":
         return sk_coarse_closed_form(p, q)
     if algo == "fibonacci":
@@ -324,11 +329,12 @@ def plasmatree_list(p, q, bs):
     """PLASMA's parameterized tree: flat trees inside domains of bs
     consecutive rows (the bottom domain shrinks as columns advance), domain
     heads merged by a binary tree.  bs=1 is BinaryTree, bs=p is FlatTree."""
+    _check_shape(p, q)
     if not (1 <= bs <= p):
         raise ValueError("domain size must satisfy 1 <= BS <= p")
     entries = []
     last = [0] * (p + 1)   # with_steps(): the coarse step each row was last used
-    for k in range(1, min(p, q) + 1):
+    for k in range(1, q + 1):
         pairs = []   # (i, piv) in tree order
         rows = list(range(k, p + 1))
         heads = []
@@ -407,8 +413,7 @@ class QrBuild:
     """
 
     def __init__(self, p, q, family="TT", weights=None, keep_trace=True):
-        if not (p >= q >= 1):
-            raise ValueError("need p >= q >= 1")
+        _check_shape(p, q)
         if family not in ("TT", "TS"):
             raise ValueError("kernel family must be 'TT' or 'TS'")
         self.p = p
@@ -698,8 +703,7 @@ def zeroed_table_csv(build: QrBuild):
 
 def total_weight(p, q):
     """Invariant total task weight of any tiled QR of a p x q matrix."""
-    if not (p >= q >= 1):
-        raise ValueError("need p >= q >= 1")
+    _check_shape(p, q)
     return 6 * p * q * q - 2 * q ** 3
 
 
@@ -714,8 +718,7 @@ def elim_weight(q, k):
 
 
 def flattree_cp_oracle(p, q):
-    if not (p >= q >= 1):
-        raise ValueError("need p >= q >= 1")
+    _check_shape(p, q)
     if q == 1:
         return 2 * p + 2
     if p == q:
@@ -741,8 +744,7 @@ def flattree_cp_composed(p, q):
 
 def fibonacci_cp_bounds(p, q):
     """(low, high) with the simulated Fibonacci cp strictly inside."""
-    if not (p >= q >= 1):
-        raise ValueError("need p >= q >= 1")
+    _check_shape(p, q)
     low = 22 * q - 30
     high = 22 * q + 6 * ceil((2 * p) ** 0.5)
     return low, high

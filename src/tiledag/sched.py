@@ -1,7 +1,7 @@
 """Bounded-processor scheduling and performance bounds.
 
 List scheduling with Backflow priorities (max/min/seeded-random policies),
-barrier-synchronized Cholesky schedules, the ALAP-derived Lost-Area bound
+barrier-synchronized Cholesky graphs, the ALAP-derived Lost-Area bound
 and the Rooftop bound, the (2-1/p) list-scheduling guarantee, and the
 search for the smallest processor count that still attains the critical
 path.
@@ -184,24 +184,17 @@ def list_schedule(graph: TaskGraph, weights: WeightModel, p: int,
     return Schedule(dict(zip(ids, placed)), makespan, p)
 
 
-def sync_chol_schedule(t: int, p: int, variant: str = "relaxed") -> Schedule:
-    """Right-looking Cholesky with barrier-synchronized phases.
-
-    grouped: barriers after the POTRF, TRSM, GEMM and SYRK phases of every
-    column; relaxed: GEMMs and SYRKs form one phase and the next POTRF may
-    run inside it (no barrier between the update and the factorization it
-    enables).  With p >= ceil((t-1)^2/2), relaxed attains makespan 9t-10.
-    """
-    if t < 2:
-        raise ValueError("need t >= 2")
-    graph, weights = sync_chol_graph(t, variant)
-    return list_schedule(graph, weights, p, MAX_CP)
-
-
 def sync_chol_graph(t: int, variant: str = "relaxed"):
-    """The right-looking Cholesky trace in phases: by column (a kernel's last
-    index), then POTRF, TRSM, and GEMM then SYRK (grouped) or all updates in
-    trace order (relaxed).  A barrier closes each phase but a relaxed update."""
+    """The right-looking Cholesky trace in phases, with its weight model:
+    by column (a kernel's last index), then POTRF, TRSM, and GEMM then SYRK
+    (grouped) or all updates in trace order (relaxed).  A barrier closes
+    each phase but a relaxed update, so the next POTRF may run inside it.
+
+    The max-priority list schedule of the relaxed graph attains the
+    critical path 9t-10 on p >= floor((t-1)^2/2) + 1 processors and on no
+    fewer: ceil((t-1)^2/2) packs the first update phase, and the POTRF that
+    it enables takes the slot the ceiling rounds up for even t and one more
+    processor for odd t (checked for 2 <= t <= 10)."""
     if variant not in ("grouped", "relaxed"):
         raise ValueError(f"unknown variant {variant!r}")
     rank = {POTRF: 0, TRSM: 1, GEMM: 2, SYRK: 3 if variant == "grouped" else 2}
@@ -284,16 +277,6 @@ def bounds_table(graph: TaskGraph, weights: WeightModel, procs) -> list:
         s = Fraction(t_seq) / t_alap if t_seq else Fraction(1)
         rows.append(BoundsRow(p, la, t_alap, t_roof, s, s / p))
     return rows
-
-
-def alap_bound(graph: TaskGraph, weights: WeightModel, p: int) -> Fraction:
-    """ALAP-derived performance bound max(cp, (T_seq + LA_p)/p)."""
-    return bounds_table(graph, weights, [p])[0].t_alap
-
-
-def rooftop_bound(graph: TaskGraph, weights: WeightModel, p: int) -> Fraction:
-    """Perfect speedup until the critical path: max(cp, T_seq/p)."""
-    return bounds_table(graph, weights, [p])[0].t_roof
 
 
 def alpha_min(t: int):

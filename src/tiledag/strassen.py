@@ -191,18 +191,10 @@ def temp_tile_count(p, r):
     return 18 * h * h + 7 * temp_tile_count(h, r - 1)
 
 
-def strassen_counts(params: StrassenParams):
-    """(tasks, flops, r_min, temp_tiles) for the parameter set."""
-    return (strassen_task_count(params.p, params.r),
-            strassen_flops(params),
-            r_min(params.p) if params.p >= 2 else 0,
-            temp_tile_count(params.p, params.r))
-
-
 def strassen_weight_model(n_b=200) -> WeightModel:
     """Durations proportional to flops, normalized so the cheapest task
     (the tile add) weighs 1: GEMM = 2 n_b - 1, GEADD = 1."""
-    return WeightModel.custom({GEMM: 2 * n_b - 1, GEADD: 1})
+    return WeightModel({GEMM: 2 * n_b - 1, GEADD: 1})
 
 
 def counters_csv(rows):

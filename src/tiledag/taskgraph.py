@@ -97,58 +97,40 @@ class WeightModel:
         POTRF: 1, TRSM: 3, SYRK: 3, GEMM: 6,
         # inversion kernels, same n_b^3/3 unit (TRTRI ~ nb^3/3, TRMM ~ nb^3)
         TRTRI: 1, TRMM: 3, LAUUM: 1,
-        COPY: 0, BARRIER: 0,
+        COPY: 0,
     }
-    QR = {
-        GEQRT: 4, TTQRT: 2, UNMQR: 6, TTMQR: 6, TSQRT: 6, TSMQR: 12,
-        BARRIER: 0,
-    }
+    QR = {GEQRT: 4, TTQRT: 2, UNMQR: 6, TTMQR: 6, TSQRT: 6, TSMQR: 12}
 
-    def __init__(self, mode="unit", table=None):
-        if table is not None and mode != "custom":
-            raise ValueError(f"a weight table needs mode 'custom', not {mode!r}")
-        if mode == "unit":
-            table = {k: 1 for k in ALL_KINDS}
-            table[BARRIER] = 0
-            table[COPY] = 0
-        elif mode == "cholesky":
-            table = dict(self.CHOLESKY)
-        elif mode == "qr-tt":
-            table = dict(self.QR)
-        elif mode == "custom":
-            table = dict(table or {})
-        else:
-            raise ValueError(f"unknown weight mode {mode!r}")
+    def __init__(self, table, name="custom"):
+        """A model over a copy of `table` (kind -> nonnegative int weight);
+        `name` labels it in the KeyError of a kind it has no weight for."""
+        table = dict(table)
         for kind, w in table.items():
             if kind not in ALL_KINDS:
                 raise ValueError(f"unknown kernel kind {kind!r}")
-            if not isinstance(w, int) or w < 0:
+            if isinstance(w, bool) or not isinstance(w, int) or w < 0:
                 raise ValueError(f"weight of {kind} must be a nonnegative integer")
         table[BARRIER] = 0
-        self.mode = mode
+        self.name = name
         self.table = MappingProxyType(table)
 
     @classmethod
     def unit(cls):
-        return cls("unit")
+        return cls({k: 0 if k == COPY else 1 for k in ALL_KINDS}, "unit")
 
     @classmethod
     def cholesky(cls):
-        return cls("cholesky")
+        return cls(cls.CHOLESKY, "cholesky")
 
     @classmethod
     def qr_tt(cls):
-        return cls("qr-tt")
-
-    @classmethod
-    def custom(cls, table):
-        return cls("custom", table)
+        return cls(cls.QR, "qr-tt")
 
     def __getitem__(self, kind):
         try:
             return self.table[kind]
         except KeyError:
-            raise KeyError(f"weight model {self.mode!r} has no weight for {kind}") from None
+            raise KeyError(f"weight model {self.name!r} has no weight for {kind}") from None
 
     def of(self, task):
         return self[task.kind]

@@ -14,8 +14,8 @@ from fractions import Fraction
 import pytest
 
 from tiledag import (
-    CholInvConfig, ColumnIter, WeightModel, alap_bound, alap_profile,
-    annotate_cp, asap_times, build_from_trace, build_tree, check_feasible,
+    CholInvConfig, ColumnIter, WeightModel, alap_profile, annotate_cp,
+    asap_times, bounds_table, build_from_trace, build_tree, check_feasible,
     check_schedule, coarse_schedule, complete_assignment, eager_coarse,
     emit_ip, gen_chol_fact, gen_chol_inversion, gen_strassen,
     gen_tiled_gemm, inversion_steps, list_schedule, lost_area, optiter,
@@ -293,8 +293,8 @@ def test_criterion_11_table_5_1():
     # reference 176/116 and our 178/118 are both reachable list schedules
     assert (ft[2], ft[4]) == (178, 118)
     gg = build_from_trace(build_tree(5, 5, "grasap").trace)
-    for p in range(1, 15):
-        assert math.ceil(alap_bound(gg, WQ, p)) == T51["alap"][p - 1], p
+    for row in bounds_table(gg, WQ, range(1, 15)):
+        assert math.ceil(row.t_alap) == T51["alap"][row.p - 1], row.p
     report(11, "Table 5.1: GrASAP, Greedy and ALAP-bound columns exact; "
                "FlatTree exact outside the two tie-order cells (p=3,5); "
                "Fibonacci exact for p<=13 (the p=14 reference cell contradicts "
@@ -321,7 +321,7 @@ def test_criterion_12_counterexample():
     gf = build_from_trace(build_tree(34, 4, "fibonacci").trace)
     ms = list_schedule(gf, WQ, 10, "max").makespan
     gg = build_from_trace(build_tree(34, 4, "grasap").trace)
-    bound = alap_bound(gg, WQ, 10)
+    bound = bounds_table(gg, WQ, [10])[0].t_alap
     assert ms == 320 and bound == 324
     assert ms < bound
     report(12, "34x4 on 10 processors: the Fibonacci CP schedule (320) beats "
@@ -349,7 +349,7 @@ def test_criterion_13_cp_not_optimal_toy():
 
     class Toy(WeightModel):
         def __init__(self):
-            self.mode = "toy"
+            self.name = "toy"
             self.table = {}
 
         def of(self, task):
@@ -422,7 +422,7 @@ def test_criterion_15_property_suite():
     # bound monotonicity and convergence to the critical path
     for graph, wm in ((g, WC), (build_from_trace(build_tree(10, 4, "greedy").trace), WQ)):
         ann = annotate_cp(graph, wm)
-        vals = [alap_bound(graph, wm, p) for p in range(1, 50)]
+        vals = [r.t_alap for r in bounds_table(graph, wm, range(1, 50))]
         assert all(a >= b for a, b in zip(vals, vals[1:]))
         assert vals[-1] == ann.cp_length
     # IP feasibility of every simulator schedule on p,q <= 5

@@ -253,6 +253,17 @@ def test_ip_check_assignment_file(tmp_path, capsys):
     assert rc == 0 and out.startswith("feasible")
 
 
+@pytest.mark.parametrize("flags", [["--algo", "greedy"], ["--algo", "grasap"], ["--bs", "2"],
+                                   ["--algo", "plasmatree", "--bs", "2"]])
+def test_ip_check_assignment_refuses_tree_flags_exit_2(tmp_path, capsys, flags):
+    path = str(_assignment_file(tmp_path))
+    assert main(["ip-check", "--p", "3", "--q", "2", "--assignment", path, *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("usage: tiledag ip-check ")
+    assert captured.err.splitlines()[-1].endswith(
+        "error: --assignment fixes the schedule; drop --algo and --bs")
+
+
 @pytest.mark.parametrize("extra", ["total_time 1000000", "x_9_9 5", "zhat_2_1_1 2"])
 def test_ip_check_out_of_domain_entry_exit_1(tmp_path, capsys, extra):
     name = extra.split()[0]
@@ -428,6 +439,10 @@ def test_plasmatree_needs_bs_exit_2(capsys, cmd):
     (["qr-tiled", "--algo", "greedy", "--i", "2"], "--i"),
     (["qr-tiled", "--algo", "asap", "--i", "1"], "--i"),
     (["qr-tiled", "--algo", "plasmatree", "--bs", "2", "--i", "2"], "--i"),
+    (["sched", "--algo", "cholesky", "--t", "4"], "--p does not apply to --algo cholesky"),
+    (["sched", "--t", "4"], "--p does not apply to --algo cholesky"),
+    (["sched", "--algo", "greedy", "--t", "9"], "--t does not apply to --algo greedy"),
+    (["sched", "--algo", "plasmatree", "--bs", "2", "--t", "9"], "--t does not apply"),
 ])
 def test_bad_tree_flags_exit_2(capsys, argv, needle):
     assert main([argv[0], "--p", "4", "--q", "3", *argv[1:]]) == 2

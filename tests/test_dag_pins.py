@@ -10,10 +10,9 @@ import random
 import pytest
 
 from tiledag import (
-    CholInvConfig, StrassenParams, Task, TaskGraph, WeightModel, alap_bound,
-    alap_profile, annotate_cp, bounds_table, build_from_trace, build_tree,
-    gen_chol_fact, gen_chol_inversion, gen_strassen, list_schedule, lost_area,
-    rooftop_bound, sync_chol_graph,
+    CholInvConfig, StrassenParams, Task, TaskGraph, WeightModel, alap_profile,
+    annotate_cp, bounds_table, build_from_trace, build_tree, gen_chol_fact,
+    gen_chol_inversion, gen_strassen, list_schedule, lost_area, sync_chol_graph,
 )
 
 PROCS = (1, 2, 3, 8, 1000)
@@ -92,10 +91,10 @@ def _digest(family):
             ann.critical_ids())
         prof = alap_profile(graph, weights)
         put(prof.steps, prof.makespan, prof.t_seq)
-        put(bounds_table(graph, weights, PROCS))
-        for p in PROCS:
-            put(p, lost_area(prof, p), alap_bound(graph, weights, p),
-                rooftop_bound(graph, weights, p))
+        rows = bounds_table(graph, weights, PROCS)
+        put(rows)
+        for p, row in zip(PROCS, rows):
+            put(p, lost_area(prof, p), row.t_alap, row.t_roof)
             for policy, seed in RUNS:
                 s = list_schedule(graph, weights, p, policy, seed=seed)
                 put(policy, seed, sorted(s.assignment.items()), s.makespan,

@@ -1,4 +1,5 @@
-"""Each demo runs to completion against the public API."""
+"""Each demo and the README library tour run to completion against the
+public API."""
 
 import os
 import subprocess
@@ -19,3 +20,11 @@ def test_demo_runs(demo):
     done = subprocess.run([sys.executable, str(demo)], env=env, capture_output=True,
                           text=True, timeout=300)
     assert done.returncode == 0, done.stderr
+
+
+def test_readme_tour_runs():
+    text = (ROOT / "README.md").read_text()
+    block = text.split("## Library tour\n\n```python\n", 1)[1].split("```", 1)[0]
+    tour = {}
+    exec(compile(block, "README.md", "exec"), tour)
+    assert tour["check_feasible"](tour["model"], tour["assign"]) == (True, [])

@@ -20,13 +20,13 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from tiledag import (  # noqa: E402
     BARRIER, COPY, GEMM, POTRF, SYRK, TRSM, ElimEntry, EliminationList, Task,
-    TaskGraph, TileRef, WeightModel, alap_bound, annotate_cp, asap_times,
-    build_from_trace, check_schedule, list_schedule, rooftop_bound,
+    TaskGraph, TileRef, WeightModel, annotate_cp, asap_times, bounds_table,
+    build_from_trace, check_schedule, list_schedule,
 )
 from tiledag.taskgraph import EXPLICIT  # noqa: E402
 from test_qr_coarse import interleaved_list  # noqa: E402
 
-WM = WeightModel.custom({GEMM: 6, SYRK: 3, TRSM: 2, POTRF: 1, COPY: 0})
+WM = WeightModel({GEMM: 6, SYRK: 3, TRSM: 2, POTRF: 1, COPY: 0})
 TILES = st.sampled_from([TileRef("A", i, 0) for i in range(4)])
 STEPS = st.lists(st.tuples(st.sampled_from([GEMM, SYRK, TRSM, POTRF, COPY, BARRIER]),
                            st.lists(TILES, max_size=3), st.lists(TILES, max_size=2)),
@@ -61,9 +61,10 @@ def test_timer_matches_hazard_dag(steps):
 def test_schedules_valid_and_bounded(steps, p, seed):
     graph = build_from_trace(_trace(steps))
     assert graph.weight_list(WM) == [WM.of(t) for t in graph.tasks]
-    bound = alap_bound(graph, WM, p)
-    assert bound >= rooftop_bound(graph, WM, p)
-    equal = WeightModel.custom(WM.table)   # another model object: the cache must not mix them
+    (row,) = bounds_table(graph, WM, [p])
+    bound = row.t_alap
+    assert bound >= row.t_roof
+    equal = WeightModel(WM.table)   # another model object: the cache must not mix them
     for policy in ("max", "min", "random"):
         s = list_schedule(graph, WM, p, policy, seed=seed)
         check_schedule(graph, WM, s)

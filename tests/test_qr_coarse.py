@@ -3,9 +3,10 @@ import random
 import pytest
 
 from tiledag import (
-    ColumnIter, ElimEntry, EliminationList, build_tree, coarse_cp_oracle,
-    coarse_schedule, column_asap_free, eager_coarse, fibonacci_x, is_iterate, optiter,
-    tiled_build,
+    ColumnIter, ElimEntry, EliminationList, QrBuild, binary_tree_list, build_tree,
+    coarse_cp_oracle, coarse_schedule, column_asap_free, eager_coarse,
+    fibonacci_cp_bounds, fibonacci_x, flattree_cp_oracle, is_iterate, optiter,
+    plasmatree_list, tiled_build, total_weight,
 )
 
 # Reference coarse time-step tables for a 15 x 6 matrix, rows 2..15.
@@ -65,6 +66,20 @@ def test_oracles():
                        (coarse_cp_oracle, (4, 4, "flattree"))):
         with pytest.raises(ValueError, match="unknown"):
             call(*args)
+
+
+@pytest.mark.parametrize("p,q", [(3, 5), (2, 4), (3, 0)])
+def test_one_shape_rule(p, q):
+    # every QR entry point refuses a wide grid, the tree lists and the
+    # validity check included
+    calls = [lambda: coarse_schedule(p, q, "greedy"), lambda: coarse_cp_oracle(p, q, "greedy"),
+             lambda: plasmatree_list(p, q, 1), lambda: binary_tree_list(p, q),
+             lambda: QrBuild(p, q), lambda: total_weight(p, q),
+             lambda: flattree_cp_oracle(p, q), lambda: fibonacci_cp_bounds(p, q),
+             lambda: EliminationList(p, q, binary_tree_list(p, p).entries).validate()]
+    for call in calls:
+        with pytest.raises(ValueError, match=r"need p >= q >= 1"):
+            call()
 
 
 def test_greedy_matches_full_rescan():

@@ -23,9 +23,9 @@ from tiledag import (
     grasap_build, zeroed_table_csv,
 )
 
-SKEWED = WeightModel.custom({GEQRT: 3, UNMQR: 5, TTQRT: 1, TTMQR: 7, TSQRT: 2, TSMQR: 11})
+SKEWED = WeightModel({GEQRT: 3, UNMQR: 5, TTQRT: 1, TTMQR: 7, TSQRT: 2, TSMQR: 11})
 # GEQRT, UNMQR and TSMQR take no time, so finishes tie across rows
-ZERO_FACTOR = WeightModel.custom({GEQRT: 0, UNMQR: 0, TTQRT: 2, TTMQR: 6, TSQRT: 6, TSMQR: 0})
+ZERO_FACTOR = WeightModel({GEQRT: 0, UNMQR: 0, TTQRT: 2, TTMQR: 6, TSQRT: 6, TSMQR: 0})
 
 
 def _trees(p, q):
@@ -97,7 +97,7 @@ def test_large_trace_free_builds_pinned():
 # TTQRT takes no time, so eliminations and their follow-up events cascade
 # within one event time of the Asap process.
 ASAP_ZERO_MODELS = [
-    WeightModel.custom(dict(zip((GEQRT, UNMQR, TTQRT, TTMQR), ws)))
+    WeightModel(dict(zip((GEQRT, UNMQR, TTQRT, TTMQR), ws)))
     for ws in ((0, 0, 0, 0), (4, 6, 0, 6), (0, 6, 0, 0), (1, 0, 0, 1))]
 
 
@@ -122,8 +122,8 @@ def test_asap_same_time_cascades_pinned():
 
 # Models that hold only the kernels a TS build runs: a FlatTree TS build
 # runs no TTQRT or TTMQR, and a single column runs no update at all.
-TS_ONLY = WeightModel.custom({GEQRT: 3, UNMQR: 5, TSQRT: 2, TSMQR: 11})
-TS_FACTOR_ONLY = WeightModel.custom({GEQRT: 3, TSQRT: 2})
+TS_ONLY = WeightModel({GEQRT: 3, UNMQR: 5, TSQRT: 2, TSMQR: 11})
+TS_FACTOR_ONLY = WeightModel({GEQRT: 3, TSQRT: 2})
 
 
 def _ts_only_digest(pmax):

@@ -340,11 +340,11 @@ def random_elim_list(p, q, rng):
 
 
 # distinct weights, so that a kernel timed with another's weight shows
-SKEWED = WeightModel.custom({GEQRT: 3, UNMQR: 5, TTQRT: 1, TTMQR: 7, TSQRT: 2, TSMQR: 11})
-TT_ONLY = WeightModel.custom({GEQRT: 4, UNMQR: 6, TTQRT: 2, TTMQR: 6})
+SKEWED = WeightModel({GEQRT: 3, UNMQR: 5, TTQRT: 1, TTMQR: 7, TSQRT: 2, TSMQR: 11})
+TT_ONLY = WeightModel({GEQRT: 4, UNMQR: 6, TTQRT: 2, TTMQR: 6})
 # only the pair kernels and TSQRT take time, so many finishes tie
-ZERO_FACTOR = WeightModel.custom({GEQRT: 0, UNMQR: 0, TTQRT: 2, TTMQR: 6, TSQRT: 6, TSMQR: 0})
-FACTOR_ONLY = WeightModel.custom({GEQRT: 4, TTQRT: 2})
+ZERO_FACTOR = WeightModel({GEQRT: 0, UNMQR: 0, TTQRT: 2, TTMQR: 6, TSQRT: 6, TSMQR: 0})
+FACTOR_ONLY = WeightModel({GEQRT: 4, TTQRT: 2})
 
 
 def _engine_cases():

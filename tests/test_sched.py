@@ -11,10 +11,10 @@ from pathlib import Path
 import pytest
 
 from tiledag import (
-    Schedule, Task, TaskGraph, TileRef, WeightModel, alap_bound, alap_profile, alpha_min,
+    Schedule, Task, TaskGraph, TileRef, WeightModel, alap_profile, alpha_min,
     annotate_cp, bounds_table, build_from_trace, build_tree, check_schedule,
     gamma_ub, gen_chol_fact, list_schedule, lost_area, lower_bound_factor,
-    rooftop_bound, sync_chol_graph, sync_chol_schedule,
+    sync_chol_graph,
 )
 
 WC = WeightModel.cholesky()
@@ -43,7 +43,7 @@ def test_cp_toy_nonoptimal():
 
     class Toy(WeightModel):
         def __init__(self):
-            self.mode = "toy"
+            self.name = "toy"
             self.table = {}
 
         def of(self, task):
@@ -176,7 +176,7 @@ def test_lost_area_singleton():
     g = build_from_trace(trace)
     prof = alap_profile(g, WQ)
     assert lost_area(prof, 3) == 8
-    assert alap_bound(g, WQ, 3) == 4
+    assert bounds_table(g, WQ, [3])[0].t_alap == 4
 
 
 def test_zero_weight_dag_bounds():
@@ -187,40 +187,41 @@ def test_zero_weight_dag_bounds():
     rows = bounds_table(g, wu, [1, 4])
     assert [(r.lost_area, r.t_alap, r.t_roof, r.speedup, r.efficiency) for r in rows] \
         == [(0, 0, 0, 1, 1), (0, 0, 0, 1, Fraction(1, 4))]
-    assert alap_bound(g, wu, 3) == rooftop_bound(g, wu, 3) == 0
     with pytest.raises(ValueError, match="p >= 1"):
-        rooftop_bound(g, wu, 0)
+        bounds_table(g, wu, [0])
 
 
 def test_alap_bound_monotone_and_converges():
     for graph, wm in ((chol_graph(6), WC),
                       (build_from_trace(build_tree(8, 4, "greedy").trace), WQ)):
         ann = annotate_cp(graph, wm)
-        vals = [alap_bound(graph, wm, p) for p in range(1, 40)]
+        rows = bounds_table(graph, wm, range(1, 40))
+        vals = [r.t_alap for r in rows]
         assert all(a >= b for a, b in zip(vals, vals[1:]))
         assert vals[-1] == ann.cp_length
-        for p, v in enumerate(vals, start=1):
-            assert v >= rooftop_bound(graph, wm, p)
+        assert all(r.t_alap >= r.t_roof for r in rows)
 
 
 def test_rooftop_and_lower_bound():
     g = chol_graph(5)
-    assert rooftop_bound(g, WC, 3) == Fraction(125, 3)
-    assert rooftop_bound(g, WC, 3) < alap_bound(g, WC, 3) == Fraction(136, 3)
-    assert rooftop_bound(g, WC, 1) == 125
+    p1, p3, p4 = bounds_table(g, WC, [1, 3, 4])
+    assert p3.t_roof == Fraction(125, 3)
+    assert p3.t_roof < p3.t_alap == Fraction(136, 3)
+    assert p1.t_roof == 125
     assert lower_bound_factor(100, 1) == 100
     assert lower_bound_factor(90, 3) == Fraction(90, Fraction(5, 3)) == 54
     ms = list_schedule(g, WC, 4, "max").makespan
-    assert lower_bound_factor(ms, 4) <= alap_bound(g, WC, 4)
+    assert lower_bound_factor(ms, 4) <= p4.t_alap
 
 
 def test_makespan_vs_bounds():
     g = chol_graph(6)
     ann = annotate_cp(g, WC)
     tseq = sum(WC.of(t) for t in g.tasks)
-    for p in range(1, 12):
+    for row in bounds_table(g, WC, range(1, 12)):
+        p = row.p
         ms = list_schedule(g, WC, p, "max", annotation=ann).makespan
-        assert ms >= rooftop_bound(g, WC, p) >= ann.cp_length
+        assert ms >= row.t_roof >= ann.cp_length
         assert ms >= Fraction(tseq, p)
 
 
@@ -232,25 +233,25 @@ def test_gamma_ub():
 
 
 def test_sync_grouped_serial():
-    s = sync_chol_schedule(5, 1, "grouped")
-    assert s.makespan == 125
+    assert list_schedule(*sync_chol_graph(5, "grouped"), 1, "max").makespan == 125
 
 
 def test_sync_relaxed_attains_cp():
     # ceil((t-1)^2/2) packs the first update phase exactly; the extra POTRF
     # needs one more slot when (t-1)^2 is even, none when the ceiling rounds up
     for t in range(3, 9):
+        graph, wc = sync_chol_graph(t, "relaxed")
         cap = math.ceil((t - 1) ** 2 / 2)
         pmin = cap if t % 2 == 0 else cap + 1
-        assert sync_chol_schedule(t, pmin, "relaxed").makespan == 9 * t - 10
-        if t % 2:
-            assert sync_chol_schedule(t, cap, "relaxed").makespan > 9 * t - 10
+        assert pmin == (t - 1) ** 2 // 2 + 1   # the sync_chol_graph docstring's form
+        assert list_schedule(graph, wc, pmin, "max").makespan == 9 * t - 10
+        assert list_schedule(graph, wc, pmin - 1, "max").makespan > 9 * t - 10
 
 
 def test_sync_ordering():
     for t, p in ((5, 4), (6, 6), (4, 2)):
-        grouped = sync_chol_schedule(t, p, "grouped").makespan
-        relaxed = sync_chol_schedule(t, p, "relaxed").makespan
+        grouped = list_schedule(*sync_chol_graph(t, "grouped"), p, "max").makespan
+        relaxed = list_schedule(*sync_chol_graph(t, "relaxed"), p, "max").makespan
         g = chol_graph(t)
         listed = list_schedule(g, WC, p, "max").makespan
         assert grouped >= relaxed >= listed
@@ -258,7 +259,7 @@ def test_sync_ordering():
     s = list_schedule(g, wm, 8, "max")
     check_schedule(g, wm, s)
     with pytest.raises(ValueError):
-        sync_chol_schedule(5, 2, "loose")
+        sync_chol_graph(5, "loose")
 
 
 def test_alpha_min():

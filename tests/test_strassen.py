@@ -6,9 +6,8 @@ import pytest
 
 from tiledag import (
     GEADD, GEMM, StrassenParams, WeightModel, build_from_trace, gemm_flops,
-    gen_strassen, gen_tiled_gemm, r_min, strassen_counts, strassen_cp,
-    strassen_flops, strassen_task_count, strassen_weight_model,
-    temp_tile_count, trace_cp,
+    gen_strassen, gen_tiled_gemm, r_min, strassen_cp, strassen_flops,
+    strassen_task_count, strassen_weight_model, temp_tile_count, trace_cp,
 )
 
 WU = WeightModel.unit()
@@ -45,6 +44,7 @@ def test_generator_matches_closed_form():
             trace, temps = gen_strassen(StrassenParams(p, r))
             assert len(trace) == strassen_task_count(p, r)
             assert temps == temp_tile_count(p, r)
+    assert temp_tile_count(16, 2) == 18 * 64 + 7 * 18 * 16
     trace, temps = gen_strassen(StrassenParams(64, 3))
     assert len(trace) == 264896
 
@@ -76,8 +76,8 @@ def test_phase_structure():
 
 # (1, 0) and (0, 1) isolate the GEMM chain and the GEADD levels, so a
 # closed form that is exact under both and under (1, 5) has both terms right.
-CP_MODELS = [WU, strassen_weight_model(200), WeightModel.custom({GEMM: 1, GEADD: 5}),
-             WeightModel.custom({GEMM: 1, GEADD: 0}), WeightModel.custom({GEMM: 0, GEADD: 1})]
+CP_MODELS = [WU, strassen_weight_model(200), WeightModel({GEMM: 1, GEADD: 5}),
+             WeightModel({GEMM: 1, GEADD: 0}), WeightModel({GEMM: 0, GEADD: 1})]
 
 
 @pytest.mark.parametrize("p", [1, 2, 4, 8, 16])
@@ -123,13 +123,6 @@ def test_task_count_minimized_at_r_min():
         counts = [strassen_task_count(p, r) for r in levels]
         best = counts.index(min(counts)) + 1
         assert best == min(r_min(p), len(counts))
-
-
-def test_strassen_counts_bundle():
-    tasks, flops, rm, temps = strassen_counts(StrassenParams(16, 2))
-    assert tasks == 5776 and rm == 1
-    assert temps == temp_tile_count(16, 2) == 18 * 64 + 7 * 18 * 16
-    assert flops == strassen_flops(StrassenParams(16, 2))
 
 
 def test_weight_model():

@@ -67,7 +67,7 @@ def test_repeated_write_makes_no_self_loop():
     x = ("A", 0, 0)
     g = build_from_trace([T(0, writes=[x, x]), T(1, writes=[x, x])])
     assert g.edges == [(0, 1, "WAW")]
-    wm = WeightModel.custom({GEMM: 3})
+    wm = WeightModel({GEMM: 3})
     assert annotate_cp(g, wm).cp_length == trace_cp(g.tasks, wm) == 6
 
 
@@ -87,7 +87,7 @@ def test_backflow_toy_priorities():
 
     class PerTask(WeightModel):
         def __init__(self):
-            self.mode = "per-task"
+            self.name = "per-task"
             self.table = {}
 
         def of(self, task):
@@ -115,14 +115,14 @@ def test_duplicate_task_ids_rejected():
 
 
 def test_alap_profile_examples():
-    wm = WeightModel.custom({GEMM: 4})
+    wm = WeightModel({GEMM: 4})
     g = build_from_trace([T(0, writes=[("A", 0, 0)])])
     prof = alap_profile(g, wm)
     assert prof.steps == [(0, 1)] and prof.makespan == 4 and prof.t_seq == 4
     # two independent tasks of weights 2 and 5 both end at t=5 under ALAP
     class PerTask(WeightModel):
         def __init__(self):
-            self.mode = "per-task"
+            self.name = "per-task"
             self.table = {}
 
         def of(self, task):
@@ -162,7 +162,7 @@ def test_weight_model_facts_computed_once_per_model():
 def test_per_task_weights_honoured_through_the_cache():
     class PerTask(WeightModel):
         def __init__(self, weights):
-            self.mode = "per-task"
+            self.name = "per-task"
             self.table = {}
             self.weights = weights
 
@@ -179,7 +179,7 @@ def test_per_task_weights_honoured_through_the_cache():
 
 
 def test_weight_table_read_only():
-    wm = WeightModel.custom({GEMM: 6})
+    wm = WeightModel({GEMM: 6})
     with pytest.raises(TypeError):
         wm.table[GEMM] = 1
     assert wm[GEMM] == 6
@@ -197,7 +197,7 @@ def _random_trace(rng, n=40, tiles=8):
 
 def test_streaming_timer_matches_graph():
     rng = random.Random(7)
-    wm = WeightModel.custom({GEMM: 6, "SYRK": 3, "TRSM": 3})
+    wm = WeightModel({GEMM: 6, "SYRK": 3, "TRSM": 3})
     for _ in range(30):
         trace = _random_trace(rng)
         g = build_from_trace(trace)
@@ -220,7 +220,7 @@ def test_war_removal_never_increases_cp():
 
 def test_unit_cp_lower_bounds_weighted():
     rng = random.Random(11)
-    heavier = WeightModel.custom({GEMM: 6, "SYRK": 3, "TRSM": 2})
+    heavier = WeightModel({GEMM: 6, "SYRK": 3, "TRSM": 2})
     for _ in range(20):
         trace = _random_trace(rng)
         assert trace_cp(trace, WeightModel.unit()) <= trace_cp(trace, heavier)
@@ -264,11 +264,32 @@ def test_transitive_redundant_edges_flagged():
     assert g.transitive_redundant_edges() == [(0, 2, "RAW")]
 
 
+@pytest.mark.parametrize("table,needle", [
+    ({"NOPE": 1}, "unknown kernel kind 'NOPE'"),
+    ({GEMM: -1}, "weight of GEMM"),
+    ({GEMM: 1.0}, "weight of GEMM"),
+    ({GEMM: True}, "weight of GEMM"),
+])
+def test_weight_table_checks(table, needle):
+    with pytest.raises(ValueError, match=needle):
+        WeightModel(table)
+
+
+def test_weight_model_table_and_name():
+    table = {GEMM: 5}
+    wm = WeightModel(table)
+    table[GEMM] = 7   # the model keeps its own copy
+    assert dict(wm.table) == {GEMM: 5, BARRIER: 0}
+    with pytest.raises(KeyError, match="weight model 'custom' has no weight for POTRF"):
+        wm[POTRF]
+    with pytest.raises(KeyError, match="weight model 'qr-tt' has no weight for GEMM"):
+        WeightModel.qr_tt()[GEMM]
+    assert WeightModel({GEMM: 0}, "mine")[GEMM] == 0
+    with pytest.raises(KeyError, match="'mine'"):
+        WeightModel({GEMM: 0}, "mine")[TRSM]
+
+
 def test_weight_model_validation():
-    with pytest.raises(ValueError):
-        WeightModel.custom({"NOPE": 1})
-    with pytest.raises(ValueError):
-        WeightModel.custom({GEMM: -1})
     wm = WeightModel.cholesky()
     assert wm[POTRF] == 1 and wm[TRSM] == 3 and wm["SYRK"] == 3 and wm[GEMM] == 6
     q = WeightModel.qr_tt()
@@ -285,17 +306,3 @@ def test_exports():
     assert "task 0 POTRF 0 w=1" in txt and "edge 0 1 RAW" in txt
     dot = g.to_dot()
     assert dot.startswith("digraph") and "n0 -> n1" in dot
-
-
-def test_unknown_weight_mode():
-    assert WeightModel("qr-tt").table == WeightModel.qr_tt().table
-    for mode in ("qr-full", "nonsense"):
-        with pytest.raises(ValueError, match="unknown weight mode"):
-            WeightModel(mode)
-
-
-@pytest.mark.parametrize("mode", ["unit", "cholesky", "qr-tt"])
-def test_weight_table_needs_custom_mode(mode):
-    with pytest.raises(ValueError, match="custom"):
-        WeightModel(mode, {GEMM: 5})
-    assert WeightModel("custom", {GEMM: 5})[GEMM] == 5
