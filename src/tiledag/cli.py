@@ -388,11 +388,9 @@ def main(argv=None):
     try:
         args = ap.parse_args(argv)
         error = sub.choices[args.cmd].error   # prints the subcommand's usage
-        if args.cmd == "sched":   # one family's sizes; each unset one is 5
+        if args.cmd == "sched":   # an unset size is 5; the other family's are refused
             own = ("t",) if args.algo == "cholesky" else ("p", "q")
-            for name in ("t", "p", "q"):
-                if name not in own and getattr(args, name) is not None:
-                    error(f"--{name} does not apply to --algo {args.algo}")
+            foreign = [n for n in ("t", "p", "q") if n not in own and getattr(args, n)]
             args.t, args.p, args.q = (n or 5 for n in (args.t, args.p, args.q))
         if args.cmd == "ip-check":
             if args.assignment and (args.algo or args.bs):
@@ -412,6 +410,8 @@ def main(argv=None):
                 error("--i must not exceed --q")
         if "family" in args and args.family == "TS" and args.algo in ("asap", "grasap"):
             error(f"--algo {args.algo} is defined over TT kernels")
+        if args.cmd == "sched" and foreign:
+            error(f"--{foreign[0]} does not apply to --algo {args.algo}")
         if args.cmd == "strassen-count" and 2 ** args.r > args.p:
             error("--r must not exceed log2(--p)")
     except SystemExit as e:

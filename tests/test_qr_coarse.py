@@ -70,8 +70,8 @@ def test_oracles():
 
 @pytest.mark.parametrize("p,q", [(3, 5), (2, 4), (3, 0)])
 def test_one_shape_rule(p, q):
-    # every QR entry point refuses a wide grid, the tree lists and the
-    # validity check included
+    # every QR entry point refuses a wide or empty grid, the tree lists and
+    # the validity check included
     calls = [lambda: coarse_schedule(p, q, "greedy"), lambda: coarse_cp_oracle(p, q, "greedy"),
              lambda: plasmatree_list(p, q, 1), lambda: binary_tree_list(p, q),
              lambda: QrBuild(p, q), lambda: total_weight(p, q),
