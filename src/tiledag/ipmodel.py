@@ -48,6 +48,7 @@ from dataclasses import dataclass
 from itertools import chain, repeat
 from typing import NamedTuple
 
+from .qr import _check_shape
 from .taskgraph import GEQRT, TTMQR, TTQRT, UNMQR, WeightModel
 
 # kernel durations in half-weight units; UNMQR and TTMQR weigh the same
@@ -96,8 +97,7 @@ class IPModel:
     it from below, a <= row with a negative coefficient on it."""
 
     def __init__(self, p, q, horizon, capacity=None):
-        if not (p >= q >= 1):
-            raise ValueError("need p >= q >= 1")
+        _check_shape(p, q)
         if horizon <= 0:
             raise ValueError("horizon must be positive")
         if capacity is not None and (isinstance(capacity, bool)

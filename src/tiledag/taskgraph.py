@@ -184,14 +184,14 @@ class TaskGraph:
 
     def topo_positions(self):
         """Positions in topological order, the lowest id first among ready
-        tasks, computed once per graph; raises on cycles, naming one edge
-        that closes a cycle.  Callers must not change the list."""
+        tasks, computed once per graph; raises on cycles, naming an edge
+        that lies on one.  Callers must not change the list."""
         if self._topo is None:
             self._topo = self._topo_sort()
         return self._topo
 
     def _topo_sort(self):
-        ids, succ, _, indeg = self.adjacency()
+        ids, succ, pred, indeg = self.adjacency()
         rank, by_rank = self.id_rank()
         if rank is by_rank and all(u < v for u, v, _ in self.edges):
             return by_rank  # trace-built graphs are already sorted
@@ -207,9 +207,14 @@ class TaskGraph:
                 if indeg[v] == 0:
                     heapq.heappush(ready, rank[v])
         if len(order) != len(ids):
-            left = {ids[i] for i, d in enumerate(indeg) if d > 0}
-            u, v, _ = next(e for e in self.edges if e[0] in left and e[1] in left)
-            raise ValueError(f"cycle detected, e.g. through edge {u}->{v}")
+            # every unsorted task has an unsorted predecessor: walk back
+            # through them until one repeats, which closes a cycle
+            v = next(i for i, d in enumerate(indeg) if d)
+            seen = set()
+            while v not in seen:
+                seen.add(v)
+                u, v = v, next(w for w in pred[v] if indeg[w])
+            raise ValueError(f"cycle detected, e.g. through edge {ids[v]}->{ids[u]}")
         return order
 
     def weight_list(self, weights):
@@ -228,59 +233,6 @@ class TaskGraph:
                 model=weights, weights=list(map(weights.of, self.tasks)),
                 priority=None, annotation=None, profile=None)
         return facts
-
-    def topo_order(self):
-        """Task ids in topological order (see topo_positions)."""
-        return list(map(self.adjacency()[0].__getitem__, self.topo_positions()))
-
-    def without_war_edges(self):
-        return TaskGraph(self.tasks, [e for e in self.edges if e[2] != WAR])
-
-    def transitive_redundant_edges(self):
-        """Edges implied by a longer path (flagging only; O(V*E), use on
-        small graphs)."""
-        ids, succ, _, _ = self.adjacency()
-        at = {tid: i for i, tid in enumerate(ids)}
-        redundant = []
-        for a, b, cause in self.edges:
-            u, v = at[a], at[b]
-            stack = [w for w in succ[u] if w != v]
-            seen = set(stack)
-            while stack:
-                x = stack.pop()
-                if x == v:
-                    redundant.append((a, b, cause))
-                    break
-                for w in succ[x]:
-                    if w not in seen:
-                        seen.add(w)
-                        stack.append(w)
-        return redundant
-
-    # -- text exports ------------------------------------------------------
-
-    def to_text(self, weights: WeightModel):
-        lines = []
-        for t in self.tasks:
-            idx = ",".join(str(i) for i in t.indices)
-            lines.append(f"task {t.id} {t.kind} {idx} w={weights.of(t)}")
-        for u, v, cause in self.edges:
-            lines.append(f"edge {u} {v} {cause}")
-        return "\n".join(lines) + "\n"
-
-    def to_dot(self, weights: WeightModel = None):
-        out = ["digraph taskgraph {"]
-        for t in self.tasks:
-            idx = ",".join(str(i) for i in t.indices)
-            label = f"{t.kind}({idx})"
-            if weights is not None:
-                label += f" w={weights.of(t)}"
-            out.append(f'  n{t.id} [label="{label}"];')
-        for u, v, cause in self.edges:
-            style = ' [style=dashed]' if cause in (WAR, WAW) else ""
-            out.append(f"  n{u} -> n{v}{style};")
-        out.append("}")
-        return "\n".join(out) + "\n"
 
 
 def build_from_trace(trace: Sequence[Task]) -> TaskGraph:

@@ -14,12 +14,12 @@ from fractions import Fraction
 import pytest
 
 from tiledag import (
-    CholInvConfig, ColumnIter, WeightModel, alap_profile, annotate_cp,
-    asap_times, bounds_table, build_from_trace, build_tree, check_feasible,
+    CholInvConfig, WeightModel, alap_profile, annotate_cp, asap_times,
+    bounds_table, build_from_trace, build_tree, check_feasible,
     check_schedule, coarse_schedule, complete_assignment, eager_coarse,
     emit_ip, gen_chol_fact, gen_chol_inversion, gen_strassen,
-    gen_tiled_gemm, inversion_steps, list_schedule, lost_area, optiter,
-    r_min, schedule_to_assignment, strassen_flops, strassen_task_count,
+    gen_tiled_gemm, inversion_steps, list_schedule, lost_area, r_min,
+    schedule_to_assignment, strassen_flops, strassen_task_count,
     StrassenParams, gemm_flops, tiled_build, tiled_translation, trace_cp,
     verify_weight,
 )
@@ -418,7 +418,7 @@ def test_criterion_15_property_suite():
                   build_tree(8, 5, "grasap").trace,
                   gen_strassen(StrassenParams(8, 2))[0],
                   gen_tiled_gemm(5)):
-        build_from_trace(trace).topo_order()
+        build_from_trace(trace).topo_positions()
     # bound monotonicity and convergence to the critical path
     for graph, wm in ((g, WC), (build_from_trace(build_tree(10, 4, "greedy").trace), WQ)):
         ann = annotate_cp(graph, wm)

@@ -5,7 +5,7 @@ from itertools import product
 import pytest
 
 from tiledag import (
-    CholInvConfig, WeightModel, annotate_cp, build_from_trace, chol_cp_oracle,
+    CholInvConfig, WeightModel, build_from_trace, chol_cp_oracle,
     gen_chol_fact, gen_chol_inversion, inversion_steps, t_seq, trace_cp,
 )
 

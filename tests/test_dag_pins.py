@@ -21,7 +21,7 @@ RUNS = (("max", 0), ("min", 0), ("random", 0), ("random", 7))
 
 def _permuted_graphs():
     """Graphs built directly, not from a trace: edges come in shuffled order
-    and many run from a later task to an earlier one (so topo_order takes
+    and many run from a later task to an earlier one (so topo_positions takes
     its heap path), a zero-weight COPY (and above two tasks a BARRIER) sits
     among the kernels, and in all but the first graph of each size the ids
     are shuffled against task order (so list-schedule ties are broken by id
@@ -85,8 +85,8 @@ def _digest(family):
 
     for graph, weights in _graphs(family):
         ann = annotate_cp(graph, weights)
-        put(graph.topo_order(), ann.cp_length, sorted(ann.priority.items()),
-            sorted(ann.earliest.items()),
+        put(list(map(graph.adjacency()[0].__getitem__, graph.topo_positions())),
+            ann.cp_length, sorted(ann.priority.items()), sorted(ann.earliest.items()),
             sorted((u, ann.cp_length - pr) for u, pr in ann.priority.items()),
             ann.critical_ids())
         prof = alap_profile(graph, weights)

@@ -4,7 +4,7 @@ import pytest
 
 from tiledag import (
     ColumnIter, ElimEntry, EliminationList, QrBuild, binary_tree_list, build_tree,
-    coarse_cp_oracle, coarse_schedule, column_asap_free, eager_coarse,
+    coarse_cp_oracle, coarse_schedule, column_asap_free, eager_coarse, emit_ip,
     fibonacci_cp_bounds, fibonacci_x, flattree_cp_oracle, is_iterate, optiter,
     plasmatree_list, tiled_build, total_weight,
 )
@@ -76,7 +76,8 @@ def test_one_shape_rule(p, q):
              lambda: plasmatree_list(p, q, 1), lambda: binary_tree_list(p, q),
              lambda: QrBuild(p, q), lambda: total_weight(p, q),
              lambda: flattree_cp_oracle(p, q), lambda: fibonacci_cp_bounds(p, q),
-             lambda: EliminationList(p, q, binary_tree_list(p, p).entries).validate()]
+             lambda: EliminationList(p, q, binary_tree_list(p, p).entries).validate(),
+             lambda: emit_ip(p, q, 10)]
     for call in calls:
         with pytest.raises(ValueError, match=r"need p >= q >= 1"):
             call()
