@@ -47,8 +47,31 @@ def _permuted_graphs():
             yield TaskGraph(tasks, edges), weights
 
 
+def _direct_graphs():
+    """Graphs built directly, not from a trace: ids increase with gaps, edges
+    run forward but come in shuffled order, and a zero-weight COPY (and above
+    two tasks a BARRIER) sits among the kernels."""
+    rng = random.Random(2013)
+    kinds = ("POTRF", "TRSM", "SYRK", "GEMM", "TRTRI", "TRMM")
+    for n in (2, 7, 16, 40):
+        for g in range(4):
+            ids = sorted(rng.sample(range(3 * n), n))
+            kind = [rng.choice(kinds) for _ in range(n)]
+            kind[n // 2] = "BARRIER"
+            kind[-1] = "COPY"
+            tasks = [Task(ids[i], kind[i], (i % 5, g, n)) for i in range(n)]
+            edges = [(ids[a], ids[b], "RAW")
+                     for a in range(n) for b in range(a + 1, n)
+                     if rng.random() < 3 / n]
+            rng.shuffle(edges)
+            weights = WeightModel.cholesky() if g % 2 else WeightModel.unit()
+            yield TaskGraph(tasks, edges), weights
+
+
 def _graphs(family):
-    if family == "permuted":
+    if family == "direct":
+        yield from _direct_graphs()
+    elif family == "permuted":
         yield from _permuted_graphs()
     elif family == "cholesky":
         for variant in ("right", "left", "bordered"):
@@ -104,6 +127,7 @@ def _digest(family):
 
 DAG_SHA256 = {
     "cholesky": "cb4bdd9cf60e08542adc2d6d6c0f0195d38afbd8bb54fa0502bda62bee0c27d3",
+    "direct": "65343826b8e15ea733587908a14077c061a07d449bd775db662b447a34a22454",
     "inversion": "8faeac3a491fd52ed0778689b4135018ac208a59775b4bfc7a483732f15ceb1d",
     "permuted": "b3e8376b16bd5521e852da5ed700ec573f7e685d394b751c61d1bc4cb14eacbe",
     "qr": "1ec95c59c0d936267d9b7e8f6a70c3034fa189e3b6a4f9cd8521617302f856c5",
