@@ -412,6 +412,8 @@ def main(argv=None):
             error(f"--algo {args.algo} is defined over TT kernels")
         if args.cmd == "sched" and foreign:
             error(f"--{foreign[0]} does not apply to --algo {args.algo}")
+        if args.cmd in ("chol-cp", "sched") and args.check and args.t < 2:
+            error("--check needs --t >= 2, where the closed forms are stated")
         if args.cmd == "strassen-count" and 2 ** args.r > args.p:
             error("--r must not exceed log2(--p)")
     except SystemExit as e:

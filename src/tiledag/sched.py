@@ -115,13 +115,12 @@ def list_schedule(graph: TaskGraph, weights: WeightModel, p: int,
     prio = (annotation or annotate_cp(graph, weights)).priority
     rng = random.Random(seed)
     ids, succ, _, indeg = graph.adjacency()
-    rank, by_rank = graph.id_rank()
     indeg = list(indeg)
     w = graph.weight_list(weights)
     n = len(ids)
-    # ready key sign*priority*n + rank: equal priorities go to the lowest id
+    # ready key sign*priority*n + position: equal priorities go to the lowest id
     sign = -n if policy == MAX_CP else n
-    key = None if policy == RANDOM_CP else [sign * prio[i] + r for i, r in zip(ids, rank)]
+    key = None if policy == RANDOM_CP else [sign * prio[i] + u for u, i in enumerate(ids)]
 
     ready = []   # heap of keys, or the random pool of positions
     def push(v):
@@ -154,7 +153,7 @@ def list_schedule(graph: TaskGraph, weights: WeightModel, p: int,
                     push(v)
         while free and ready:
             if key:
-                u = by_rank[heapq.heappop(ready) % n]
+                u = heapq.heappop(ready) % n
             else:
                 k = rng.randrange(len(ready))
                 ready[k], ready[-1] = ready[-1], ready[k]
@@ -244,6 +243,8 @@ def lower_bound_factor(makespan, p: int) -> Fraction:
 def gamma_ub(gamma_seq, total_flops, cp, procs) -> Fraction:
     """Roofline-style upper bound on performance:
     gamma_seq * T / max(T/P, cp)."""
+    if procs < 1:
+        raise ValueError("need p >= 1")
     t = Fraction(total_flops)
     denom = max(t / procs, Fraction(cp))
     return Fraction(gamma_seq) * t / denom

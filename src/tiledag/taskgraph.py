@@ -12,7 +12,6 @@ processors, and the ALAP activity profile used by the Lost-Area bound.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from types import MappingProxyType, SimpleNamespace
 from typing import Iterable, NamedTuple, Sequence
@@ -58,8 +57,8 @@ class TileRef(NamedTuple):
 class Task:
     """One kernel invocation on tiles.
 
-    `id` is the ordinal position in the sequential trace; hazard analysis
-    relies on ids being strictly increasing in trace order.
+    `id` is the ordinal position in the sequential trace; TaskGraph states
+    the rule that ids obey.
     """
 
     __slots__ = ("id", "kind", "indices", "reads", "writes")
@@ -137,19 +136,36 @@ class WeightModel:
 
 
 class TaskGraph:
-    """An acyclic dependence graph over a task sequence.
+    """A dependence graph over a numbered trace.
 
     Edges are (from_id, to_id, cause) with cause in {RAW, WAR, WAW,
-    EXPLICIT}.  Graphs built from a trace have from_id < to_id on every
-    edge.
+    EXPLICIT}.  Task ids strictly increase in task order (gaps allowed) and
+    every edge runs forward, from_id < to_id, between ids of listed tasks;
+    the constructor refuses anything else.  So task order is a topological
+    order and the graph is acyclic.
     """
 
     def __init__(self, tasks: Sequence[Task], edges):
         self.tasks = list(tasks)
         self.edges = list(edges)
-        if len({t.id for t in self.tasks}) != len(self.tasks):
-            raise ValueError("duplicate task ids")
-        self._adj = self._rank = self._topo = self._facts = None
+        ids = [t.id for t in self.tasks]
+        for a, b in zip(ids, ids[1:]):
+            if a >= b:
+                raise ValueError(f"task ids must be strictly increasing (got {b} after {a})")
+        at = {tid: i for i, tid in enumerate(ids)}
+        succ = [[] for _ in ids]
+        pred = [[] for _ in ids]
+        for a, b, _ in self.edges:
+            try:
+                u, v = at[a], at[b]
+            except KeyError:
+                raise ValueError(f"edge {a}->{b} names a task id not in the graph") from None
+            if u >= v:
+                raise ValueError(f"edge {a}->{b} does not run forward")
+            succ[u].append(v)
+            pred[v].append(u)
+        self._adj = ids, succ, pred, [len(p) for p in pred]
+        self._facts = None
 
     def __len__(self):
         return len(self.tasks)
@@ -157,65 +173,9 @@ class TaskGraph:
     def adjacency(self):
         """(ids, succ, pred, indeg) over task positions 0..n-1 in task order:
         ids[i] is the id at position i, succ[i]/pred[i] its neighbour
-        positions in edge order; built once from a single pass over the edges."""
-        if self._adj is None:
-            ids = [t.id for t in self.tasks]
-            at = {tid: i for i, tid in enumerate(ids)}
-            succ = [[] for _ in ids]
-            pred = [[] for _ in ids]
-            for u, v, _ in self.edges:
-                u, v = at[u], at[v]
-                succ[u].append(v)
-                pred[v].append(u)
-            self._adj = ids, succ, pred, [len(p) for p in pred]
+        positions in edge order; built by the constructor in its one pass over
+        the edges.  Callers must not change it."""
         return self._adj
-
-    def id_rank(self):
-        """(rank, by_rank): the rank of each position's id and its inverse;
-        both are one list 0..n-1 when ids increase in task order (trace-built)."""
-        if self._rank is None:
-            ids = self.adjacency()[0]
-            rank = by_rank = list(range(len(ids)))
-            if ids != sorted(ids):
-                by_rank = sorted(rank, key=ids.__getitem__)
-                rank = sorted(rank, key=by_rank.__getitem__)
-            self._rank = rank, by_rank
-        return self._rank
-
-    def topo_positions(self):
-        """Positions in topological order, the lowest id first among ready
-        tasks, computed once per graph; raises on cycles, naming an edge
-        that lies on one.  Callers must not change the list."""
-        if self._topo is None:
-            self._topo = self._topo_sort()
-        return self._topo
-
-    def _topo_sort(self):
-        ids, succ, pred, indeg = self.adjacency()
-        rank, by_rank = self.id_rank()
-        if rank is by_rank and all(u < v for u, v, _ in self.edges):
-            return by_rank  # trace-built graphs are already sorted
-        indeg = list(indeg)
-        ready = [rank[i] for i, d in enumerate(indeg) if d == 0]
-        heapq.heapify(ready)
-        order = []
-        while ready:
-            u = by_rank[heapq.heappop(ready)]
-            order.append(u)
-            for v in succ[u]:
-                indeg[v] -= 1
-                if indeg[v] == 0:
-                    heapq.heappush(ready, rank[v])
-        if len(order) != len(ids):
-            # every unsorted task has an unsorted predecessor: walk back
-            # through them until one repeats, which closes a cycle
-            v = next(i for i, d in enumerate(indeg) if d)
-            seen = set()
-            while v not in seen:
-                seen.add(v)
-                u, v = v, next(w for w in pred[v] if indeg[w])
-            raise ValueError(f"cycle detected, e.g. through edge {ids[v]}->{ids[u]}")
-        return order
 
     def weight_list(self, weights):
         """Each task's weight under `weights`, by position, computed once per
@@ -249,13 +209,9 @@ def build_from_trace(trace: Sequence[Task]) -> TaskGraph:
     edges = []
     last_write = {}   # tile -> writer id
     readers = {}      # tile -> list of reader ids since last write
-    prev = None
     barrier = None          # id of the most recent barrier
     since_barrier = []      # ids seen since that barrier
     for t in trace:
-        if prev is not None and t.id <= prev:
-            raise ValueError(f"task ids must be strictly increasing (got {t.id} after {prev})")
-        prev = t.id
         if t.kind == BARRIER:
             if not since_barrier and barrier is not None:
                 since_barrier = [barrier]
@@ -332,12 +288,12 @@ def annotate_cp(graph: TaskGraph, weights: WeightModel) -> CpAnnotation:
     facts = graph._model_facts(weights)
     if facts.annotation is not None:
         return facts.annotation
-    order = graph.topo_positions()
     ids, succ, pred, _ = graph.adjacency()
+    order = range(len(ids))   # task order is topological
     w = facts.weights
     prio = facts.priority = _longest_paths(reversed(order), succ, w)
     fin = _longest_paths(order, pred, w)
-    # insertion orders, which critical_ids() reads: reverse topological, topological
+    # insertion orders, which critical_ids() reads: reverse task order, task order
     facts.annotation = CpAnnotation(
         {ids[u]: prio[u] for u in reversed(order)}, max(prio, default=0),
         {ids[u]: fin[u] - w[u] for u in order})

@@ -357,6 +357,8 @@ def test_sizes_below_1_exit_2(capsys, argv):
     (["strassen-count", "--p", "4", "--r", "1", "--nb", "0"], "positive integer"),
     (["strassen-count", "--p", "3", "--r", "0"], "--p"),
     (["strassen-count", "--p", "4", "--r", "3"], "--r"),
+    (["chol-cp", "--t", "1", "--check"], "--check needs --t >= 2"),
+    (["sched", "--t", "1", "--check"], "--check needs --t >= 2"),
 ])
 def test_flag_below_range_exit_2(capsys, argv, needle):
     assert main(argv) == 2

@@ -19,34 +19,6 @@ PROCS = (1, 2, 3, 8, 1000)
 RUNS = (("max", 0), ("min", 0), ("random", 0), ("random", 7))
 
 
-def _permuted_graphs():
-    """Graphs built directly, not from a trace: edges come in shuffled order
-    and many run from a later task to an earlier one (so topo_positions takes
-    its heap path), a zero-weight COPY (and above two tasks a BARRIER) sits
-    among the kernels, and in all but the first graph of each size the ids
-    are shuffled against task order (so list-schedule ties are broken by id
-    rank, not by position)."""
-    rng = random.Random(2013)
-    kinds = ("POTRF", "TRSM", "SYRK", "GEMM", "TRTRI", "TRMM")
-    for n in (2, 7, 16, 40):
-        for g in range(4):
-            ids = sorted(rng.sample(range(3 * n), n))
-            if g:
-                rng.shuffle(ids)
-            topo = list(range(n))
-            rng.shuffle(topo)
-            kind = [rng.choice(kinds) for _ in range(n)]
-            kind[topo[n // 2]] = "BARRIER"
-            kind[topo[-1]] = "COPY"
-            tasks = [Task(ids[i], kind[i], (i % 5, g, n)) for i in range(n)]
-            edges = [(ids[a], ids[b], "RAW")
-                     for x, a in enumerate(topo) for b in topo[x + 1:]
-                     if rng.random() < 3 / n]
-            rng.shuffle(edges)
-            weights = WeightModel.cholesky() if g % 2 else WeightModel.unit()
-            yield TaskGraph(tasks, edges), weights
-
-
 def _direct_graphs():
     """Graphs built directly, not from a trace: ids increase with gaps, edges
     run forward but come in shuffled order, and a zero-weight COPY (and above
@@ -71,8 +43,6 @@ def _direct_graphs():
 def _graphs(family):
     if family == "direct":
         yield from _direct_graphs()
-    elif family == "permuted":
-        yield from _permuted_graphs()
     elif family == "cholesky":
         for variant in ("right", "left", "bordered"):
             for t in (1, 3, 6, 9):
@@ -108,7 +78,7 @@ def _digest(family):
 
     for graph, weights in _graphs(family):
         ann = annotate_cp(graph, weights)
-        put(list(map(graph.adjacency()[0].__getitem__, graph.topo_positions())),
+        put(list(graph.adjacency()[0]),
             ann.cp_length, sorted(ann.priority.items()), sorted(ann.earliest.items()),
             sorted((u, ann.cp_length - pr) for u, pr in ann.priority.items()),
             ann.critical_ids())
@@ -129,7 +99,6 @@ DAG_SHA256 = {
     "cholesky": "cb4bdd9cf60e08542adc2d6d6c0f0195d38afbd8bb54fa0502bda62bee0c27d3",
     "direct": "65343826b8e15ea733587908a14077c061a07d449bd775db662b447a34a22454",
     "inversion": "8faeac3a491fd52ed0778689b4135018ac208a59775b4bfc7a483732f15ceb1d",
-    "permuted": "b3e8376b16bd5521e852da5ed700ec573f7e685d394b751c61d1bc4cb14eacbe",
     "qr": "1ec95c59c0d936267d9b7e8f6a70c3034fa189e3b6a4f9cd8521617302f856c5",
     "strassen": "323204ca3f735f112015d32a854a6f6ec16b9e2b61dede09005366af09fb63e3",
     "sync": "bd9f8e97968c9696cff77f936e38b1274fb17f84dd404c757f3d5be4aff6823a",

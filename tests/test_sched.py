@@ -230,6 +230,9 @@ def test_gamma_ub():
     # compute-bound regime: T/P >= cp gives gamma_seq * P
     assert gamma_ub(7, 800, 100, 4) == 7 * 4
     assert gamma_ub(7, 800, 300, 4) == Fraction(7 * 800, 300)
+    for procs in (0, -1):
+        with pytest.raises(ValueError, match="need p >= 1"):
+            gamma_ub(1, 10, 2, procs)
 
 
 def test_sync_grouped_serial():
@@ -294,6 +297,28 @@ def test_package_has_no_assert_statements():
              for path in sorted(Path(tiledag.__file__).parent.rglob("*.py"))
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
              if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def test_no_unused_imports():
+    # every name imported in the package, the tests and the demos is read;
+    # the package __init__ only re-exports, so it is not scanned
+    import tiledag
+    root = Path(__file__).parents[1]
+    found = []
+    for top in (Path(tiledag.__file__).parent, root / "tests", root / "demos"):
+        for path in sorted(top.rglob("*.py")):
+            if path.name == "__init__.py":
+                continue
+            tree = ast.parse(path.read_text(), str(path))
+            read = {node.id for node in ast.walk(tree)
+                    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            found += [f"{path.name}:{node.lineno} {name}"
+                      for node in ast.walk(tree)
+                      if isinstance(node, (ast.Import, ast.ImportFrom))
+                      and getattr(node, "module", None) != "__future__"
+                      for name in (a.asname or a.name.partition(".")[0] for a in node.names)
+                      if name not in read]
     assert found == []
 
 

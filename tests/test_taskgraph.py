@@ -103,19 +103,22 @@ def test_singleton_and_cycle():
     g = build_from_trace([T(0, "POTRF", writes=[("A", 0, 0)])])
     ann = annotate_cp(g, WeightModel.cholesky())
     assert ann.cp_length == 1
-    bad = TaskGraph([T(0), T(1)], [(0, 1, "RAW"), (1, 0, "RAW")])
-    with pytest.raises(ValueError, match="cycle"):
-        annotate_cp(bad, WeightModel.unit())
-    # task 2 lies downstream of the cycle 0 <-> 1 but on no cycle itself
-    bad = TaskGraph([T(0), T(1), T(2)], [(1, 2, "RAW"), (0, 1, "RAW"), (1, 0, "RAW")])
-    with pytest.raises(ValueError, match=r"through edge (0->1|1->0)$"):
-        bad.topo_positions()
+    # a cycle needs a backward edge, which the constructor refuses
+    with pytest.raises(ValueError, match="edge 1->0 does not run forward"):
+        TaskGraph([T(0), T(1)], [(0, 1, "RAW"), (1, 0, "RAW")])
+    with pytest.raises(ValueError, match="edge 1->0 does not run forward"):
+        TaskGraph([T(0), T(1), T(2)], [(1, 2, "RAW"), (0, 1, "RAW"), (1, 0, "RAW")])
 
 
 def test_duplicate_task_ids_rejected():
-    with pytest.raises(ValueError, match="duplicate task ids"):
-        TaskGraph([T(0), T(1), T(0)], [])
-    assert len(TaskGraph([T(0), T(1), T(2)], [])) == 3
+    with pytest.raises(ValueError, match=r"strictly increasing \(got 1 after 1\)"):
+        TaskGraph([T(0), T(1), T(1)], [])
+    assert len(TaskGraph([T(0), T(2), T(5)], [])) == 3
+
+
+def test_edge_to_unknown_id_rejected():
+    with pytest.raises(ValueError, match="edge 1->5 names a task id not in the graph"):
+        TaskGraph([T(0), T(1)], [(0, 1, "RAW"), (1, 5, "RAW")])
 
 
 def test_alap_profile_examples():
@@ -245,22 +248,20 @@ def test_est_lst_and_critical_tasks():
 
 
 def test_adjacency_in_edge_order():
-    g = TaskGraph([T(2), T(0), T(1)], [(2, 1, "RAW"), (0, 1, "WAR"), (2, 0, "WAW")])
-    ids, succ, pred, indeg = g.adjacency()   # positions 0, 1, 2 hold ids 2, 0, 1
-    assert ids == [2, 0, 1]
+    g = TaskGraph([T(0), T(2), T(5)], [(0, 5, "RAW"), (2, 5, "WAR"), (0, 2, "WAW")])
+    ids, succ, pred, indeg = g.adjacency()   # positions 0, 1, 2 hold ids 0, 2, 5
+    assert ids == [0, 2, 5]
     assert succ == [[2, 1], [2], []]
     assert pred == [[], [0], [0, 1]]
     assert indeg == [0, 1, 2]
     assert g.adjacency() is g.adjacency()
-    assert g.topo_positions() == [0, 1, 2]
 
 
 def test_forward_edges_with_ids_out_of_task_order():
-    # every edge runs from a lower id to a higher one, but the task list is
-    # not in id order, so task order is not a topological order
-    g = TaskGraph([T(2), T(0), T(1)], [(0, 2, "RAW")])
-    assert g.topo_positions() == [1, 2, 0]
-    assert annotate_cp(g, WeightModel.unit()).priority == {2: 1, 1: 1, 0: 2}
+    # every edge runs from a lower id to a higher one, but a task list out
+    # of id order is refused: task order must be a topological order
+    with pytest.raises(ValueError, match=r"strictly increasing \(got 0 after 2\)"):
+        TaskGraph([T(2), T(0), T(1)], [(0, 2, "RAW")])
 
 
 @pytest.mark.parametrize("table,needle", [
