@@ -339,6 +339,30 @@ def random_elim_list(p, q, rng):
         entries.append(ElimEntry(i, piv, k))
 
 
+def chain_list(p, q, flat=()):
+    """Columns in `flat` zeroed by their diagonal row (FlatTree), every
+    other column bottom-up along a chain, elim(r, r-1, k) from r = p.  In a
+    chain column each row between the two ends pivots and is then zeroed
+    as an ex-pivot (by TTQRT under TS); under TS it pivots again in a next
+    chain column, and is zeroed by TSQRT in a next flat one."""
+    entries = []
+    for k in range(1, min(p, q) + 1):
+        if k in flat:
+            entries += [ElimEntry(i, k, k) for i in range(k + 1, p + 1)]
+        else:
+            entries += [ElimEntry(i, i - 1, k) for i in range(p, k, -1)]
+    return EliminationList(p, q, entries)
+
+
+def grasap_cases():
+    """(p, q, i, weights) of GrASAP at every i, p <= 9."""
+    models = (None, SKEWED, ZERO_FACTOR)
+    for p in range(1, 10):
+        for q in range(1, p + 1):
+            for i in range(1, q + 1):
+                yield p, q, i, models[(p + q + i) % 3]
+
+
 # distinct weights, so that a kernel timed with another's weight shows
 SKEWED = WeightModel({GEQRT: 3, UNMQR: 5, TTQRT: 1, TTMQR: 7, TSQRT: 2, TSMQR: 11})
 TT_ONLY = WeightModel({GEQRT: 4, UNMQR: 6, TTQRT: 2, TTMQR: 6})
@@ -372,6 +396,28 @@ def _engine_cases():
                            lambda kt, p=p, q=q, a=algo, f=family, w=w:
                            build_tree(p, q, a, family=f, bs=3, weights=w,
                                       keep_trace=kt))
+    for p, q in ((6, 4), (9, 5), (7, 7)):
+        for flat in ((), (2, 4)):
+            elim = chain_list(p, q, flat)
+            elim.validate()
+            for family in ("TT", "TS"):
+                for w in (None, SKEWED):
+                    yield (f"chain{flat}-{p}x{q}-{family}", w,
+                           lambda kt, p=p, q=q, f=family, w=w, e=elim:
+                           QrBuild(p, q, f, w, kt).run_list(e))
+    for p, q, i, w in grasap_cases():
+        yield (f"grasap-{p}x{q}-i{i}", w,
+               lambda kt, p=p, q=q, i=i, w=w:
+               build_tree(p, q, "grasap", grasap_i=i, weights=w, keep_trace=kt))
+    # qr-cp-table times the first q columns of the p x p PlasmaTree list
+    for p in range(1, 8):
+        for bs in range(1, p + 1):
+            full = plasmatree_list(p, p, bs).entries
+            for q in range(1, p + 1):
+                n = q * p - q * (q + 1) // 2
+                yield (f"prefix-plasmatree{bs}-{p}x{q}", None,
+                       lambda kt, p=p, q=q, e=full[:n]:
+                       QrBuild(p, q, "TT", keep_trace=kt).run_list(EliminationList(p, q, e)))
     # a q = 1 build runs GEQRT and TTQRT only, so it may read no other weight
     for p in (1, 2, 5, 8):
         for algo in ("flattree", "fibonacci", "greedy", "binarytree", "plasmatree",
@@ -395,6 +441,30 @@ def test_engine_trace_free_matches_traced_and_hazard_graph():
                 i, _, k = t.indices
                 assert fins[t.id] == full.zeroed[(i, k)], (name, t)
         assert full.cp == annotate_cp(build_from_trace(full.trace), w).cp_length, name
+
+
+def test_asap_columns_fire_the_moment_two_triangles_are_ready():
+    # the event rule read off the replayed trace: in each Asap column, once
+    # the eliminations that start at a time have taken their rows, at most
+    # one ready triangle is left waiting
+    for p, q, i, w in grasap_cases():
+        b = build_tree(p, q, "grasap", grasap_i=i, weights=w)
+        w = w or WeightModel.qr_tt()
+        fins, _ = asap_times(b.trace, w)
+        delta = Counter()   # (column, time) -> triangles made ready less those taken
+        for t in b.trace:
+            if t.kind == GEQRT:
+                delta[(t.indices[1], fins[t.id])] += 1
+            elif t.kind == TTQRT:
+                k = t.indices[2]
+                delta[(k, fins[t.id] - w.of(t))] -= 2
+                delta[(k, fins[t.id])] += 1
+        waiting = Counter()
+        for (k, time), d in sorted(delta.items()):
+            waiting[k] += d
+            assert waiting[k] >= 0, (p, q, i, k, time)
+            if k > q - i:
+                assert waiting[k] <= 1, (p, q, i, k, time)
 
 
 # sha256 of (id, kind, indices, reads, writes) over every task: list
