@@ -141,10 +141,14 @@ def cmd_bounds(args):
     graph, weights = _graph(args)
     rows = sched.bounds_table(graph, weights, args.procs)
     _write(args, _bounds_csv(rows))
-    if args.algo == "cholesky" and args.check and args.t == 5:   # qr-bounds has no --check
-        cells = []
+    if args.algo == "cholesky" and args.check:   # qr-bounds has no --check
+        cells = [("cp {} != 9t-10 = {}", annotate_cp(graph, weights).cp_length,
+                  cholesky.chol_cp_oracle(args.t, "fact"))]
+        cells += [(f"row {r.p}: T_alap {_fmt2(r.t_alap)} < T_rooftop {_fmt2(r.t_roof)}",
+                   r.t_alap >= r.t_roof, True) for r in rows]
+        ref_rows = golden.CHOL_BOUNDS_T5 if args.t == 5 else {}
         for r in rows:
-            ref = golden.CHOL_BOUNDS_T5.get(r.p)
+            ref = ref_rows.get(r.p)
             if ref is None:
                 continue
             if ref[0] is not None:
@@ -209,13 +213,19 @@ def cmd_qr_cp_table(args):
         rows.append((q, g, f, best, best_bs, ft))
         lines.append(f"{q},{g},{f},{best},{best_bs},{ft}")
     _write(args, "\n".join(lines) + "\n")
-    if args.check and p == 40:
+    if args.check:
         cells = []
-        for (q, g, f, best, _, _) in rows:
-            cells += [(f"greedy q={q}: {{}} != {{}}", g, golden.GREEDY_CP_P40[q - 1]),
-                      (f"fibonacci q={q}: {{}} != {{}}", f, golden.FIBONACCI_CP_P40[q - 1]),
-                      (f"plasmatree q={q}: {{}} != {{}}", best,
-                       golden.PLASMATREE_CP_P40[q - 1][1])]
+        for (q, g, f, best, _, ft) in rows:
+            cells.append((f"flattree q={q}: {{}} != built {{}}", ft,
+                          qr.build_tree(p, q, "flattree", keep_trace=False).cp))
+            if q >= 2:
+                lo, hi = qr.fibonacci_cp_bounds(p, q)
+                cells.append((f"fibonacci q={q}: {f} outside [{lo}, {hi})", lo <= f < hi, True))
+            if p == 40:
+                cells += [(f"greedy q={q}: {{}} != {{}}", g, golden.GREEDY_CP_P40[q - 1]),
+                          (f"fibonacci q={q}: {{}} != {{}}", f, golden.FIBONACCI_CP_P40[q - 1]),
+                          (f"plasmatree q={q}: {{}} != {{}}", best,
+                           golden.PLASMATREE_CP_P40[q - 1][1])]
         return _check(cells)
     return 0
 
@@ -231,9 +241,12 @@ def cmd_sched(args):
     _write(args, "\n".join(lines) + "\n")
     if args.gantt:
         _write(args, results[-1][1].to_csv(graph, weights), suffix=".gantt")
-    if args.check and args.algo == "cholesky":
-        return _check([("cp {} != {}", annotate_cp(graph, weights).cp_length,
-                        cholesky.chol_cp_oracle(args.t, "fact"))])
+    if args.check:
+        if args.algo == "cholesky":
+            want = cholesky.chol_cp_oracle(args.t, "fact")
+        else:   # the trace-free build times the same tree without a graph
+            want = qr.build_tree(args.p, args.q, args.algo, bs=args.bs, keep_trace=False).cp
+        return _check([("cp {} != {}", annotate_cp(graph, weights).cp_length, want)])
     return 0
 
 
@@ -412,7 +425,7 @@ def main(argv=None):
             error(f"--algo {args.algo} is defined over TT kernels")
         if args.cmd == "sched" and foreign:
             error(f"--{foreign[0]} does not apply to --algo {args.algo}")
-        if args.cmd in ("chol-cp", "sched") and args.check and args.t < 2:
+        if args.cmd in ("chol-cp", "chol-bounds", "sched") and args.check and args.t < 2:
             error("--check needs --t >= 2, where the closed forms are stated")
         if args.cmd == "strassen-count" and 2 ** args.r > args.p:
             error("--r must not exceed log2(--p)")

@@ -356,8 +356,8 @@ class IPModel:
         lines += [" " + name for name in sorted(self.int_vars)]
         lines.append("Binaries")
         lines += [" " + name for name in self.bin_vars]
-        lines.append("End")
-        return "\n".join(lines) + "\n"
+        lines.append("End\n")
+        return "\n".join(lines)
 
 
 class _Prefixes(dict):

@@ -208,78 +208,72 @@ def fibonacci_x(p):
     return x
 
 
-def _pair_groups(col_rows_by_step):
-    """Fibonacci/Greedy pairing: a bunch of z consecutive tiles zeroed at
-    one step uses the z rows immediately above, paired in natural order."""
-    entries = []
-    for (s, k), rows in sorted(col_rows_by_step.items()):
-        z = len(rows)
-        if rows != list(range(rows[0], rows[0] + z)):
-            raise AssertionError(f"step {s} column {k}: group {rows} not consecutive")
-        for j, i in enumerate(rows):
-            entries.append(_entry((i, rows[0] - z + j, k, s)))
-    return entries
-
-
 def _coarse_sameh_kuck(p, q):
+    """Tile (i,k) is zeroed one step after both (i,k-1) and (i-1,k)."""
     steps = {}
-    entries = []
+    order = []   # (step, k, i)
+    last = [0] * (p + 1)   # the step of each row in the previous column
     for k in range(1, min(p, q) + 1):
+        s = 0   # the step of the tile above
         for i in range(k + 1, p + 1):
-            prev_col = steps.get((i, k - 1), 0)
-            above = steps.get((i - 1, k), 0)
-            s = max(prev_col, above) + 1
-            steps[(i, k)] = s
-            entries.append(_entry((i, k, k, s)))
-    entries.sort(key=lambda e: (e.step, e.k, e.i))
-    return steps, entries
+            a = last[i]
+            s = last[i] = steps[(i, k)] = (a if a > s else s) + 1
+            order.append((s, k, i))
+    order.sort()
+    return steps, [_entry((i, k, k, s)) for s, k, i in order]
 
+
+# Fibonacci and Greedy zero a bunch of z consecutive tiles of a column at
+# one step with the z rows right above them: elim(i, i - z, k).
 
 def _coarse_fibonacci(p, q):
+    """Column 1 is zeroed in bunches of 1, 2, 3, ... rows from row 2 down,
+    bunch y at step x - y + 1; column k repeats it k - 1 rows lower and
+    2(k - 1) steps later."""
     x = fibonacci_x(p)
     steps = {}
-    for i in range(2, p + 1):
-        y = 1
-        while i > y * (y + 1) // 2 + 1:
-            y += 1
-        steps[(i, 1)] = x - y + 1
-    for k in range(2, min(p, q) + 1):
-        for i in range(k + 1, p + 1):
-            steps[(i, k)] = steps[(i - 1, k - 1)] + 2
-    groups = {}
-    for (i, k), s in steps.items():
-        groups.setdefault((s, k), []).append(i)
-    return steps, _pair_groups({key: sorted(v) for key, v in groups.items()})
+    bunches = []   # (step, k, first row, last row + 1)
+    for k in range(1, min(p, q) + 1):
+        lo, y = k + 1, 1
+        while lo <= p:
+            hi = min(lo + y, p + 1)
+            s = x - y + 2 * k - 1
+            bunches.append((s, k, lo, hi))
+            for i in range(lo, hi):
+                steps[(i, k)] = s
+            lo, y = hi, y + 1
+    bunches.sort()
+    entries = []
+    for s, k, lo, hi in bunches:
+        entries += [_entry((i, i - (hi - lo), k, s)) for i in range(lo, hi)]
+    return steps, entries
 
 
 def _coarse_greedy(p, q):
     """At every step each column zeroes the bottom half of its available
     rows; a row zeroed at step s is available in the next column from
-    step s+1."""
+    step s+1.  A column's bottom rows move to the top of the next, so each
+    column holds a block of consecutive rows right above the next one's,
+    and its first row says which.  Columns before lo hold one row and are
+    done; column k gets its first rows at the end of step k-1."""
     qq = min(p, q)
-    avail = [[] for _ in range(qq + 2)]   # column -> available rows, ascending
-    avail[1] = list(range(1, p + 1))
+    top = [0, 1] + [p + 1] * qq   # top[k]: the first row of column k
     steps = {}
-    groups = {}
-    remaining = sum(p - k for k in range(1, qq + 1))
-    s = 0
-    while remaining:
-        s += 1
-        moved = []
-        for k in range(1, qq + 1):
-            rows = avail[k]
-            z = len(rows) // 2
-            if z == 0:
-                continue
-            done = groups[(s, k)] = rows[-z:]
-            del rows[-z:]
-            for i in done:
-                steps[(i, k)] = s
-            remaining -= z
-            moved.append((k + 1, done))
-        for k, done in moved:
-            avail[k] = sorted(avail[k] + done)
-    return steps, _pair_groups(groups)
+    entries = []
+    lo, s = 1, 0
+    while True:
+        while lo <= qq and top[lo + 1] - top[lo] < 2:
+            lo += 1
+        if lo > qq:
+            return steps, entries
+        s += 1   # every size is read before a row moves, so a moved row waits a step
+        for k, z in [(k, (top[k + 1] - top[k]) // 2) for k in range(lo, min(s, qq) + 1)]:
+            if z:
+                end = top[k + 1]
+                top[k + 1] = first = end - z
+                for i in range(first, end):
+                    steps[(i, k)] = s
+                entries += [_entry((i, i - z, k, s)) for i in range(first, end)]
 
 
 def coarse_schedule(p, q, algo):
@@ -333,26 +327,25 @@ def plasmatree_list(p, q, bs):
     if not (1 <= bs <= p):
         raise ValueError("domain size must satisfy 1 <= BS <= p")
     entries = []
-    last = [0] * (p + 1)   # with_steps(): the coarse step each row was last used
+    rows1 = p + 1
+    last = [0] * rows1   # with_steps(): the coarse step each row was last used
+    pivot = [0] * rows1   # row -> its pivot in the current column
     for k in range(1, q + 1):
-        pairs = []   # (i, piv) in tree order
-        rows = list(range(k, p + 1))
-        heads = []
-        for lo in range(0, len(rows), bs):
-            dom = rows[lo:lo + bs]
-            heads.append(dom[0])
-            pairs += [(i, dom[0]) for i in dom[1:]]
-        level = heads
+        # (i, piv) in tree order: each domain's rows against its head, then
+        # the heads, a pair per two at each level of the binary tree
+        pairs = [(i, i - (i - k) % bs) for i in range(k, rows1) if (i - k) % bs]
+        level = range(k, rows1, bs)
         while len(level) > 1:
-            pairs += [(level[a + 1], level[a]) for a in range(0, len(level) - 1, 2)]
+            pairs += zip(level[1::2], level[::2])
             level = level[::2]
-        col = []   # (step * (p + 1) + i, i, piv): sorts by step, then row
+        col = []   # step * (p + 1) + i: sorts by step, then row
         for i, piv in pairs:
             a, b = last[i], last[piv]
             s = last[i] = last[piv] = (a if a > b else b) + 1
-            col.append((s * (p + 1) + i, i, piv))
+            col.append(s * rows1 + i)
+            pivot[i] = piv
         col.sort()
-        entries += [_entry((i, piv, k, key // (p + 1))) for key, i, piv in col]
+        entries += [_entry((key % rows1, pivot[key % rows1], k, key // rows1)) for key in col]
     return EliminationList(p, q, entries)
 
 
@@ -404,12 +397,18 @@ class QrBuild:
 
     Times are kept per bundle (a factor kernel and its updates along the
     row): _data[i] is the finish of the last write to the data tiles of
-    row i right of its last factored column, _tri[(i,k)] that of the
-    triangle in tile (i,k).  One time per row is exact: those tiles all
-    start at 0, and each update bundle writes one time to all of columns
-    k+1..q of its rows, so they always share a finish; every data tile
-    read later lies among them.  asap_times over the replayed trace (tiles
-    from KERNEL_TILES) reproduces these times.
+    row i right of its last factored column, _tri[i] that of the triangle
+    of row i in the column the row is in now.  One data time per row is
+    exact: those tiles all start at 0, and each update bundle writes one
+    time to all of columns k+1..q of its rows, so they always share a
+    finish; every data tile read later lies among them.  One triangle time
+    per row is exact on a valid list: entry (i, piv, k) reads the
+    triangles of rows i and piv in column k, where neither is zeroed yet;
+    under TT the zeroed row moves to column k+1 with a new triangle, and
+    under TS a row holds a triangle in column k only once it has pivoted
+    there.  run_list needs a valid list (tiled_build validates it).
+    asap_times over the replayed trace (tiles from KERNEL_TILES)
+    reproduces these times.
     """
 
     def __init__(self, p, q, family="TT", weights=None, keep_trace=True):
@@ -428,7 +427,7 @@ class QrBuild:
         self.total_weight = 0
         self.elim = None
         self._data = [0] * (p + 1)
-        self._tri = {}
+        self._tri = [0] * (p + 1)
         self._w = _LazyWeights(self.weights)
 
     def _geqrt_row(self, i, k):
@@ -436,7 +435,7 @@ class QrBuild:
         columns k+1..q of the row; return the finish of the last."""
         counts, ws, q = self.counts, self._w, self.q
         counts[GEQRT] += 1
-        fin = self._tri[(i, k)] = self._data[i] + ws[GEQRT]
+        fin = self._tri[i] = self._data[i] + ws[GEQRT]
         if k < q:
             counts[UNMQR] += q - k
             fin = self._data[i] = fin + ws[UNMQR]
@@ -463,10 +462,8 @@ class QrBuild:
         cp = self.cp
         updates = moved = 0   # TTMQR kernels; rows moved into a next column
         for i, piv, k, _ in entries:
-            a = tri[(i, k)]
-            pk = (piv, k)
-            b = tri[pk]
-            fin = tri[pk] = zeroed[(i, k)] = (a if a > b else b) + wq
+            a, b = tri[i], tri[piv]
+            fin = tri[piv] = zeroed[(i, k)] = (a if a > b else b) + wq
             if k < q:
                 updates += q - k
                 moved += 1
@@ -474,7 +471,7 @@ class QrBuild:
                 if data[piv] > d:
                     d = data[piv]
                 d = data[i] = data[piv] = (d if d > fin else fin) + wm
-                fin = tri[(i, k + 1)] = d + wg
+                fin = tri[i] = d + wg
                 if k + 1 < q:
                     fin = data[i] = fin + wu
             if fin > cp:
@@ -492,29 +489,31 @@ class QrBuild:
         on locals: GEQRT and UNMQR on the pivot row at its first use, then
         TTQRT on tile (i,k) if it holds a triangle (an ex-pivot), else
         TSQRT, with its update on columns k+1..q of both rows.  Unused
-        diagonal tiles are triangularized last."""
+        diagonal tiles are triangularized last.  col[r] is the column where
+        row r last pivoted: the one where _tri[r] lies."""
         q = self.q
         tri, data, zeroed = self._tri, self._data, self.zeroed
+        col = [0] * (self.p + 1)
         ws = self._w
         cp = self.cp
         pivots = unmqr = tt = updates = tt_updates = 0
         for i, piv, k, _ in elim:
-            pk = (piv, k)
-            b = tri.get(pk)
-            if b is None:   # _geqrt_row inline; the step below ends later
-                b = tri[pk] = data[piv] + ws[GEQRT]
+            if col[piv] == k:
+                b = tri[piv]
+            else:   # _geqrt_row inline; the step below ends later
+                b = data[piv] + ws[GEQRT]
+                col[piv] = k
                 pivots += 1
                 if k < q:
                     unmqr += q - k
                     data[piv] = b + ws[UNMQR]
-            a = tri.get((i, k))
-            if a is None:
-                kind, update, a = TSQRT, TSMQR, data[i]
-            else:
-                kind, update = TTQRT, TTMQR
+            if col[i] == k:
+                a, kind, update = tri[i], TTQRT, TTMQR
                 tt += 1
                 tt_updates += q - k
-            fin = tri[pk] = zeroed[(i, k)] = (a if a > b else b) + ws[kind]
+            else:
+                kind, update, a = TSQRT, TSMQR, data[i]
+            fin = tri[piv] = zeroed[(i, k)] = (a if a > b else b) + ws[kind]
             if k < q:
                 updates += q - k
                 d = data[i]
@@ -524,7 +523,7 @@ class QrBuild:
             if fin > cp:
                 cp = fin
         self.cp = max([cp] + [self._geqrt_row(k, k) for k in range(1, q + 1)
-                              if (k, k) not in tri])
+                              if col[k] != k])
         for kind, n in ((GEQRT, pivots), (UNMQR, unmqr), (TTQRT, tt), (TSQRT, len(elim) - tt),
                         (TTMQR, tt_updates), (TSMQR, updates - tt_updates)):
             self.counts[kind] += n
@@ -625,8 +624,7 @@ def _run_asap_columns(build: QrBuild, first_col, prefix):
     tri = build._tri
     stride = (q + 2) * rows1   # one unit of time
     avail = [[] for _ in range(q + 1)]   # column -> ready rows, ascending
-    heap = [(tri[(r, first_col)] * (q + 2) + first_col) * rows1 + r
-            for r in range(first_col, rows1)]
+    heap = [(tri[r] * (q + 2) + first_col) * rows1 + r for r in range(first_col, rows1)]
     heapq.heapify(heap)
     pop, push = heapq.heappop, heapq.heappush
     entries = []
@@ -653,9 +651,9 @@ def _run_asap_columns(build: QrBuild, first_col, prefix):
             build._run_tt(fired)
             entries += fired
             for tgt, piv, k, _ in fired:
-                push(heap, (tri[(piv, k)] * (q + 2) + k) * rows1 + piv)
+                push(heap, (tri[piv] * (q + 2) + k) * rows1 + piv)
                 if k < q:
-                    push(heap, (tri[(tgt, k + 1)] * (q + 2) + k + 1) * rows1 + tgt)
+                    push(heap, (tri[tgt] * (q + 2) + k + 1) * rows1 + tgt)
     return entries
 
 
@@ -743,7 +741,7 @@ def flattree_cp_composed(p, q):
 
 
 def fibonacci_cp_bounds(p, q):
-    """(low, high) with the simulated Fibonacci cp strictly inside."""
+    """(low, high) with low <= the simulated Fibonacci cp < high (low at 4 x 4)."""
     _check_shape(p, q)
     low = 22 * q - 30
     high = 22 * q + 6 * ceil((2 * p) ** 0.5)

@@ -181,6 +181,44 @@ def test_sched_cholesky_check(capsys):
     assert lines[1] == "1,125"
 
 
+def _trace_free_cp_plus_1(build_tree):
+    def build(*args, **kw):
+        b = build_tree(*args, **kw)
+        if not kw.get("keep_trace", True):
+            b.cp += 1
+        return b
+    return build
+
+
+# each --check against a patched oracle: (argv, module, name, patch, stderr line)
+PATCHED_CHECKS = [
+    ("chol-bounds --t 4 --check", "cholesky", "chol_cp_oracle", lambda real: lambda t, which: 0,
+     "check mismatch: cp 26 != 9t-10 = 0"),
+    ("chol-bounds --t 4 --procs 1,2 --check", "sched", "lost_area",
+     lambda real: lambda profile, p: -2, "check mismatch: row 1: T_alap 62.00 < T_rooftop 64.00"),
+    ("sched --algo greedy --p 6 --q 3 --procs 2 --check", "qr", "build_tree",
+     _trace_free_cp_plus_1, "check mismatch: cp 56 != 57"),
+    ("sched --algo plasmatree --bs 2 --check", "qr", "build_tree",
+     _trace_free_cp_plus_1, "check mismatch: cp 92 != 93"),
+    ("qr-cp-table --p 7 --q 2 --check", "qr", "flattree_cp_oracle",
+     lambda real: lambda p, q: real(p, q) + 2, "check mismatch: flattree q=1: 18 != built 16"),
+    ("qr-cp-table --p 7 --q 3 --check", "qr", "fibonacci_cp_bounds",
+     lambda real: lambda p, q: (0, real(p, q)[0]), "check mismatch: fibonacci q=2: 36 outside [0, 14)"),
+]
+
+
+@pytest.mark.parametrize("line,module,name,patch,err", PATCHED_CHECKS)
+def test_check_fails_against_a_patched_oracle(capsys, monkeypatch, line, module, name,
+                                              patch, err):
+    # every size runs a check: without the patch the line passes
+    assert main(line.split()) == 0
+    mod = __import__(f"tiledag.{module}", fromlist=[name])
+    monkeypatch.setattr(mod, name, patch(getattr(mod, name)))
+    capsys.readouterr()
+    assert main(line.split()) == 1
+    assert err in capsys.readouterr().err.splitlines()
+
+
 def test_gantt_and_outdir(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("TILEDAG_OUTDIR", str(tmp_path))
     rc, out = run(capsys, "sched", "--algo", "cholesky", "--t", "3",
@@ -359,6 +397,7 @@ def test_sizes_below_1_exit_2(capsys, argv):
     (["strassen-count", "--p", "4", "--r", "3"], "--r"),
     (["chol-cp", "--t", "1", "--check"], "--check needs --t >= 2"),
     (["sched", "--t", "1", "--check"], "--check needs --t >= 2"),
+    (["chol-bounds", "--t", "1", "--check"], "--check needs --t >= 2"),
 ])
 def test_flag_below_range_exit_2(capsys, argv, needle):
     assert main(argv) == 2
