@@ -190,24 +190,25 @@ def _trace_free_cp_plus_1(build_tree):
     return build
 
 
-# each --check against a patched oracle: (argv, module, name, patch, stderr line)
+# each --check against a patched oracle: (argv, module, name, patch, mismatch)
 PATCHED_CHECKS = [
-    ("chol-bounds --t 4 --check", "cholesky", "chol_cp_oracle", lambda real: lambda t, which: 0,
-     "check mismatch: cp 26 != 9t-10 = 0"),
+    ("chol-bounds --t 4 --check", "cholesky", "chol_cp_oracle",
+     lambda real: lambda t, which: 0, "cp 26 != 9t-10 = 0"),
     ("chol-bounds --t 4 --procs 1,2 --check", "sched", "lost_area",
-     lambda real: lambda profile, p: -2, "check mismatch: row 1: T_alap 62.00 < T_rooftop 64.00"),
+     lambda real: lambda profile, p: -2, "row 1: T_alap 62.00 < T_rooftop 64.00"),
     ("sched --algo greedy --p 6 --q 3 --procs 2 --check", "qr", "build_tree",
-     _trace_free_cp_plus_1, "check mismatch: cp 56 != 57"),
+     _trace_free_cp_plus_1, "cp 56 != 57"),
     ("sched --algo plasmatree --bs 2 --check", "qr", "build_tree",
-     _trace_free_cp_plus_1, "check mismatch: cp 92 != 93"),
+     _trace_free_cp_plus_1, "cp 92 != 93"),
     ("qr-cp-table --p 7 --q 2 --check", "qr", "flattree_cp_oracle",
-     lambda real: lambda p, q: real(p, q) + 2, "check mismatch: flattree q=1: 18 != built 16"),
+     lambda real: lambda p, q: real(p, q) + 2, "flattree q=1: 18 != built 16"),
     ("qr-cp-table --p 7 --q 3 --check", "qr", "fibonacci_cp_bounds",
-     lambda real: lambda p, q: (0, real(p, q)[0]), "check mismatch: fibonacci q=2: 36 outside [0, 14)"),
+     lambda real: lambda p, q: (0, real(p, q)[0]), "fibonacci q=2: 36 outside [0, 14)"),
 ]
 
 
-@pytest.mark.parametrize("line,module,name,patch,err", PATCHED_CHECKS)
+@pytest.mark.parametrize("line,module,name,patch,err", PATCHED_CHECKS,
+                         ids=[case[0] for case in PATCHED_CHECKS])
 def test_check_fails_against_a_patched_oracle(capsys, monkeypatch, line, module, name,
                                               patch, err):
     # every size runs a check: without the patch the line passes
@@ -216,7 +217,7 @@ def test_check_fails_against_a_patched_oracle(capsys, monkeypatch, line, module,
     monkeypatch.setattr(mod, name, patch(getattr(mod, name)))
     capsys.readouterr()
     assert main(line.split()) == 1
-    assert err in capsys.readouterr().err.splitlines()
+    assert f"check mismatch: {err}" in capsys.readouterr().err.splitlines()
 
 
 def test_gantt_and_outdir(tmp_path, capsys, monkeypatch):
