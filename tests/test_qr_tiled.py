@@ -1,4 +1,5 @@
 import hashlib
+import heapq
 import random
 from collections import Counter
 
@@ -9,8 +10,8 @@ from tiledag import (
     ElimEntry, EliminationList, QrBuild, WeightModel, annotate_cp,
     asap_times, build_from_trace, build_tree, coarse_schedule, eager_coarse,
     elim_weight, fibonacci_cp_bounds, fibonacci_x, flattree_cp_composed,
-    flattree_cp_oracle, plasmatree_list, tiled_build, tiled_translation,
-    total_weight, verify_weight,
+    flattree_cp_oracle, grasap_build, plasmatree_list, tiled_build,
+    tiled_translation, total_weight, verify_weight,
 )
 
 # Tiled zeroed-time tables for 15 x 6 (rows 2..15).
@@ -466,6 +467,62 @@ def test_asap_columns_fire_the_moment_two_triangles_are_ready():
             if k > q - i:
                 assert waiting[k] <= 1, (p, q, i, k, time)
 
+
+
+def asap_oracle(p, q, i, weights):
+    """GrASAP by the plain global event loop.  Events are (time, column,
+    row) triangles made ready; each round pops every event at the least
+    time, and each column it touched pairs its bottom 2s ready rows, the
+    upper s pivoting for the lower s.  The round's pairs run in one
+    _run_tt call in column order, and their events are pushed after the
+    call, so one at the round's time joins a later round at that time."""
+    b = QrBuild(p, q, "TT", weights, keep_trace=False)
+    b.preprocess_tt()
+    entries = coarse_schedule(p, q - i, "greedy")[1].entries if i < q else []
+    b._run_tt(entries)
+    first = q - i + 1
+    heap = [(b._tri[r], first, r) for r in range(first, p + 1)]
+    heapq.heapify(heap)
+    ready = {k: [] for k in range(first, q + 1)}
+    while heap:
+        now, touched = heap[0][0], []
+        while heap and heap[0][0] == now:
+            _, k, r = heapq.heappop(heap)
+            ready[k].append(r)
+            if k not in touched:
+                touched.append(k)
+        fired = []
+        for k in touched:
+            rows = sorted(ready[k])
+            s = len(rows) // 2
+            ready[k] = rows[:len(rows) - 2 * s]
+            fired += [ElimEntry(tgt, piv, k)
+                      for piv, tgt in zip(rows[len(rows) - 2 * s:], rows[len(rows) - s:])]
+        b._run_tt(fired)
+        entries += fired
+        for tgt, piv, k, _ in fired:
+            heapq.heappush(heap, (b._tri[piv], k, piv))
+            if k < q:
+                heapq.heappush(heap, (b._tri[tgt], k + 1, tgt))
+    return b._finish(EliminationList(p, q, entries).with_steps())
+
+
+def test_grasap_matches_the_global_event_loop():
+    # weights drawn per kernel with zero twice as likely as any other value,
+    # so that rounds cascade at one time in every part of the build
+    rng = random.Random(30)
+    for p in range(1, 15):
+        for q in range(1, p + 1):
+            for i in range(1, q + 1):
+                for _ in range(2):
+                    w = WeightModel({kind: rng.choice((0, 0, 1, 2, 3, 5))
+                                     for kind in (GEQRT, UNMQR, TTQRT, TTMQR)})
+                    got, want = grasap_build(p, q, i, w, keep_trace=False), \
+                        asap_oracle(p, q, i, w)
+                    case = (p, q, i, dict(w.table))
+                    assert got.elim.entries == want.elim.entries, case
+                    for attr in ("zeroed", "cp", "counts", "total_weight"):
+                        assert getattr(got, attr) == getattr(want, attr), (case, attr)
 
 # sha256 of (id, kind, indices, reads, writes) over every task: list
 # schedules break ties on task ids and the IP names variables by indices,
