@@ -16,7 +16,9 @@ from decimal import ROUND_HALF_UP, Decimal
 from fractions import Fraction
 
 from . import cholesky, golden, ipmodel, qr, sched, strassen
-from .taskgraph import WeightModel, annotate_cp, build_from_trace, trace_cp
+from .taskgraph import (
+    TSQRT, TTQRT, WeightModel, annotate_cp, asap_times, build_from_trace, trace_cp,
+)
 
 
 def _fmt2(x) -> str:
@@ -179,7 +181,15 @@ def cmd_qr_tiled(args):
                           bs=args.bs, grasap_i=args.i or 1)
     _write(args, qr.zeroed_table_csv(build))
     if args.check:
-        cells = [("total weight mismatch", qr.verify_weight(build), True)]
+        # the fused times against the hazard timer on the replayed trace
+        fins, cp = asap_times(build.trace, build.weights)
+        cells = [("total weight mismatch", qr.verify_weight(build), True),
+                 ("cp {} != replayed trace {}", build.cp, cp)]
+        for t in build.trace:
+            if t.kind in (TTQRT, TSQRT):
+                i, _, k = t.indices
+                cells.append((f"({i},{k}): {{}} != replayed trace {{}}",
+                               build.zeroed[(i, k)], fins[t.id]))
         if args.algo == "flattree" and args.family == "TT":
             cells.append(("cp {} != closed form {}", build.cp,
                           qr.flattree_cp_oracle(args.p, args.q)))

@@ -14,12 +14,11 @@ Rows and columns are 1-based throughout, matching the reference tables.
 
 from __future__ import annotations
 
-import heapq
-from bisect import insort
+from collections import deque
 from dataclasses import dataclass
 from functools import partial
 from itertools import groupby
-from math import ceil
+from math import ceil, inf
 from typing import NamedTuple
 
 from .taskgraph import (
@@ -159,6 +158,11 @@ class CoarseTable:
         self.steps = dict(steps)
         self.algo = algo
 
+    @classmethod
+    def of(cls, elim: EliminationList, algo):
+        """The table of a list's steps: (i,k) at the step that zeroes it."""
+        return cls(elim.p, elim.q, {(i, k): s for i, _, k, s in elim.entries}, algo)
+
     def __call__(self, i, k):
         return self.steps[(i, k)]
 
@@ -210,17 +214,16 @@ def fibonacci_x(p):
 
 def _coarse_sameh_kuck(p, q):
     """Tile (i,k) is zeroed one step after both (i,k-1) and (i-1,k)."""
-    steps = {}
     order = []   # (step, k, i)
     last = [0] * (p + 1)   # the step of each row in the previous column
     for k in range(1, min(p, q) + 1):
         s = 0   # the step of the tile above
         for i in range(k + 1, p + 1):
             a = last[i]
-            s = last[i] = steps[(i, k)] = (a if a > s else s) + 1
+            s = last[i] = (a if a > s else s) + 1
             order.append((s, k, i))
     order.sort()
-    return steps, [_entry((i, k, k, s)) for s, k, i in order]
+    return [_entry((i, k, k, s)) for s, k, i in order]
 
 
 # Fibonacci and Greedy zero a bunch of z consecutive tiles of a column at
@@ -231,7 +234,6 @@ def _coarse_fibonacci(p, q):
     bunch y at step x - y + 1; column k repeats it k - 1 rows lower and
     2(k - 1) steps later."""
     x = fibonacci_x(p)
-    steps = {}
     bunches = []   # (step, k, first row, last row + 1)
     for k in range(1, min(p, q) + 1):
         lo, y = k + 1, 1
@@ -239,14 +241,12 @@ def _coarse_fibonacci(p, q):
             hi = min(lo + y, p + 1)
             s = x - y + 2 * k - 1
             bunches.append((s, k, lo, hi))
-            for i in range(lo, hi):
-                steps[(i, k)] = s
             lo, y = hi, y + 1
     bunches.sort()
     entries = []
     for s, k, lo, hi in bunches:
         entries += [_entry((i, i - (hi - lo), k, s)) for i in range(lo, hi)]
-    return steps, entries
+    return entries
 
 
 def _coarse_greedy(p, q):
@@ -258,37 +258,34 @@ def _coarse_greedy(p, q):
     done; column k gets its first rows at the end of step k-1."""
     qq = min(p, q)
     top = [0, 1] + [p + 1] * qq   # top[k]: the first row of column k
-    steps = {}
     entries = []
     lo, s = 1, 0
     while True:
         while lo <= qq and top[lo + 1] - top[lo] < 2:
             lo += 1
         if lo > qq:
-            return steps, entries
+            return entries
         s += 1   # every size is read before a row moves, so a moved row waits a step
         for k, z in [(k, (top[k + 1] - top[k]) // 2) for k in range(lo, min(s, qq) + 1)]:
             if z:
                 end = top[k + 1]
                 top[k + 1] = first = end - z
-                for i in range(first, end):
-                    steps[(i, k)] = s
                 entries += [_entry((i, i - z, k, s)) for i in range(first, end)]
+
+
+_COARSE = {"sameh-kuck": _coarse_sameh_kuck, "fibonacci": _coarse_fibonacci,
+           "greedy": _coarse_greedy}
 
 
 def coarse_schedule(p, q, algo):
     """Coarse time-step table plus elimination list for one of the three
     classical schemes."""
     _check_shape(p, q)
-    if algo == "sameh-kuck":
-        steps, entries = _coarse_sameh_kuck(p, q)
-    elif algo == "fibonacci":
-        steps, entries = _coarse_fibonacci(p, q)
-    elif algo == "greedy":
-        steps, entries = _coarse_greedy(p, q)
-    else:
+    schedule = _COARSE.get(algo)
+    if schedule is None:
         raise ValueError(f"unknown coarse algorithm {algo!r}")
-    return CoarseTable(p, q, steps, algo), EliminationList(p, q, entries)
+    elim = EliminationList(p, q, schedule(p, q))
+    return CoarseTable.of(elim, algo), elim
 
 
 def eager_coarse(elim: EliminationList) -> CoarseTable:
@@ -296,8 +293,7 @@ def eager_coarse(elim: EliminationList) -> CoarseTable:
     elimination fires one step after the last use of either of its rows.
     Coincides with the scheduled tables of the busy algorithms (Sameh-Kuck,
     Greedy); Fibonacci's shifted pattern can idle on small instances."""
-    steps = {(e.i, e.k): e.step for e in elim.with_steps()}
-    return CoarseTable(elim.p, elim.q, steps, "eager")
+    return CoarseTable.of(elim.with_steps(), "eager")
 
 
 def coarse_cp_oracle(p, q, algo):
@@ -606,66 +602,100 @@ def _run_asap_columns(build: QrBuild, first_col, prefix):
     """Fire eliminations on columns first_col..q the moment a column holds
     two ready triangles, after the timed entries `prefix`.
 
-    Events are (time, col, row) availabilities, seeded by the triangles
-    of column first_col, each kept as the int (time·(q+2) + col)·(p+1) +
-    row, which orders as the tuple since times are nonnegative ints.  When
-    s eliminations can start in a column, the bottom 2s ready rows pair up
-    exactly as Fibonacci and Greedy pair them.  All pairs that fire at one
-    time go to one _run_tt call, in column order.  That is exact: a row is
-    ready in one column at a time, so the pairs touch disjoint rows, and
-    their events are pushed after the call, so one at the same time fires
-    in a later round at that time.  Each entry takes its with_steps() step
-    as it fires, the steps of `prefix` being its with_steps() steps.
+    Columns run one at a time, left to right, which is exact: a row enters
+    column k+1 only once it is zeroed in column k, so column k depends only
+    on the rows it receives.  A column works in rounds keyed by (time,
+    depth), depth counting the earlier rounds at that time, kept as the int
+    time·span + depth (span exceeds the eliminations, so any depth): a row
+    made ready at the time of the round that released it joins the next
+    round at that time.  A round takes the rows arriving at its key and the
+    one, if any, left waiting, and pairs its bottom 2s rows, the upper s
+    pivoting for the lower s, as Fibonacci and Greedy pair them.  Each pair
+    has a row arriving at the round's time and another no later, so every
+    TTQRT of the round ends at that time plus the TTQRT weight: the pivots
+    come back as one batch, in key order, and a column needs no heap.  One
+    _run_tt call times the column's pairs in round order and leaves in _tri
+    each target's arrival time in column k+1.  Each entry takes its
+    with_steps() step as it fires, those of `prefix` being its with_steps()
+    steps; entries return as a global event loop fires them: by round, then
+    column, then pair.
     """
-    q, rows1 = build.q, build.p + 1
-    last = [0] * rows1   # the coarse step each row was last used
+    p, q = build.p, build.q
+    last = [0] * (p + 1)   # the coarse step each row was last used
     for i, piv, _, step in prefix:
         last[i] = last[piv] = step
     tri = build._tri
-    stride = (q + 2) * rows1   # one unit of time
-    avail = [[] for _ in range(q + 1)]   # column -> ready rows, ascending
-    heap = [(tri[r] * (q + 2) + first_col) * rows1 + r for r in range(first_col, rows1)]
-    heapq.heapify(heap)
-    pop, push = heapq.heappop, heapq.heappush
-    entries = []
-    while heap:
-        end = (heap[0] // stride + 1) * stride
-        touched = []   # events leave the heap in column order
-        while heap and heap[0] < end:
-            k, row = divmod(pop(heap) % stride, rows1)
-            insort(avail[k], row)
-            if not touched or touched[-1] != k:
-                touched.append(k)
-        fired = []
-        for k in touched:
-            rows = avail[k]
-            s = len(rows) // 2
-            if s:
-                part = rows[len(rows) - 2 * s:]
-                del rows[len(rows) - 2 * s:]
-                for piv, tgt in zip(part[:s], part[s:]):
-                    a, b = last[tgt], last[piv]
-                    step = last[tgt] = last[piv] = (a if a > b else b) + 1
-                    fired.append(_entry((tgt, piv, k, step)))
-        if fired:
-            build._run_tt(fired)
-            entries += fired
-            for tgt, piv, k, _ in fired:
-                push(heap, (tri[piv] * (q + 2) + k) * rows1 + piv)
-                if k < q:
-                    push(heap, (tri[tgt] * (q + 2) + k + 1) * rows1 + tgt)
-    return entries
+    span = (p + 1) * (q + 1)
+    wq = build._w[TTQRT] * span
+    arrive = sorted((tri[r] * span, r) for r in range(first_col, p + 1))
+    out, keys = [], []   # entries column by column, and the round key of each
+    for k in range(first_col, q + 1):
+        start = len(out)
+        arrive.append((inf, 0))   # a key after the last arrival
+        ka, ra = arrive[0]
+        a = 0
+        wait = []   # the row left waiting, if any
+        back = deque()   # (key, pivots) of each round that fired, in key order
+        while True:
+            if back and back[0][0] <= ka:
+                key, rows = back.popleft()
+                rows = wait + rows
+                while back and back[0][0] == key:
+                    rows += back.popleft()[1]
+            elif ka == inf:
+                break
+            else:
+                key, rows = ka, wait
+            while ka == key:
+                rows.append(ra)
+                a += 1
+                ka, ra = arrive[a]
+            m = len(rows)
+            if m < 2:
+                wait = rows
+                continue
+            if m == 2:   # most rounds that fire fire one pair
+                piv, tgt = rows
+                if piv > tgt:
+                    piv, tgt = tgt, piv
+                pivs, wait = [piv], []
+                x, y = last[tgt], last[piv]
+                step = last[tgt] = last[piv] = (x if x > y else y) + 1
+                out.append(_entry((tgt, piv, k, step)))
+                keys.append(key)
+            else:
+                rows.sort()
+                s = m // 2
+                wait = rows[:m - 2 * s]
+                pivs = rows[m - 2 * s:m - s]
+                for piv, tgt in zip(pivs, rows[m - s:]):
+                    x, y = last[tgt], last[piv]
+                    step = last[tgt] = last[piv] = (x if x > y else y) + 1
+                    out.append(_entry((tgt, piv, k, step)))
+                keys += [key] * s
+            back.append((key - key % span + wq if wq else key + 1, pivs))
+        build._run_tt(out[start:])
+        if k < q:
+            arrive = []
+            for e, key in zip(out[start:], keys[start:]):
+                t = tri[e[0]] * span
+                arrive.append((t if t > key else key + 1, e[0]))
+            arrive.sort()
+    return [out[n] for n in sorted(range(len(out)), key=keys.__getitem__)]
 
 
 def grasap_build(p, q, i=1, weights=None, keep_trace=True) -> QrBuild:
     """Greedy on the first q-i columns, Asap on the trailing i (Asap is
     i = q).  Greedy column k depends only on columns < k, so the greedy
-    schedule of q-i columns is the prefix."""
+    schedule of q-i columns is the prefix, timed in one call.  An Asap
+    column depends only on the rows it receives and when, so the Asap
+    columns run one at a time, each in (time, depth) rounds whose pivots
+    come back in one batch (_run_asap_columns)."""
     b = QrBuild(p, q, "TT", weights, keep_trace)
     if not (1 <= i <= q):
         raise ValueError("need 1 <= i <= q")
     b.preprocess_tt()
-    static = _coarse_greedy(p, q - i)[1]
+    static = _coarse_greedy(p, q - i)
     b._run_tt(static)
     dyn = _run_asap_columns(b, q - i + 1, static)
     return b._finish(EliminationList(p, q, static + dyn))

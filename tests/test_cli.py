@@ -190,6 +190,14 @@ def _trace_free_cp_plus_1(build_tree):
     return build
 
 
+def _cp_plus_1(build):
+    def patched(*args, **kw):
+        b = build(*args, **kw)
+        b.cp += 1
+        return b
+    return patched
+
+
 # each --check against a patched oracle: (argv, module, name, patch, mismatch)
 PATCHED_CHECKS = [
     ("chol-bounds --t 4 --check", "cholesky", "chol_cp_oracle",
@@ -200,6 +208,8 @@ PATCHED_CHECKS = [
      _trace_free_cp_plus_1, "cp 56 != 57"),
     ("sched --algo plasmatree --bs 2 --check", "qr", "build_tree",
      _trace_free_cp_plus_1, "cp 92 != 93"),
+    ("qr-tiled --p 30 --q 12 --algo asap --check", "qr", "grasap_build",
+     _cp_plus_1, "cp 333 != replayed trace 332"),
     ("qr-cp-table --p 7 --q 2 --check", "qr", "flattree_cp_oracle",
      lambda real: lambda p, q: real(p, q) + 2, "flattree q=1: 18 != built 16"),
     ("qr-cp-table --p 7 --q 3 --check", "qr", "fibonacci_cp_bounds",
