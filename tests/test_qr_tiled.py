@@ -468,7 +468,6 @@ def test_asap_columns_fire_the_moment_two_triangles_are_ready():
                 assert waiting[k] <= 1, (p, q, i, k, time)
 
 
-
 def asap_oracle(p, q, i, weights):
     """GrASAP by the plain global event loop.  Events are (time, column,
     row) triangles made ready; each round pops every event at the least
