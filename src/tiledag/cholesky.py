@@ -15,7 +15,7 @@ from itertools import chain
 
 from .taskgraph import (
     BARRIER, COPY, GEMM, LAUUM, POTRF, SYRK, TRMM, TRSM, TRTRI,
-    Task, TileRef, trace_of,
+    Task, _tile, trace_of,
 )
 
 ASC = "U"   # ascending innermost GEMM loop
@@ -45,7 +45,7 @@ class CholInvConfig:
 
 
 def _a(i, j):
-    return TileRef("A", i, j)
+    return _tile(("A", i, j))
 
 
 # kind -> tiles(indices) = (reads, writes) of each factorization kernel
@@ -124,7 +124,7 @@ def gen_chol_fact(t: int, variant: str = "right") -> list:
 def _copies(t, dst):
     for i in range(t):
         for j in range(i + 1):
-            yield COPY, (i, j), (_a(i, j),), (TileRef(dst, i, j),)
+            yield COPY, (i, j), (_a(i, j),), (_tile((dst, i, j)),)
 
 
 def _trtri(t, direction, out_of_place):
@@ -142,7 +142,7 @@ def _trtri(t, direction, out_of_place):
             diag = _a(i, i) if out_of_place else _a(j, j)
             yield TRMM, (i, j), (diag,), (_a(i, j),)
             for k in _krange(j + 1, i, direction):
-                yield GEMM, (i, j, k), (_a(i, k), TileRef(src, k, j)), (_a(i, j),)
+                yield GEMM, (i, j, k), (_a(i, k), _tile((src, k, j))), (_a(i, j),)
             yield TRMM, (i, j), (_a(i, i),), (_a(i, j),)
 
 
@@ -153,13 +153,13 @@ def _lauum(t, direction, out_of_place):
         yield from _copies(t, src)
     for i in range(t):
         for j in range(i):
-            yield TRMM, (i, j), (TileRef(src, i, i),), (_a(i, j),)
+            yield TRMM, (i, j), (_tile((src, i, i)),), (_a(i, j),)
         yield LAUUM, (i,), (_a(i, i),), (_a(i, i),)
         for j in range(i):
             for k in _krange(i + 1, t, direction):
-                yield GEMM, (i, j, k), (TileRef(src, k, i), TileRef(src, k, j)), (_a(i, j),)
+                yield GEMM, (i, j, k), (_tile((src, k, i)), _tile((src, k, j))), (_a(i, j),)
         for k in range(i + 1, t):
-            yield SYRK, (i, k), (TileRef(src, k, i),), (_a(i, i),)
+            yield SYRK, (i, k), (_tile((src, k, i)),), (_a(i, i),)
 
 
 def _inversion_streams(cfg):

@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 from .taskgraph import (
     GEQRT, TSMQR, TSQRT, TTMQR, TTQRT, UNMQR,
-    Task, TileRef, WeightModel,
+    Task, WeightModel, _tile,
 )
 
 TREE_ALGOS = ("flattree", "fibonacci", "greedy", "binarytree", "plasmatree",
@@ -352,20 +352,20 @@ def binary_tree_list(p, q):
 # ---------------------------------------------------------------------------
 # tiled builder
 
-_T = TileRef
-
 # The tiles each kernel reads and writes, keyed by kind and called with the
 # kernel's indices; the trace is built from this table alone.  A tile both
 # read and written is one object.
 KERNEL_TILES = {
-    GEQRT: lambda i, k: ((_T("D", i, k),), (_T("R", i, k), _T("V", i, k))),
-    UNMQR: lambda i, k, j: ((_T("V", i, k), d := _T("D", i, j)), (d,)),
-    TTQRT: lambda i, piv, k: ((_T("R", i, k), r := _T("R", piv, k)), (r, _T("T", i, k))),
-    TSQRT: lambda i, piv, k: ((_T("D", i, k), r := _T("R", piv, k)), (r, _T("S", i, k))),
-    TTMQR: lambda i, piv, k, j: ((_T("T", i, k), a := _T("D", i, j), b := _T("D", piv, j)),
-                                 (a, b)),
-    TSMQR: lambda i, piv, k, j: ((_T("S", i, k), a := _T("D", i, j), b := _T("D", piv, j)),
-                                 (a, b)),
+    GEQRT: lambda i, k: ((_tile(("D", i, k)),), (_tile(("R", i, k)), _tile(("V", i, k)))),
+    UNMQR: lambda i, k, j: ((_tile(("V", i, k)), d := _tile(("D", i, j))), (d,)),
+    TTQRT: lambda i, piv, k: ((_tile(("R", i, k)), r := _tile(("R", piv, k))),
+                              (r, _tile(("T", i, k)))),
+    TSQRT: lambda i, piv, k: ((_tile(("D", i, k)), r := _tile(("R", piv, k))),
+                              (r, _tile(("S", i, k)))),
+    TTMQR: lambda i, piv, k, j: ((_tile(("T", i, k)), a := _tile(("D", i, j)),
+                                  b := _tile(("D", piv, j))), (a, b)),
+    TSMQR: lambda i, piv, k, j: ((_tile(("S", i, k)), a := _tile(("D", i, j)),
+                                  b := _tile(("D", piv, j))), (a, b)),
 }
 
 

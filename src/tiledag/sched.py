@@ -13,6 +13,7 @@ import heapq
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import groupby
 
 from . import cholesky
@@ -57,12 +58,12 @@ class Schedule:
 
 
 def check_schedule(graph: TaskGraph, weights: WeightModel, sched: Schedule):
-    """Post-hoc validity: all tasks assigned, every task on a processor
-    0..p-1 and starting at 0 or later, no overlap of positive-weight tasks
-    on a processor, every edge's source finishes before its sink starts,
-    and the makespan is the largest finish.  Positive-weight tasks are
-    range-checked once per processor on the sorted spans, zero-weight ones
-    one by one."""
+    """Post-hoc validity: every task assigned and no id outside the graph,
+    every task on a processor 0..p-1 and starting at 0 or later, no overlap
+    of positive-weight tasks on a processor, every edge's source finishes
+    before its sink starts, and the makespan is the largest finish.
+    Positive-weight tasks are range-checked once per processor on the
+    sorted spans, zero-weight ones one by one."""
     fin = {}
     per_proc = {}
     assignment = sched.assignment
@@ -78,6 +79,9 @@ def check_schedule(graph: TaskGraph, weights: WeightModel, sched: Schedule):
             raise AssertionError(f"task {t.id} on processor {proc}, outside 0..{sched.p - 1}")
         elif start < 0:
             raise AssertionError(f"task {t.id} starts at {start}, before 0")
+    if len(assignment) != len(fin):
+        stray = next(u for u in assignment if u not in fin)
+        raise AssertionError(f"task {stray} assigned but not in the graph")
     for proc, spans in per_proc.items():
         spans.sort()
         start, _, first = spans[0]
@@ -113,23 +117,20 @@ def list_schedule(graph: TaskGraph, weights: WeightModel, p: int,
     if policy not in (MAX_CP, MIN_CP, RANDOM_CP):
         raise ValueError(f"unknown policy {policy!r}")
     prio = (annotation or annotate_cp(graph, weights)).priority
-    rng = random.Random(seed)
+    getrandbits = random.Random(seed).getrandbits
     ids, succ, _, indeg = graph.adjacency()
     indeg = list(indeg)
     w = graph.weight_list(weights)
     n = len(ids)
-    # ready key sign*priority*n + position: equal priorities go to the lowest id
-    sign = -n if policy == MAX_CP else n
-    key = None if policy == RANDOM_CP else [sign * prio[i] + u for u, i in enumerate(ids)]
-
+    heappush, heappop = heapq.heappush, heapq.heappop
     ready = []   # heap of keys, or the random pool of positions
-    def push(v):
-        if w[v] == 0:
-            zero_ready.append(v)
-        elif key:
-            heapq.heappush(ready, key[v])
-        else:
-            ready.append(v)
+    if policy == RANDOM_CP:
+        key, heap, put = range(n), False, ready.append
+    else:
+        # ready key sign*priority*n + position: equal priorities go to the lowest id
+        sign = -n if policy == MAX_CP else n
+        key = [sign * prio[i] + u for u, i in enumerate(ids)]
+        heap, put = True, partial(heappush, ready)
 
     zero_ready = []
     placed = [None] * n   # position -> (processor, start)
@@ -137,50 +138,62 @@ def list_schedule(graph: TaskGraph, weights: WeightModel, p: int,
     slot = [0] * p
     free = list(range(p))
     now = 0
-    done = 0
     for v, d in enumerate(indeg):
         if d == 0:
-            push(v)
-    while done < n:
+            if w[v]:
+                put(key[v])
+            else:
+                zero_ready.append(v)
+    while True:
         # zero-weight tasks finish instantly and may release successors
         while zero_ready:
             u = zero_ready.pop()
             placed[u] = (0, now)
-            done += 1
             for v in succ[u]:
                 indeg[v] -= 1
-                if indeg[v] == 0:
-                    push(v)
+                if not indeg[v]:
+                    if w[v]:
+                        put(key[v])
+                    else:
+                        zero_ready.append(v)
         while free and ready:
-            if key:
-                u = heapq.heappop(ready) % n
+            if heap:
+                u = heappop(ready) % n
             else:
-                k = rng.randrange(len(ready))
+                # Random(seed).randrange(len(ready)), drawn as CPython draws it
+                m = len(ready)
+                b = m.bit_length()
+                k = getrandbits(b)
+                while k >= m:
+                    k = getrandbits(b)
                 ready[k], ready[-1] = ready[-1], ready[k]
                 u = ready.pop()
             proc = free.pop()
             placed[u] = (proc, now)
             slot[proc] = u
-            heapq.heappush(running, (now + w[u]) * p + proc)
-            done += 1
-        if zero_ready:
-            continue
-        if done == n and not running:
-            break
+            heappush(running, (now + w[u]) * p + proc)
         if not running:
-            raise AssertionError("deadlock: no running task but work remains")
+            break
+        # the tasks that finish at now have keys in [now*p, now*p + p)
         now = running[0] // p
-        while running and running[0] // p == now:
-            proc = heapq.heappop(running) % p
+        base = now * p
+        end = base + p
+        while running and running[0] < end:
+            proc = heappop(running) - base
             free.append(proc)
             for v in succ[slot[proc]]:
                 indeg[v] -= 1
-                if indeg[v] == 0:
-                    push(v)
-        free.sort()
-    # every task has started; the last one still running ends the schedule
-    makespan = max(running) // p if running else now
-    return Schedule(dict(zip(ids, placed)), makespan, p)
+                if not indeg[v]:
+                    if w[v]:
+                        put(key[v])
+                    else:
+                        zero_ready.append(v)
+        if len(free) > 1:
+            free.sort()
+    if None in placed:
+        raise AssertionError("deadlock: no running task but work remains")
+    # nothing runs or waits: the last finish ends the schedule
+    return Schedule(dict(zip(ids, placed)), now, p)
 
 
 def sync_chol_graph(t: int, variant: str = "relaxed"):

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from itertools import count
 
-from .taskgraph import GEADD, GEMM, TileRef, WeightModel, trace_of
+from .taskgraph import GEADD, GEMM, WeightModel, _tile, trace_of
 
 
 @dataclass(frozen=True)
@@ -45,22 +45,27 @@ class StrassenParams:
 
 
 class _View:
-    """A square window of a named tile array."""
+    """A square window of a named tile array; every window of one array
+    indexes that array's grid of TileRefs, made once."""
 
-    __slots__ = ("name", "r0", "c0", "n")
+    __slots__ = ("grid", "r0", "c0", "n")
 
-    def __init__(self, name, r0, c0, n):
-        self.name = name
+    def __init__(self, grid, r0, c0, n):
+        self.grid = grid
         self.r0 = r0
         self.c0 = c0
         self.n = n
 
+    @classmethod
+    def array(cls, name, n):
+        return cls([[_tile((name, i, j)) for j in range(n)] for i in range(n)], 0, 0, n)
+
     def tile(self, i, j):
-        return TileRef(self.name, self.r0 + i, self.c0 + j)
+        return self.grid[self.r0 + i][self.c0 + j]
 
     def quad(self, qi, qj):
         h = self.n // 2
-        return _View(self.name, self.r0 + qi * h, self.c0 + qj * h, h)
+        return _View(self.grid, self.r0 + qi * h, self.c0 + qj * h, h)
 
 
 def _tiled_gemm(A, B, C):
@@ -111,7 +116,7 @@ def gen_tiled_gemm(n: int) -> list:
     """Triple-loop tiled product: n^3 GEMM tasks, ascending-k chains."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return trace_of(_tiled_gemm(*(_View(x, 0, 0, n) for x in "ABC")))
+    return trace_of(_tiled_gemm(*(_View.array(x, n) for x in "ABC")))
 
 
 def gen_strassen(params: StrassenParams):
@@ -124,9 +129,9 @@ def gen_strassen(params: StrassenParams):
     def fresh(label, n):
         nonlocal temps
         temps += n * n
-        return _View(f"{label}#{next(uid)}", 0, 0, n)
+        return _View.array(f"{label}#{next(uid)}", n)
 
-    abc = (_View(x, 0, 0, params.p) for x in "ABC")
+    abc = (_View.array(x, params.p) for x in "ABC")
     return trace_of(_gesw(*abc, params.r, fresh)), temps
 
 

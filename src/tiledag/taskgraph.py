@@ -13,6 +13,7 @@ processors, and the ALAP activity profile used by the Lost-Area bound.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from types import MappingProxyType, SimpleNamespace
 from typing import Iterable, NamedTuple, Sequence
 
@@ -52,6 +53,11 @@ class TileRef(NamedTuple):
     matrix: str
     row: int
     col: int
+
+
+# TileRef from a literal 3-tuple: the call the NamedTuple's own __new__
+# makes, without its Python frame.  The trace generators make tiles here.
+_tile = partial(tuple.__new__, TileRef)
 
 
 class Task:

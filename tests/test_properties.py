@@ -6,7 +6,9 @@ asap_times must agree with build_from_trace + annotate_cp, and every list
 schedule must be valid and no shorter than the ALAP and Rooftop bounds.
 On those traces and on small graphs built directly with gapped ids and
 forward edges in shuffled order, annotate_cp's priorities and earliest
-starts must equal the heaviest paths found by enumerating every path.
+starts must equal the heaviest paths found by enumerating every path, and
+every list schedule on 1-16 processors must keep its policy's rule, read
+off its start times alone.
 
 Random valid elimination lists interleave their columns and contain
 reverse and ex-pivot eliminations; normalizing one must give a valid list
@@ -117,6 +119,51 @@ def test_annotation_matches_path_enumeration(graph):
     assert ann.priority == start
     assert ann.earliest == {t.id: end[t.id] - WM.of(t) for t in graph.tasks}
     assert ann.cp_length == max(start.values(), default=0)
+
+
+def _assert_follows_policy(graph, weights, s, policy, priority):
+    """The list rule read off start and finish times alone.  With ready(v)
+    the latest finish among v's predecessors: a zero-weight task starts at
+    ready(v); while a positive-weight task waits in [ready(v), start(v)),
+    all p processors are busy at every integer instant; and under max and
+    min, a positive-weight task that starts at s while v is ready and
+    unstarted has a better key than v (+-priority, then the lower id)."""
+    w = {t.id: weights.of(t) for t in graph.tasks}
+    start = {u: s.assignment[u][1] for u in w}
+    ready = dict.fromkeys(w, 0)
+    for u, v, _ in graph.edges:
+        ready[v] = max(ready[v], start[u] + w[u])
+    timed = [u for u in w if w[u] > 0]
+    sign = {"max": -1, "min": 1}.get(policy)
+    for v in w:
+        if not w[v]:
+            assert start[v] == ready[v], f"zero-weight task {v} delayed"
+            continue
+        for t in range(ready[v], start[v]):
+            busy = sum(start[u] <= t < start[u] + w[u] for u in timed)
+            assert busy == s.p, f"task {v} waits at {t} with {busy} of {s.p} busy"
+        if sign:
+            for u in timed:
+                if ready[v] <= start[u] < start[v]:
+                    assert (sign * priority[u], u) < (sign * priority[v], v), \
+                        f"task {u} started at {start[u]} ahead of ready task {v}"
+
+
+# Tasks 0 and 1 end together at 1, and only 1 releases work (3 and 4): both
+# must be ready before the low-priority task 2 may take a processor at 1.
+TWO_FINISH = TaskGraph([Task(0, POTRF), Task(1, POTRF), Task(2, POTRF), Task(3, GEMM),
+                        Task(4, GEMM)], [(1, 3, EXPLICIT), (1, 4, EXPLICIT)])
+
+
+@settings(SETTINGS, max_examples=200)
+@given(st.one_of(STEPS.map(lambda steps: build_from_trace(_trace(steps))), direct_graphs()),
+       st.integers(1, 16), st.integers(0, 3))
+@example(TWO_FINISH, 2, 0)
+def test_list_schedules_follow_their_policy(graph, p, seed):
+    priority = annotate_cp(graph, WM).priority
+    for policy in ("max", "min", "random"):
+        s = list_schedule(graph, WM, p, policy, seed=seed)
+        _assert_follows_policy(graph, WM, s, policy, priority)
 
 
 @st.composite

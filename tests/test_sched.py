@@ -118,6 +118,12 @@ def test_check_schedule_rejects_unassigned_task():
         _checked({0: (0, 0), 1: (0, 6), 2: (0, 0)})
 
 
+def test_check_schedule_rejects_task_not_in_the_graph():
+    # the stray entries would break every other rule if they were read
+    with pytest.raises(AssertionError, match="task 99 assigned but not in the graph"):
+        _checked({0: (0, 0), 1: (1, 6), 99: (7, -3), 2: (0, 0), 3: (0, 0), 42: (0, 0)})
+
+
 def test_check_schedule_rejects_overlap_on_a_processor():
     with pytest.raises(AssertionError, match="overlap on processor 1: tasks 0 and 1"):
         _checked({0: (1, 0), 1: (1, 5), 2: (0, 0), 3: (0, 0)})
