@@ -15,9 +15,21 @@ list, so editing one row's list in place leaves every other row as it was.
 Appendix rows that kept rows imply are not emitted; the feasible set over
 the action variables is the same.  Group 5 is 1a-iii (r = i) with right
 side T for T-3; group 6 is 1a-iv and 1b-ii (r = i) with 0 for D_GEQRT;
-group 7, negated, is 1d-case2 with T for T-1; the second copy of a 1c-iv
-row whose zeroing pair is the pair update's own rows repeats the first.
-Group 3 (x_r <= z_ij when zhat_ij) follows from 1b-iii, c11zb and x_r <= T.
+group 7, negated, is 1d-case2 with T for T-1.  Group 3 (x_r <= z_ij when
+zhat_ij) follows from 1b-iii, c11zb and x_r <= T.  Other rows are sums of
+kept rows, all variables being >= 0.  1a-i and 1a-ii are emitted for
+consecutive panels only (l1 = l-1): 1a-i over l1 < l-1 sums the rows
+l1+1 ... l, and 1a-ii over it is 1a-ii (l1+1 over l1, same i, j) plus that
+chain.  1b-ii is emitted for the last panel only (l = k-1): below it,
+1a-ii (head r, l+1 over l) plus 1a-iv (r, k, l+1) gives x_r >= y_ij +
+y_ji + 5.  1a-v is 1b-iii (same row, same zeroing) plus 1a-iv (r, k, l);
+1c-iv is 1b-iii (r, pair {h, r}) plus 1b-ii (r; i, j, k, l), y_ji >= 0
+dropped.  total_time >= v is emitted for the last panel update of each
+tile above the diagonal (w_i_k_i, i < k), the last column's
+triangularizations and the zeroings only: each other action is followed,
+no sooner than it ends, by an always-performed one (4a for x_i_k, k < q;
+1a-iv for w_i_k_l, i >= k; the 1a-i chain for l < i < k; the kept 1b-ii
+and 1a-ii rows for y).
 The precedence block never binds: 4b, c11za and c11yb make its link hold,
 its AND/OR gadgets then have a solution unless a pair update runs in both
 orientations, and 1a-iii with 1b-ii already reject that.  A 1c-iii
@@ -71,6 +83,11 @@ def _pair_terms(names, coef):
     return {t: [term, terms[(t[1], t[0]) + t[2:]]] for t, term in terms.items()}
 
 
+def _check_positive_int(what, value):
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ValueError(f"{what} must be a positive int, got {value!r}")
+
+
 def _broken(rows, assignment):
     """The rows that the assignment breaks, in order; missing variables are 0."""
     get = assignment.get
@@ -98,11 +115,9 @@ class IPModel:
 
     def __init__(self, p, q, horizon, capacity=None):
         _check_shape(p, q)
-        if horizon <= 0:
-            raise ValueError("horizon must be positive")
-        if capacity is not None and (isinstance(capacity, bool)
-                                     or not isinstance(capacity, int) or capacity < 1):
-            raise ValueError(f"capacity must be a positive int, got {capacity!r}")
+        _check_positive_int("horizon", horizon)
+        if capacity is not None:
+            _check_positive_int("capacity", capacity)
         self.p = p
         self.q = q
         self.T = horizon
@@ -167,20 +182,19 @@ class IPModel:
         # 1a-i: updates of one tile from successive panels
         for k in range(2, q + 1):
             for l in range(2, k):
-                for l1 in range(1, l):
-                    for i in range(l, p + 1):
-                        add(C("c1ai_%s_%s_%s_%s" % (i, k, l, l1), "1a-i",
-                              [(1, w[i, k, l]), (-1, w[i, k, l1])], ">=", D_UPDATE))
-        # 1a-ii: panel update follows earlier pair updates of the same tile
+                for i in range(l, p + 1):
+                    add(C("c1ai_%s_%s_%s_%s" % (i, k, l, l - 1), "1a-i",
+                          [(1, w[i, k, l]), (-1, w[i, k, l - 1])], ">=", D_UPDATE))
+        # 1a-ii: panel update follows the previous panel's pair updates of the tile
         for k in range(2, q + 1):
             for l in range(2, k):
-                for l1 in range(1, l):
-                    for i in range(l, p + 1):
-                        head = (1, w[i, k, l])
-                        for j in range(l1, p + 1):
-                            if j != i:
-                                add(C("c1aii_%s_%s_%s_%s_%s" % (i, j, k, l, l1), "1a-ii",
-                                      [head, *yfin[i, j, k, l1]], ">=", D_UPDATE))
+                l1 = l - 1
+                for i in range(l, p + 1):
+                    head = (1, w[i, k, l])
+                    for j in range(l1, p + 1):
+                        if j != i:
+                            add(C("c1aii_%s_%s_%s_%s_%s" % (i, j, k, l, l1), "1a-ii",
+                                  [head, *yfin[i, j, k, l1]], ">=", D_UPDATE))
         # 1a-iii: panel update precedes the pair update of the same column
         for (i, j, k, l), off in yoff.items():
             if i < j:
@@ -193,18 +207,9 @@ class IPModel:
                 for i in range(k, p + 1):
                     add(C("c1aiv_%s_%s_%s" % (i, k, l), "1a-iv",
                           [(1, x[i, k]), (-1, w[i, k, l])], ">=", D_GEQRT))
-        # 1a-v / 1d-a: update before zeroing of the same column
-        for k in range(2, q + 1):
-            for l in range(1, k):
-                for i in range(k, p + 1):
-                    for j in range(i + 1, p + 1):
-                        off = zoff[i, j, k]
-                        for r in (i, j):
-                            add(C("c1av_%s_%s_%s_%s_%s" % (r, i, j, k, l), "1a-v",
-                                  [(1, w[r, k, l]), *off], "<=", rz))
-        # 1b-ii: pair update before triangularization
+        # 1b-ii: the last panel's pair updates before triangularization
         for (i, j, k, l), fin in yfin.items():
-            if i < j:
+            if i < j and l == k - 1:
                 for r in (i, j):
                     if r >= k:
                         add(C("c1bii_%s_%s_%s_%s_%s" % (r, i, j, k, l), "1b-ii",
@@ -238,15 +243,6 @@ class IPModel:
                                 # each dl relaxes one side: at most one may
                                 cons += a, b, C("c1ciii_or" + key, "1c-iii", [(1, d1), (1, d2)],
                                                 "<=", 1)
-        # 1c-iv: pair update precedes any zeroing involving its rows
-        for (i, j, k, l), (head, _) in ypos.items():
-            pre = "c1civ_%s_%s_%s_%s_" % (i, j, k, l)
-            for r in (i, j):
-                if r >= k:
-                    for h in range(k, p + 1):
-                        if h != r and (r != j or h != i):    # {r, h} = {i, j} once
-                            add(C(pre + "%s_%s" % (r, h), "1c-iv", [head, *zoff[h, r, k]],
-                                  "<=", ru))
         # 1d-d: zeroing actions sharing a pivot are separated
         for k in range(1, q + 1):
             for i in range(k, p + 1):            # pivot
@@ -301,10 +297,13 @@ class IPModel:
                 add(C("c11%sa%s" % (v[0], sfx), "11", [(1, hat[1]), fin], "<=", 0))
                 add(C("c11%sb%s" % (v[0], sfx), "11", [hat, fin], ">=", 0))
         self.bin_vars += aux
+        # total_time bounds the actions that no always-performed action
+        # follows: the last panel update of each tile above the diagonal, the
+        # last column's triangularizations and the zeroings
         total = (1, "total_time")
-        for name in self.int_vars:
-            if name != "total_time":
-                add(C("obj_" + name, "objective", [total, (-1, name)], ">=", 0))
+        for name in chain([v for (i, k, l), v in w.items() if i == l],
+                          [v for (i, k), v in x.items() if k == q], z.values()):
+            add(C("obj_" + name, "objective", [total, (-1, name)], ">=", 0))
         if self.capacity is not None:
             self._capacity_block()
 
@@ -350,10 +349,11 @@ class IPModel:
             if body.startswith("+ "):
                 body = body[2:]
             lines.append(f" {con.name}: {body} {con.sense} {con.rhs}")
+        names, ub = sorted(self.int_vars), self.int_vars
         lines.append("Bounds")
-        lines += [f" 0 <= {name} <= {ub}" for name, ub in sorted(self.int_vars.items())]
+        lines += [f" 0 <= {name} <= {ub[name]}" for name in names]
         lines.append("Generals")
-        lines += [" " + name for name in sorted(self.int_vars)]
+        lines += [" " + name for name in names]
         lines.append("Binaries")
         lines += [" " + name for name in self.bin_vars]
         lines.append("End\n")

@@ -67,8 +67,10 @@ CLI_RUNS = [
     "nonsense",
 ]
 # sha256 of (argv, exit code, stdout, files written) over CLI_RUNS, taken
-# before the subcommands shared their graph builder and tree flags.
-CLI_SHA256 = "42d0e103595617b8bd97f8a4c78d4f2ab2cc1677704b0288c090e12fbd1a92c2"
+# before the subcommands shared their graph builder and tree flags; re-taken
+# when the IP lost the rows that sums of kept rows give, which changed the
+# two ip-emit runs' output and no other run's.
+CLI_SHA256 = "4d0f1f36c2b933781292026728b404bf3c08d6ce061a1b55d63e6502874b7db6"
 
 
 def test_cli_runs_pinned(tmp_path, capsys, monkeypatch):

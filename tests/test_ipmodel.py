@@ -1,5 +1,6 @@
 import hashlib
 import random
+from collections import Counter
 from math import comb
 
 import pytest
@@ -138,8 +139,10 @@ def test_parse_assignment_names_bad_line(text, no):
 
 
 def test_bad_horizon():
-    with pytest.raises(ValueError):
-        emit_ip(3, 2, 0)
+    for bad in (0, True, 2.0, 2.5):
+        for capacity in (None, 1):
+            with pytest.raises(ValueError, match="horizon"):
+                emit_ip(3, 2, bad, capacity=capacity)
     with pytest.raises(ValueError):
         emit_ip(2, 3, 10)
 
@@ -156,20 +159,23 @@ def test_bad_capacity():
 # rows became <= 1, when 4b waited for its zeroing's end and 1c-iii lost
 # its mirrored copies, and when the above-diagonal x_i_k = 0 bounds went.
 # (8, 8, 1028), whose big-M coefficients have four digits, was added before
-# the rows were built from shared term blocks.
+# the rows were built from shared term blocks.  These two pins were
+# re-taken when the rows that sums of kept rows give (1a-i, 1a-ii and 1b-ii
+# over non-consecutive panels, 1a-v, 1c-iv, most objective rows) were cut.
 RENDER_SHA256 = {
-    (3, 2, 16): "8ac27ddb5dbb30668e62b47d5d852fe3544f1da2f749ac38cb47fd80d52ae292",
-    (4, 4, 40): "692587a90a10c10c0867376c2c546ab7edebc8543718e93bd00891396958b03d",
-    (5, 3, 30): "16d152a788d811d4d7be06fd2c16eba6cc6390e1b3fd705ac9d392e44f289981",
-    (8, 8, 1028): "3b98ba74bcf43dbac0a87db744ca78d0d1590bb1544bb50e9ebe71bc7acd4fb8",
+    (3, 2, 16): "fd489da1301655336ca90772a8af7b76851b772761101f51e978a3514e6ce65a",
+    (4, 4, 40): "9fb30181a06003f4b8b98dbc883adb48adb02cbcb899945d92e83f20364a261b",
+    (5, 3, 30): "e4ce85546abaf7c05c30f236846cb55042392b748e1f23cd1f81c56ec2da6609",
+    (8, 8, 1028): "57be350923693f7ef937593a1d7b537bb68c3daf8465fc2dff6217ecceb11cf6",
 }
-NON_CAPACITY_ROWS_SHA256 = "5048cf11938820c20311bebeb614c8f399e349e69ede2a65df83f238137ff038"
+NON_CAPACITY_ROWS_SHA256 = "a7ede79f91dfe2363e37143b2f57c809d37f3f18f15469d21848c2baef7a9550"
 # sha256 of every row (name|group|terms|sense|rhs) and of list(model.aux)
 # of each shape q <= p <= 7 at T = 12, taken before the rows were built
-# from shared term blocks
+# from shared term blocks; re-taken when the rows that sums of kept rows
+# give were cut (the new rows are the old ones minus the cut ones, in order)
 ROWS_SHA256 = {
-    None: "b2c48d8dde04ae79cb06d4be051b144a935a9f652f619f16774e2a8c5009d904",
-    2: "d726d5b94233946727f10462d6dbf17b5a80b63124347070b2b0cd9453e7a052",
+    None: "7f9a21bc6dfe2fe40b792d045af86ca48fd45f493c309043c0d6fa0fc35747d8",
+    2: "1b8c40868d20d425c8a28c579efeb1164e29513b8f98a3017517263b0b06be7b",
 }
 
 
@@ -225,7 +231,27 @@ def test_1ciii_closed_forms():
         n = 9 * sum(comb(p - l + 1, 3) for k in range(2, q + 1) for l in range(1, k))
         assert len(rows) == n, (p, q)
         assert len([v for v in model.aux if v.startswith(("dl1", "dl2"))]) == 2 * n // 3, (p, q)
-    assert (n, len(model.constraints), len(model.aux)) == (6804, 19294, 5292)   # 8x8
+    assert (n, len(model.constraints), len(model.aux)) == (6804, 13841, 5292)   # 8x8
+
+
+def test_kept_precedence_closed_forms():
+    # 1a-i and 1a-ii over consecutive panels, 1b-ii over the last panel
+    # only, and total_time >= v for x_i_q, w_i_k_i (i < k) and every z
+    for p, q in ((1, 1), (2, 2), (3, 2), (4, 3), (5, 5), (6, 2), (8, 8)):
+        model = emit_ip(p, q, 1028)
+        counts = Counter(c.group for c in model.constraints)
+        pairs = [(k, l) for k in range(2, q + 1) for l in range(2, k)]
+        forms = {
+            "1a-i": sum(p - l + 1 for _, l in pairs),
+            "1a-ii": sum((p - l + 1) ** 2 for _, l in pairs),
+            "1b-ii": sum((p - k + 1) ** 2 for k in range(2, q + 1)),
+            "objective": (p - q + 1) + q * (q - 1) // 2
+            + sum((p - k + 1) * (p - k) for k in range(1, q + 1)),
+            "1a-v": 0,
+            "1c-iv": 0,
+        }
+        assert {g: counts[g] for g in forms} == forms, (p, q)
+    assert [forms[g] for g in ("1a-i", "1a-ii", "1b-ii", "objective")] == [112, 644, 140, 197]
 
 
 def _p1_case():
@@ -296,9 +322,11 @@ def test_completion_sets_only_declared_pulses(early):
     assert [v.name for v in violated if v.group == "domain"] == ([] if early else [var])
 
 
-def _milp_optimum(model):
-    """Minimal total_time of the model by scipy's MILP solver, or None if it
-    is infeasible; the matrix is built from the Constraint rows."""
+def _minimizer(model, integral=True):
+    """A function from (coef, var) terms to their minimum over the model by
+    scipy's HiGHS, over its integer points or (integral=False) its LP
+    relaxation; None if the model is infeasible.  The matrix is built once,
+    from the Constraint rows."""
     np = pytest.importorskip("numpy")
     optimize = pytest.importorskip("scipy.optimize")
     sparse = pytest.importorskip("scipy.sparse")
@@ -313,13 +341,25 @@ def _milp_optimum(model):
         lo.append(-np.inf if con.sense == "<=" else con.rhs)
         hi.append(np.inf if con.sense == ">=" else con.rhs)
     a = sparse.coo_array((vals, (rows, cols)), shape=(len(model.constraints), len(names)))
-    cost = np.zeros(len(names))
-    cost[col["total_time"]] = 1
-    res = optimize.milp(cost, constraints=optimize.LinearConstraint(a, lo, hi),
-                        integrality=np.ones(len(names)),
-                        bounds=optimize.Bounds(0, [model.int_vars.get(n, 1) for n in names]))
-    assert res.status in (0, 2), res.message
-    return round(res.fun) if res.status == 0 else None
+    rows = optimize.LinearConstraint(a, lo, hi)
+    bounds = optimize.Bounds(0, [model.int_vars.get(n, 1) for n in names])
+    integrality = np.full(len(names), int(integral))
+
+    def minimize(terms):
+        cost = np.zeros(len(names))
+        for coef, var in terms:
+            cost[col[var]] += coef
+        res = optimize.milp(cost, constraints=rows, integrality=integrality, bounds=bounds)
+        assert res.status in (0, 2), res.message
+        return res.fun if res.status == 0 else None
+    return minimize
+
+
+def _milp_optimum(model):
+    """Minimal total_time of the model by scipy's MILP solver, or None if it
+    is infeasible."""
+    fun = _minimizer(model)([(1, "total_time")])
+    return None if fun is None else round(fun)
 
 
 # optima of the overlap-binary capacity block this formulation replaced,
@@ -387,11 +427,13 @@ def test_pair_update_before_its_zeroing_ends_rejected():
 # 4b waited for its zeroing's end and 1c-iii lost its mirrored copies, and
 # (the renders only) when the above-diagonal x_i_k = 0 bounds went.
 # (5, 4, 60, 2) was added before the rows were built from shared term blocks.
+# The renders alone were re-taken when the rows that sums of kept rows give
+# were cut; the completed assignments did not move.
 CAPACITY_RENDER_SHA256 = {
-    (3, 2, 16, 1): "5394759c063a4dbf7549aceb52e092e4dc80de03ae26b818e6c6459f53ab2929",
-    (4, 3, 30, 2): "ed2bd83c2d2dca05bb4162779e1b18bc0d9967ba564e9d309d2a0b5d21901374",
-    (5, 5, 44, 4): "617e3ff1c094e87e46da360b762ade115e4795c59da35a5af1c249f3cd7de803",
-    (5, 4, 60, 2): "9216f6c13834200a6fcf57093e67384f86d73fe26c9690b2229f0aadacdf67b6",
+    (3, 2, 16, 1): "40f8217a43328b754b8e8aa1214d966826d189c40f06165532ffbc085b1068f2",
+    (4, 3, 30, 2): "535bad1b7dee6ecdb795a615a39ca4eed108c7b7fe119c87a7c0685d7b5b6fb0",
+    (5, 5, 44, 4): "99fe4f9e65cd17417229caf8c4e387df47d592ad64039e6cd76aa5f43c5d02d5",
+    (5, 4, 60, 2): "4cf4884e7630cd8de6d544003b1276ddd50785c45ec81a6f75a3b10e72be6f80",
 }
 COMPLETED_SHA256 = {
     False: "611be1870641c6f51d74cea5b6ecade2fbc1411c871ebd1515e7a54792748dc3",
@@ -527,10 +569,12 @@ def test_double_orientation_rejected():
 
 # sha256 of the completed assignments, verdicts and violated rows of one
 # named-tree schedule per shape q <= p <= 6 and four seeded in-domain
-# mutations of each (times redrawn in [0, T], hats in {0, 1})
+# mutations of each (times redrawn in [0, T], hats in {0, 1}); re-taken when
+# the rows that sums of kept rows give were cut, as the cut rows' names left
+# the violated lists (VERDICT_SHA256 below did not move)
 MUTATION_SHA256 = {
-    False: "cfa7dc4d212c37e1a4a1604b5e710d400e37dab316dc42f84944dca061fe8a9e",
-    True: "9d9badf149e5b75592f28854237e22f2a7eac30db667190339883621021edf29",
+    False: "1978e09ab5cccb12c09b129ad59c5978342c88b457cd91b300569159439dd72a",
+    True: "18b6acae6776320c843fabcdf8badbddb7afd9fa78b1c65f216dab93f7dd4da8",
 }
 
 
@@ -640,3 +684,60 @@ def test_rendered_rows_judge_like_check_feasible(p, q, procs):
                   if not _SENSE[sense](sum(c * assign.get(v, 0) for c, v in terms), rhs)]
         ok, violated = check_feasible(model, assign)
         assert [v.name for v in violated] == broken and ok == (not broken)
+
+
+def _cut_rows(model):
+    """(name, terms, sense, rhs) of the appendix rows that the model leaves
+    out as sums of kept rows, built from the appendix definitions: 1a-i and
+    1a-ii over non-consecutive panels, 1b-ii below the last panel, all of
+    1a-v and 1c-iv, and total_time >= v for every action but x_i_q,
+    w_i_k_i (i < k) and the zeroings."""
+    p, q, T = model.p, model.q, model.T
+    w, x, y, z, zhat = model.w, model.x, model.y, model.z, model.zhat
+
+    def zoff(i, j, k):
+        return [(-1, z[i, j, k]), (-1, z[j, i, k]), (T, zhat[i, j, k]), (T, zhat[j, i, k])]
+
+    for (i, k, l), v in w.items():
+        for l1 in range(1, l - 1):
+            yield "1a-i", [(1, v), (-1, w[i, k, l1])], ">=", 3
+            for j in range(l1, p + 1):
+                if j != i:
+                    yield "1a-ii", [(1, v), (-1, y[i, j, k, l1]), (-1, y[j, i, k, l1])], ">=", 3
+    for (i, j, k, l), v in y.items():
+        for r in (i, j):
+            if i < j and r >= k and l < k - 1:
+                yield "1b-ii", [(1, x[r, k]), (-1, v), (-1, y[j, i, k, l])], ">=", 2
+            if r >= k:
+                for h in range(k, p + 1):
+                    if h != r and (r != j or h != i):   # {r, h} = {i, j} once
+                        yield "1c-iv", [(1, v), *zoff(h, r, k)], "<=", T - 3
+    for (i, j, k) in z:
+        if i < j:
+            for r in (i, j):
+                for l in range(1, k):
+                    yield "1a-v", [(1, w[r, k, l]), *zoff(i, j, k)], "<=", T - 1
+    kept = {*[v for (i, k, l), v in w.items() if i == l], *z.values(),
+            *[v for (i, k), v in x.items() if k == q]}
+    for v in [*w.values(), *x.values(), *y.values()]:
+        if v not in kept:
+            yield "objective", [(1, "total_time"), (-1, v)], ">=", 0
+
+
+def test_cut_rows_are_lp_implied():
+    """Each row the model leaves out holds on the LP relaxation of the rows
+    it keeps: the left side's maximum (<= rows) or minimum (>= rows) within
+    the declared bounds respects the right side."""
+    pytest.importorskip("scipy")
+    seen = Counter()
+    for p in range(1, 5):
+        for q in range(1, p + 1):
+            model = emit_ip(p, q, 60)
+            minimize = _minimizer(model, integral=False)
+            for group, terms, sense, rhs in _cut_rows(model):
+                sign = -1 if sense == "<=" else 1
+                fun = minimize([(sign * c, v) for c, v in terms])
+                assert fun is not None, (p, q, group, terms)   # LP status 0
+                assert sign * fun >= sign * rhs - 1e-6, (p, q, group, terms, sign * fun)
+                seen[group] += 1
+    assert sorted(seen) == ["1a-i", "1a-ii", "1a-v", "1b-ii", "1c-iv", "objective"]
