@@ -32,11 +32,17 @@ no sooner than it ends, by an always-performed one (4a for x_i_k, k < q;
 and 1a-ii rows for y).
 The precedence block never binds: 4b, c11za and c11yb make its link hold,
 its AND/OR gadgets then have a solution unless a pair update runs in both
-orientations, and 1a-iii with 1b-ii already reject that.  A 1c-iii
-disjunction keyed (h, s, o) is emitted only for h > o: its c1ciii_a row is
-the c1ciii_b row of the copy keyed (o, s, h) with dl1 for that copy's dl2,
-and its c1ciii_b row that copy's c1ciii_a with dl2 for dl1, so swapping the
-two binaries maps the solutions of one copy onto those of the other.
+orientations, and 1a-iii with 1b-ii already reject that.
+
+Each 1c-iii and 1d-case1 disjunction has one binary (Manne's big-M
+disjunction, 1960).  The appendix gives it two, row a relaxed by T*dl1
+(dl5), row b by T*dl2 (dl6), and the row dl1 + dl2 <= 1.  That row gives
+dl2 <= 1 - dl1, and raising dl2 to 1 - dl1 only relaxes row b, so setting
+dl2 = 1 - dl1 keeps the feasible set over the action variables, in the LP
+relaxation too: row b carries +T*dl1 with right side T more, and neither
+the second binary nor the _or row is emitted.  A 1c-iii disjunction keyed
+(h, s, o) is emitted only for h > o: the copy keyed (o, s, h) is the same
+pair with dl1 ↦ 1 − dl1.
 
 Group 4b corrects the appendix's row, which reads z_ij + z_ji <= y_ij,l +
 y_ji,l: that orders only the finish times, so a pair update could run
@@ -110,8 +116,8 @@ class IPModel:
     variable family's domain to the variable's name; they are built once
     and every row reads its names from them.  x is declared for i >= k
     only: no triangularization lies above the diagonal.  aux maps each
-    auxiliary binary (dl*), in emission order, to the one row that bounds
-    it from below, a <= row with a negative coefficient on it."""
+    auxiliary binary (dl1, dl5), in emission order, to the one row that
+    bounds it from below, a <= row with a negative coefficient on it."""
 
     def __init__(self, p, q, horizon, capacity=None):
         _check_shape(p, q)
@@ -233,16 +239,14 @@ class IPModel:
                                 if h < o:       # the copy keyed (o, s, h) is kept
                                     continue
                                 key = "_%s_%s_%s%s" % (h, s, o, kl)
-                                d1, d2 = "dl1" + key, "dl2" + key
+                                d1 = "dl1" + key
+                                # dl1 relaxes row a, 1 - dl1 row b
                                 a = aux[d1] = C("c1ciii_a" + key, "1c-iii",
                                                 [*ypos[o, s, k, l], *yoff[h, s, k, l], (-T, d1)],
                                                 "<=", ru)
-                                b = aux[d2] = C("c1ciii_b" + key, "1c-iii",
-                                                [*ypos[h, s, k, l], *yoff[o, s, k, l], (-T, d2)],
-                                                "<=", ru)
-                                # each dl relaxes one side: at most one may
-                                cons += a, b, C("c1ciii_or" + key, "1c-iii", [(1, d1), (1, d2)],
-                                                "<=", 1)
+                                cons += a, C("c1ciii_b" + key, "1c-iii",
+                                             [*ypos[h, s, k, l], *yoff[o, s, k, l], (T, d1)],
+                                             "<=", ru + T)
         # 1d-d: zeroing actions sharing a pivot are separated
         for k in range(1, q + 1):
             for i in range(k, p + 1):            # pivot
@@ -251,12 +255,11 @@ class IPModel:
                         if i in (j, h):
                             continue
                         key = "_%s_%s_%s_%s" % (h, i, j, k)
-                        d5, d6 = "dl5" + key, "dl6" + key
+                        d5 = "dl5" + key
                         a = aux[d5] = C("c1d1_a" + key, "1d-case1",
                                         [zpos[j, i, k][0], *zone[h, i, k], (-T, d5)], "<=", rz)
-                        b = aux[d6] = C("c1d1_b" + key, "1d-case1",
-                                        [zpos[h, i, k][0], *zone[j, i, k], (-T, d6)], "<=", rz)
-                        cons += a, b, C("c1d1_or" + key, "1d-case1", [(1, d5), (1, d6)], "<=", 1)
+                        cons += a, C("c1d1_b" + key, "1d-case1",
+                                     [zpos[h, i, k][0], *zone[j, i, k], (T, d5)], "<=", rz + T)
         # 1d case 2: pivot duty precedes the pivot's own zeroing
         # (the formulation leaves the row-order of this case open; emitted for
         # all valid row triples)

@@ -739,12 +739,6 @@ def verify_weight(build: QrBuild):
     return build.total_weight == total_weight(build.p, build.q)
 
 
-def elim_weight(q, k):
-    """Flop weight attributable to one elimination in column k, identical
-    for the TS and TT kernel bundles."""
-    return 10 + 18 * (q - k)
-
-
 def flattree_cp_oracle(p, q):
     _check_shape(p, q)
     if q == 1:
@@ -810,8 +804,11 @@ class ColumnIter:
 
 
 def optiter(a: ColumnIter) -> ColumnIter:
-    """Smallest bottom-to-top iterate of a column: the Asap process on one
-    column, eliminations proceeding strictly from the bottom up."""
+    """Smallest bottom-to-top iterate of a column, eliminations proceeding
+    strictly from the bottom up.  It gives the Asap process on one column
+    (`column_asap_free`) when the arrivals are congruent modulo w, and
+    need not otherwise: Asap may pair rows sooner, as [0, 0, 0, 1] with
+    w = 2 gives [2, 3, 5] under Asap and [2, 4, 6] here."""
     if not a.values:
         raise ValueError("empty column")
     w = a.w
@@ -850,7 +847,10 @@ def column_asap_free(a: ColumnIter) -> ColumnIter:
 
 
 def is_iterate(a: ColumnIter, c: ColumnIter) -> bool:
-    """Validity conditions of a weighted iterate c of column a."""
+    """Validity conditions of a weighted iterate c of column a.  They
+    accept Asap's column (`column_asap_free`) when a's values are congruent
+    modulo w, and need not otherwise: they reject Asap's [2, 4, 6] for
+    [0, 0, 1, 3] with w = 2."""
     if c.w != a.w:
         return False
     n = len(a.values)

@@ -253,16 +253,6 @@ def lower_bound_factor(makespan, p: int) -> Fraction:
     return Fraction(makespan) / (2 - Fraction(1, p))
 
 
-def gamma_ub(gamma_seq, total_flops, cp, procs) -> Fraction:
-    """Roofline-style upper bound on performance:
-    gamma_seq * T / max(T/P, cp)."""
-    if procs < 1:
-        raise ValueError("need p >= 1")
-    t = Fraction(total_flops)
-    denom = max(t / procs, Fraction(cp))
-    return Fraction(gamma_seq) * t / denom
-
-
 @dataclass
 class BoundsRow:
     """Bounds on p processors: the ALAP-derived t_alap = max(cp, (T_seq +

@@ -196,12 +196,6 @@ def temp_tile_count(p, r):
     return 18 * h * h + 7 * temp_tile_count(h, r - 1)
 
 
-def strassen_weight_model(n_b=200) -> WeightModel:
-    """Durations proportional to flops, normalized so the cheapest task
-    (the tile add) weighs 1: GEMM = 2 n_b - 1, GEADD = 1."""
-    return WeightModel({GEMM: 2 * n_b - 1, GEADD: 1})
-
-
 def counters_csv(rows):
     lines = ["p,r,tasks,flops,cp,temp_tiles"]
     for row in rows:

@@ -69,8 +69,9 @@ CLI_RUNS = [
 # sha256 of (argv, exit code, stdout, files written) over CLI_RUNS, taken
 # before the subcommands shared their graph builder and tree flags; re-taken
 # when the IP lost the rows that sums of kept rows give, which changed the
-# two ip-emit runs' output and no other run's.
-CLI_SHA256 = "4d0f1f36c2b933781292026728b404bf3c08d6ce061a1b55d63e6502874b7db6"
+# two ip-emit runs' output and no other run's, and again, for the same two
+# runs only, when the disjunctions' _or rows and dl2/dl6 binaries went.
+CLI_SHA256 = "0f9c925d434f7453517d99d4363f4a00e215d02dcbd1486159397ec48a479f08"
 
 
 def test_cli_runs_pinned(tmp_path, capsys, monkeypatch):
@@ -323,6 +324,22 @@ def test_ip_check_out_of_domain_entry_exit_1(tmp_path, capsys, extra):
     rc, out = run(capsys, "ip-check", "--p", "3", "--q", "2", "--T", "32",
                   "--assignment", str(path))
     assert rc == 1 and out.splitlines()[:2] == ["infeasible", f"  violated [domain] {name}"]
+
+
+def test_two_binary_disjunction_entry_is_a_domain_violation(tmp_path, capsys):
+    # a completed assignment saved from the model that gave each disjunction
+    # a second binary dl2 = 1 - dl1 names a variable no longer declared
+    from tiledag import complete_assignment, emit_ip, parse_assignment
+    from tiledag.ipmodel import assignment_text
+    path = _assignment_file(tmp_path)
+    model = emit_ip(3, 2, 32)
+    done = complete_assignment(model, parse_assignment(path.read_text()))
+    dl1 = next(v for v in done if v.startswith("dl1_"))
+    name = "dl2_" + dl1.removeprefix("dl1_")
+    path.write_text(assignment_text({**done, name: 1 - done[dl1]}))
+    rc, out = run(capsys, "ip-check", "--p", "3", "--q", "2", "--T", "32",
+                  "--assignment", str(path))
+    assert rc == 1 and out.splitlines() == ["infeasible", f"  violated [domain] {name}"]
 
 
 def test_empty_assignment_file_without_horizon_exit_1(tmp_path, capsys):

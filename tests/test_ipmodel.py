@@ -161,21 +161,24 @@ def test_bad_capacity():
 # (8, 8, 1028), whose big-M coefficients have four digits, was added before
 # the rows were built from shared term blocks.  These two pins were
 # re-taken when the rows that sums of kept rows give (1a-i, 1a-ii and 1b-ii
-# over non-consecutive panels, 1a-v, 1c-iv, most objective rows) were cut.
+# over non-consecutive panels, 1a-v, 1c-iv, most objective rows) were cut,
+# and when each disjunction's b row took dl2 = 1 - dl1 and lost its _or row.
 RENDER_SHA256 = {
-    (3, 2, 16): "fd489da1301655336ca90772a8af7b76851b772761101f51e978a3514e6ce65a",
-    (4, 4, 40): "9fb30181a06003f4b8b98dbc883adb48adb02cbcb899945d92e83f20364a261b",
-    (5, 3, 30): "e4ce85546abaf7c05c30f236846cb55042392b748e1f23cd1f81c56ec2da6609",
-    (8, 8, 1028): "57be350923693f7ef937593a1d7b537bb68c3daf8465fc2dff6217ecceb11cf6",
+    (3, 2, 16): "fb4a36c18965c4b21f31daea9277f2fad90830c1943b72eb8d45cd800941f70c",
+    (4, 4, 40): "eabb5becc5e7623c34a9e99af0f8f93e742e6aa97276357d386f3fb0466eba78",
+    (5, 3, 30): "2b25cdc4de078a6852c8d136552bd6178cd016c1828e75bc5e7ec7a4c2429499",
+    (8, 8, 1028): "835f30365ef3f9133a04bac8e78c991b6e806b9e2109833e5fe10536d3d4f7c4",
 }
-NON_CAPACITY_ROWS_SHA256 = "a7ede79f91dfe2363e37143b2f57c809d37f3f18f15469d21848c2baef7a9550"
+NON_CAPACITY_ROWS_SHA256 = "345744e5043bb65ee598b714f2bb9e6c063e3117e4ff512549a9900e2402f830"
 # sha256 of every row (name|group|terms|sense|rhs) and of list(model.aux)
 # of each shape q <= p <= 7 at T = 12, taken before the rows were built
 # from shared term blocks; re-taken when the rows that sums of kept rows
-# give were cut (the new rows are the old ones minus the cut ones, in order)
+# give were cut (the new rows are the old ones minus the cut ones, in order),
+# and when the _or rows and dl2/dl6 went (the b rows as
+# test_b_rows_are_the_appendix_rows_with_dl2_substituted rebuilds them)
 ROWS_SHA256 = {
-    None: "7f9a21bc6dfe2fe40b792d045af86ca48fd45f493c309043c0d6fa0fc35747d8",
-    2: "1b8c40868d20d425c8a28c579efeb1164e29513b8f98a3017517263b0b06be7b",
+    None: "f6fbea21f3756dff10caa1f5e832e5ff0cfc8f2c0937edd2014043ce0d91cbb4",
+    2: "48853da8ec973f828eb22f23df37336637bf83c8940c7eacbae19a478ccdf776",
 }
 
 
@@ -224,14 +227,69 @@ def test_capacity_block_closed_forms():
 
 def test_1ciii_closed_forms():
     # one disjunction per shared row s and unordered pair {h, o} of other
-    # rows of a pair-update column: three rows and two dl binaries each
+    # rows of a pair-update column: two rows and one dl1 binary each
     for p, q in ((2, 2), (3, 2), (4, 3), (5, 5), (8, 8)):
         model = emit_ip(p, q, 1028)
         rows = [c for c in model.constraints if c.group == "1c-iii"]
-        n = 9 * sum(comb(p - l + 1, 3) for k in range(2, q + 1) for l in range(1, k))
+        n = 6 * sum(comb(p - l + 1, 3) for k in range(2, q + 1) for l in range(1, k))
         assert len(rows) == n, (p, q)
-        assert len([v for v in model.aux if v.startswith(("dl1", "dl2"))]) == 2 * n // 3, (p, q)
-    assert (n, len(model.constraints), len(model.aux)) == (6804, 13841, 5292)   # 8x8
+        assert len([v for v in model.aux if v.startswith("dl1")]) == n // 2, (p, q)
+    assert (n, len(model.constraints), len(model.aux)) == (4536, 11195, 2646)   # 8x8
+
+
+def _appendix_b_rows(model):
+    """(name, terms, rhs, dl1, dl2) of the b row of each 1c-iii and 1d-case1
+    disjunction as the appendix states it, with its own binary dl2 (dl6):
+    y_hs + y_sh - y_os - y_so + T(yhat_os + yhat_so) - T dl2 <= T - 3, and
+    z_hi - z_ji + T zhat_ji - T dl6 <= T - 1."""
+    p, q, T = model.p, model.q, model.T
+    y, yhat, z, zhat = model.y, model.yhat, model.z, model.zhat
+    for k in range(2, q + 1):
+        for l in range(1, k):
+            for i in range(l, p + 1):
+                for j in range(i + 1, p + 1):
+                    for h in range(l, p + 1):
+                        for s, o in ((i, j), (j, i)):
+                            if h in (i, j) or h < o:
+                                continue
+                            key = f"_{h}_{s}_{o}_{k}_{l}"
+                            terms = [(1, y[h, s, k, l]), (1, y[s, h, k, l]),
+                                     (-1, y[o, s, k, l]), (-1, y[s, o, k, l]),
+                                     (T, yhat[o, s, k, l]), (T, yhat[s, o, k, l]),
+                                     (-T, "dl2" + key)]
+                            yield "c1ciii_b" + key, terms, T - 3, "dl1" + key, "dl2" + key
+    for k in range(1, q + 1):
+        for i in range(k, p + 1):
+            for j in range(k, p + 1):
+                for h in range(j + 1, p + 1):
+                    if i not in (j, h):
+                        key = f"_{h}_{i}_{j}_{k}"
+                        terms = [(1, z[h, i, k]), (-1, z[j, i, k]), (T, zhat[j, i, k]),
+                                 (-T, "dl6" + key)]
+                        yield "c1d1_b" + key, terms, T - 1, "dl5" + key, "dl6" + key
+
+
+@pytest.mark.parametrize("capacity", [None, 2])
+def test_b_rows_are_the_appendix_rows_with_dl2_substituted(capacity):
+    """Each disjunction's emitted b row is its appendix row with dl2 :=
+    1 - dl1 (dl6 := 1 - dl5), which the appendix's _or row dl1 + dl2 <= 1
+    allows: same name and terms, (T, dl1) in place of (-T, dl2), right side
+    + T.  No _or row and no dl2/dl6 binary is declared."""
+    for p in range(1, 7):
+        for q in range(1, p + 1):
+            model = emit_ip(p, q, 30, capacity=capacity)
+            T, rows = model.T, {c.name: c for c in model.constraints}
+            expected = list(_appendix_b_rows(model))
+            emitted = [n for n in rows if n.startswith(("c1ciii_b", "c1d1_b"))]
+            assert sorted(emitted) == sorted(name for name, *_ in expected), (p, q)
+            for name, terms, rhs, dl1, dl2 in expected:
+                row = rows[name]
+                assert row.terms == [(T, dl1) if t == (-T, dl2) else t for t in terms], name
+                assert (row.sense, row.rhs) == ("<=", rhs + T), name
+                assert model.aux[dl1].name == name.replace("_b_", "_a_"), name
+            assert not [n for n in rows if "_or_" in n], (p, q)
+            declared = [*model.int_vars, *model.bin_vars]   # rows read no other name
+            assert not [v for v in declared if v.startswith(("dl2_", "dl6_"))], (p, q)
 
 
 def test_kept_precedence_closed_forms():
@@ -399,13 +457,13 @@ def _overlap_violations(p, q, var, other):
 
 
 def test_pair_updates_sharing_a_row_overlap_rejected():
-    # both pair updates of column 2 by panel 1 pivot on row 1; only the
-    # 1c-iii disjunction row sees the overlap, as both sides are relaxed
-    assert _overlap_violations(3, 2, "y_3_1_2_1", "y_2_1_2_1") == {"c1ciii_or_3_1_2_2_1"}
+    # both pair updates of column 2 by panel 1 pivot on row 1; dl1 relaxes
+    # row a, so only row b, which 1 - dl1 would relax, sees the overlap
+    assert _overlap_violations(3, 2, "y_3_1_2_1", "y_2_1_2_1") == {"c1ciii_b_3_1_2_2_1"}
 
 
 def test_zeroings_sharing_a_pivot_overlap_rejected():
-    assert _overlap_violations(3, 1, "z_3_1_1", "z_2_1_1") == {"c1d1_or_3_1_2_1"}
+    assert _overlap_violations(3, 1, "z_3_1_1", "z_2_1_1") == {"c1d1_b_3_1_2_1"}
 
 
 def test_pair_update_before_its_zeroing_ends_rejected():
@@ -428,16 +486,18 @@ def test_pair_update_before_its_zeroing_ends_rejected():
 # (the renders only) when the above-diagonal x_i_k = 0 bounds went.
 # (5, 4, 60, 2) was added before the rows were built from shared term blocks.
 # The renders alone were re-taken when the rows that sums of kept rows give
-# were cut; the completed assignments did not move.
+# were cut; the completed assignments did not move.  Both were re-taken when
+# the _or rows went: the renders lost them and dl2/dl6, and the completed
+# assignments are the old ones without their dl2/dl6 entries.
 CAPACITY_RENDER_SHA256 = {
-    (3, 2, 16, 1): "40f8217a43328b754b8e8aa1214d966826d189c40f06165532ffbc085b1068f2",
-    (4, 3, 30, 2): "535bad1b7dee6ecdb795a615a39ca4eed108c7b7fe119c87a7c0685d7b5b6fb0",
-    (5, 5, 44, 4): "99fe4f9e65cd17417229caf8c4e387df47d592ad64039e6cd76aa5f43c5d02d5",
-    (5, 4, 60, 2): "4cf4884e7630cd8de6d544003b1276ddd50785c45ec81a6f75a3b10e72be6f80",
+    (3, 2, 16, 1): "2ceaebc9160984f6662d8e4547a3d51cc8c1732fca24402ce5e887636b7600a3",
+    (4, 3, 30, 2): "64f51c7dc4b29ff378cfff39c9477f6b0d35a97f8dc1f7121e358d89c4a0fa02",
+    (5, 5, 44, 4): "0f76aa8c7b5c0f51d8c59ecb7aee373978c3440fd9bb0c46abfab82b071aafe0",
+    (5, 4, 60, 2): "df5ad3e81ba41ab061c9a77fab2339828deb36a097fee9e13fae31b52649b81b",
 }
 COMPLETED_SHA256 = {
-    False: "611be1870641c6f51d74cea5b6ecade2fbc1411c871ebd1515e7a54792748dc3",
-    True: "3aba0090e726af7c5874eff3c9d166e00a47dbeeb34cd911f0d3c28987b329fa",
+    False: "7298b7e2eb92e599a1cfd8d483ebc38aef53e4831127bdb4fd973fb97e330a1d",
+    True: "17eadb04706ececbfb4c7a26ff2d7f1826ac1408a1c6663b4dc5e2d501830e4b",
 }
 
 
@@ -571,10 +631,12 @@ def test_double_orientation_rejected():
 # named-tree schedule per shape q <= p <= 6 and four seeded in-domain
 # mutations of each (times redrawn in [0, T], hats in {0, 1}); re-taken when
 # the rows that sums of kept rows give were cut, as the cut rows' names left
-# the violated lists (VERDICT_SHA256 below did not move)
+# the violated lists (VERDICT_SHA256 below did not move), and when the _or
+# rows went: the completions lost dl2/dl6, and each violated _or row now
+# reads as its b row
 MUTATION_SHA256 = {
-    False: "1978e09ab5cccb12c09b129ad59c5978342c88b457cd91b300569159439dd72a",
-    True: "18b6acae6776320c843fabcdf8badbddb7afd9fa78b1c65f216dab93f7dd4da8",
+    False: "02d57984d7a885742e6ead438ae2b30b07b05888ed8b263ab0633678d386edc2",
+    True: "87c7e161f8c147ec356c257ddb69adaa399bcf969c2a2dd1b6b2641c896e7e5d",
 }
 
 

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -287,6 +288,27 @@ def test_optiter_minimality_integer_multiple_weights():
         b = optiter(a)
         assert is_iterate(a, b)
         assert all(x <= y for x, y in zip(b.values, column_asap_free(a).values))
+
+
+def test_optiter_and_is_iterate_need_congruent_arrivals():
+    # arrivals not congruent modulo w: Asap pairs rows that optiter keeps
+    # waiting, and is_iterate rejects Asap's column
+    a = ColumnIter([0, 0, 0, 1], 2)
+    assert (column_asap_free(a).values, optiter(a).values) == ([2, 3, 5], [2, 4, 6])
+    a = ColumnIter([0, 0, 1, 3], 2)
+    assert column_asap_free(a).values == [2, 4, 6]
+    assert not is_iterate(a, ColumnIter([2, 4, 6], 2))
+    # congruent arrivals: every column of 2-6 values in 0..6 for w in {2, 3}
+    n = 0
+    for w in (2, 3):
+        for m in range(2, 7):
+            for vals in combinations_with_replacement(range(7), m):
+                if len({v % w for v in vals}) == 1:
+                    a = ColumnIter(list(vals), w)
+                    free = column_asap_free(a)
+                    assert optiter(a).values == free.values and is_iterate(a, free), (w, vals)
+                    n += 1
+    assert n == 415
 
 
 def test_column_validation():

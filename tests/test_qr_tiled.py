@@ -9,9 +9,9 @@ from tiledag import (
     GEQRT, TSMQR, TSQRT, TTMQR, TTQRT, UNMQR,
     ElimEntry, EliminationList, QrBuild, WeightModel, annotate_cp,
     asap_times, build_from_trace, build_tree, coarse_schedule, eager_coarse,
-    elim_weight, fibonacci_cp_bounds, fibonacci_x, flattree_cp_composed,
-    flattree_cp_oracle, grasap_build, plasmatree_list, tiled_build,
-    tiled_translation, total_weight, verify_weight,
+    fibonacci_cp_bounds, fibonacci_x, flattree_cp_composed, flattree_cp_oracle,
+    grasap_build, plasmatree_list, tiled_build, tiled_translation, total_weight,
+    verify_weight,
 )
 
 # Tiled zeroed-time tables for 15 x 6 (rows 2..15).
@@ -100,6 +100,12 @@ def test_total_weight_formula_and_conservation():
                 for family in (("TT", "TS") if algo not in ("asap", "grasap") else ("TT",)):
                     assert verify_weight(build_tree(p, q, algo, family=family,
                                                     keep_trace=False)), (p, q, algo, family)
+
+
+def elim_weight(q, k):
+    """Flop weight attributable to one elimination in column k, identical
+    for the TS and TT kernel bundles."""
+    return 10 + 18 * (q - k)
 
 
 def test_elim_weight_identity():

