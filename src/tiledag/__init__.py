@@ -13,12 +13,10 @@ from .cholesky import (
     inversion_steps,
 )
 from .qr import (
-    ColumnIter, CoarseTable, ElimEntry, EliminationList, QrBuild,
-    binary_tree_list, build_tree, coarse_cp_oracle, coarse_schedule,
-    column_asap_free, eager_coarse, fibonacci_cp_bounds, fibonacci_x,
-    flattree_cp_composed, flattree_cp_oracle, grasap_build, is_iterate,
-    optiter, plasmatree_list, tiled_build, tiled_translation, total_weight,
-    verify_weight, zeroed_table_csv,
+    CoarseTable, ElimEntry, EliminationList, QrBuild, binary_tree_list,
+    build_tree, coarse_cp_oracle, coarse_schedule, fibonacci_cp_bounds,
+    fibonacci_x, flattree_cp_oracle, grasap_build, plasmatree_list,
+    tiled_build, total_weight, verify_weight, zeroed_table_csv,
 )
 from .sched import (
     BoundsRow, Schedule, alpha_min, bounds_table, check_schedule,

@@ -15,9 +15,7 @@ Rows and columns are 1-based throughout, matching the reference tables.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from functools import partial
-from itertools import groupby
 from math import ceil, inf
 from typing import NamedTuple
 
@@ -94,34 +92,6 @@ class EliminationList:
             raise ValueError(f"elimination list incomplete: {len(self)}/{want} tiles zeroed")
         return True
 
-    def normalized(self):
-        """Equivalent list with i > piv everywhere.
-
-        Each reverse elimination elim(i1, i0, k), i1 < i0, is removed by
-        exchanging the names i0 and i1 in it and in every later entry, of
-        every column.  Up to that entry both rows were zeroed in exactly the
-        columns before k, so the list stays valid; after it both were last
-        used at the same step, so every entry keeps its with_steps() step.
-        Columns are cleared left to right, each by its reverse entry with
-        the largest pivot first.  Weighted tiled times are preserved
-        wherever the exchanged rows carry the same update history into
-        later columns, as when only the last column has reverse entries.
-        """
-        entries = list(self.entries)
-        for k0 in range(1, min(self.p, self.q) + 1):
-            while True:
-                rev = [(n, e) for n, e in enumerate(entries)
-                       if e.k == k0 and e.i < e.piv]
-                if not rev:
-                    break
-                i0 = max(e.piv for _, e in rev)
-                first = next(n for n, e in rev if e.piv == i0)
-                i1 = entries[first].i
-                swap = {i0: i1, i1: i0}
-                entries[first:] = [e._replace(i=swap.get(e.i, e.i), piv=swap.get(e.piv, e.piv))
-                                   for e in entries[first:]]
-        return EliminationList(self.p, self.q, entries)
-
     def with_steps(self):
         """Recompute coarse time-steps: each elimination occupies both of
         its rows for one unit."""
@@ -152,44 +122,21 @@ class CoarseTable:
     """Per-tile coarse time steps: coarse(i,k) is the unit-cost step at
     which tile (i,k) is zeroed."""
 
-    def __init__(self, p, q, steps, algo=""):
+    def __init__(self, p, q, steps):
         self.p = p
         self.q = q
         self.steps = dict(steps)
-        self.algo = algo
 
     @classmethod
-    def of(cls, elim: EliminationList, algo):
+    def of(cls, elim: EliminationList):
         """The table of a list's steps: (i,k) at the step that zeroes it."""
-        return cls(elim.p, elim.q, {(i, k): s for i, _, k, s in elim.entries}, algo)
+        return cls(elim.p, elim.q, {(i, k): s for i, _, k, s in elim.entries})
 
     def __call__(self, i, k):
         return self.steps[(i, k)]
 
     def cp(self):
         return max(self.steps.values(), default=0)
-
-    def validate(self, elim: EliminationList):
-        """The dependency relations of the coarse model: a tile's own and
-        its pivot's previous-column eliminations precede it, and the
-        elimination order within a column follows the algorithm's sweep
-        (downward for the panel scheme, bottom-up otherwise)."""
-        for e in elim:
-            s = self.steps[(e.i, e.k)]
-            if e.k > 1:
-                if self.steps[(e.i, e.k - 1)] >= s:
-                    raise ValueError(f"coarse dependency violated: own row at ({e.i},{e.k})")
-                if e.piv > e.k - 1 and self.steps[(e.piv, e.k - 1)] >= s:
-                    raise ValueError(f"coarse dependency violated: pivot row at ({e.i},{e.k})")
-        for k in range(1, min(self.p, self.q) + 1):
-            col = [self.steps[(i, k)] for i in range(k + 1, self.p + 1)]
-            if self.algo == "sameh-kuck":
-                ok = all(a < b for a, b in zip(col, col[1:]))
-            else:
-                ok = all(a >= b for a, b in zip(col, col[1:]))
-            if not ok:
-                raise ValueError(f"column {k} violates the {self.algo} sweep order")
-        return True
 
     def to_csv(self):
         return _grid_csv(self.p, self.q, self.steps)
@@ -285,15 +232,7 @@ def coarse_schedule(p, q, algo):
     if schedule is None:
         raise ValueError(f"unknown coarse algorithm {algo!r}")
     elim = EliminationList(p, q, schedule(p, q))
-    return CoarseTable.of(elim, algo), elim
-
-
-def eager_coarse(elim: EliminationList) -> CoarseTable:
-    """Coarse table of the dependence-driven re-execution of a list: each
-    elimination fires one step after the last use of either of its rows.
-    Coincides with the scheduled tables of the busy algorithms (Sameh-Kuck,
-    Greedy); Fibonacci's shifted pattern can idle on small instances."""
-    return CoarseTable.of(elim.with_steps(), "eager")
+    return CoarseTable.of(elim), elim
 
 
 def coarse_cp_oracle(p, q, algo):
@@ -758,130 +697,9 @@ def sk_coarse_closed_form(p, q):
     return p + q - 2
 
 
-def flattree_cp_composed(p, q):
-    c1 = sk_coarse_closed_form(p, q - 1)
-    c2 = sk_coarse_closed_form(p, q)
-    return 10 * (q - 1) + 6 * c1 + 4 + 2 * (c2 - c1)
-
-
 def fibonacci_cp_bounds(p, q):
     """(low, high) with low <= the simulated Fibonacci cp < high (low at 4 x 4)."""
     _check_shape(p, q)
     low = 22 * q - 30
     high = 22 * q + 6 * ceil((2 * p) ** 0.5)
     return low, high
-
-
-def tiled_translation(i, k, coarse: CoarseTable):
-    """Completion time of every TTMQR update of the elimination of tile
-    (i,k): 10k + 6*coarse(i,k).  Valid for all but the last column."""
-    if k >= coarse.q:
-        raise ValueError("translation excludes the last column (need k <= q-1)")
-    if not (i > k >= 1):
-        raise ValueError("need a sub-diagonal tile")
-    return 10 * k + 6 * coarse(i, k)
-
-
-# ---------------------------------------------------------------------------
-# column calculus (weighted iterates)
-
-@dataclass
-class ColumnIter:
-    """A column of nondecreasing ready times with the task weight used to
-    iterate it."""
-
-    values: list
-    w: int = 1
-
-    def __post_init__(self):
-        if any(b < a for a, b in zip(self.values, self.values[1:])):
-            raise ValueError("column values must be nondecreasing")
-        if self.w <= 0:
-            raise ValueError("task weight must be positive")
-
-    def runs(self):
-        return [(v, len(list(g))) for v, g in groupby(self.values)]
-
-
-def optiter(a: ColumnIter) -> ColumnIter:
-    """Smallest bottom-to-top iterate of a column, eliminations proceeding
-    strictly from the bottom up.  It gives the Asap process on one column
-    (`column_asap_free`) when the arrivals are congruent modulo w, and
-    need not otherwise: Asap may pair rows sooner, as [0, 0, 0, 1] with
-    w = 2 gives [2, 3, 5] under Asap and [2, 4, 6] here."""
-    if not a.values:
-        raise ValueError("empty column")
-    w = a.w
-    ready = list(a.values)       # surviving rows' ready times, bottom row first
-    done = []
-    while len(ready) > 1:
-        # the two bottom rows and those above them ready by then; the bottom
-        # half of this block is zeroed by the half above it
-        now = max(ready[0], ready[1])
-        n = 2
-        while n < len(ready) and ready[n] <= now:
-            n += 1
-        s = n // 2
-        done += [now + w] * s
-        ready[:2 * s] = [now + w] * s
-    return ColumnIter(sorted(done), w)
-
-
-def column_asap_free(a: ColumnIter) -> ColumnIter:
-    """Asap on one column without the bottom-to-top restriction: pair any
-    available rows as soon as possible."""
-    w = a.w
-    avail = sorted(a.values)
-    done = []
-    while len(avail) > 1:
-        now = avail[1]
-        ready = [t for t in avail if t <= now]
-        s = len(ready) // 2
-        for _ in range(s):
-            avail.pop(0)
-            done.append(now + w)
-        for n in range(s):
-            avail[n] = now + w
-        avail.sort()
-    return ColumnIter(sorted(done), w)
-
-
-def is_iterate(a: ColumnIter, c: ColumnIter) -> bool:
-    """Validity conditions of a weighted iterate c of column a.  They
-    accept Asap's column (`column_asap_free`) when a's values are congruent
-    modulo w, and need not otherwise: they reject Asap's [2, 4, 6] for
-    [0, 0, 1, 3] with w = 2."""
-    if c.w != a.w:
-        return False
-    n = len(a.values)
-    if len(c.values) != n - 1:
-        return False
-    if any(y < x for x, y in zip(c.values, c.values[1:])):
-        return False
-    w = a.w
-    aruns = a.runs()
-    cruns = c.runs()
-    qn = len(aruns)
-    pn = len(cruns)
-    if cruns and cruns[0][0] < aruns[0][0] + w:
-        return False
-    consumed = 0
-    for h, (ch, mh) in enumerate(cruns):
-        window = None
-        for k in range(1, qn + 1):
-            lo = aruns[k - 1][0] + w
-            hi = aruns[k][0] if k < qn else None
-            if lo <= ch and (hi is None or ch <= hi):
-                window = k
-                break
-        if window is not None:
-            arrived = sum(nk for _, nk in aruns[:window])
-        else:
-            j = min(pn + 1, qn)
-            if aruns[j - 1][0] > ch:
-                return False
-            arrived = sum(nk for _, nk in aruns[:j])
-        if mh > (arrived - consumed) // 2:
-            return False
-        consumed += mh
-    return True

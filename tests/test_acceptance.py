@@ -16,13 +16,13 @@ import pytest
 from tiledag import (
     CholInvConfig, WeightModel, alap_profile, annotate_cp, asap_times,
     bounds_table, build_from_trace, build_tree, check_feasible,
-    check_schedule, coarse_schedule, complete_assignment, eager_coarse,
+    CoarseTable, check_schedule, coarse_schedule, complete_assignment,
     emit_ip, gen_chol_fact, gen_chol_inversion, gen_strassen,
     gen_tiled_gemm, inversion_steps, list_schedule, lost_area, r_min,
     schedule_to_assignment, strassen_flops, strassen_task_count,
-    StrassenParams, gemm_flops, tiled_build, tiled_translation, trace_cp,
-    verify_weight,
+    StrassenParams, gemm_flops, tiled_build, trace_cp, verify_weight,
 )
+from test_qr_tiled import flattree_cp_composed, tiled_translation
 
 WU = WeightModel.unit()
 WC = WeightModel.cholesky()
@@ -157,7 +157,7 @@ def test_criterion_05_tiled_tables():
 
 
 def test_criterion_06_flattree_closed_form():
-    from tiledag import flattree_cp_composed, flattree_cp_oracle
+    from tiledag import flattree_cp_oracle
     for p in range(2, 31):
         for q in range(1, p + 1):
             cp = build_tree(p, q, "flattree", keep_trace=False).cp
@@ -170,7 +170,7 @@ def test_criterion_07_translation_theorem():
         for q in range(2, p + 1):
             for algo in ("sameh-kuck", "fibonacci", "greedy"):
                 table, elim = coarse_schedule(p, q, algo)
-                coarse = eager_coarse(elim)
+                coarse = CoarseTable.of(elim.with_steps())
                 if algo != "fibonacci":
                     assert coarse.steps == table.steps, (algo, p, q)
                 b = tiled_build(elim)

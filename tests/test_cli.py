@@ -74,13 +74,15 @@ CLI_RUNS = [
 CLI_SHA256 = "0f9c925d434f7453517d99d4363f4a00e215d02dcbd1486159397ec48a479f08"
 
 
-def test_cli_runs_pinned(tmp_path, capsys, monkeypatch):
+def test_cli_runs_pinned(tmp_path, capsys):
     digest = hashlib.sha256()
     for n, line in enumerate(CLI_RUNS):
         outdir = tmp_path / str(n)
         outdir.mkdir()
-        monkeypatch.setenv("TILEDAG_OUTDIR", str(outdir))
-        rc = main(line.split())
+        argv = line.split()   # each run writes its files into its own directory
+        argv = [f"{outdir}/{word}" if argv[at - 1:at] == ["--out"] else word
+                for at, word in enumerate(argv)]
+        rc = main(argv)
         out = capsys.readouterr().out.replace(str(outdir), "<OUTDIR>")
         files = sorted((f.name, f.read_text()) for f in outdir.iterdir())
         digest.update(repr((line, rc, out, files)).encode())
@@ -201,8 +203,18 @@ def _cp_plus_1(build):
     return patched
 
 
+def _greedy_last_step_plus_5(schemes):
+    # the coarse cp oracle reads Greedy's own table back, so it moves too
+    def greedy(p, q):
+        entries = schemes["greedy"](p, q)
+        return entries[:-1] + [entries[-1]._replace(step=entries[-1].step + 5)]
+    return {**schemes, "greedy": greedy}
+
+
 # each --check against a patched oracle: (argv, module, name, patch, mismatch)
 PATCHED_CHECKS = [
+    ("qr-coarse --p 9 --q 5 --algo greedy --check", "qr", "_COARSE",
+     _greedy_last_step_plus_5, "(6,5): 15 != re-executed 10"),
     ("chol-bounds --t 4 --check", "cholesky", "chol_cp_oracle",
      lambda real: lambda t, which: 0, "cp 26 != 9t-10 = 0"),
     ("chol-bounds --t 4 --procs 1,2 --check", "sched", "lost_area",
@@ -233,10 +245,9 @@ def test_check_fails_against_a_patched_oracle(capsys, monkeypatch, line, module,
     assert f"check mismatch: {err}" in capsys.readouterr().err.splitlines()
 
 
-def test_gantt_and_outdir(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("TILEDAG_OUTDIR", str(tmp_path))
+def test_gantt_and_outdir(tmp_path, capsys):
     rc, out = run(capsys, "sched", "--algo", "cholesky", "--t", "3",
-                  "--procs", "2", "--gantt", "--out", "run.csv")
+                  "--procs", "2", "--gantt", "--out", str(tmp_path / "run.csv"))
     assert rc == 0
     data = (tmp_path / "run.csv").read_text()
     assert data.startswith("procs,makespan")
@@ -450,15 +461,6 @@ def test_out_into_missing_directory_exit_2(tmp_path, capsys):
     assert main(["chol-cp", "--t", "3", "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert str(out) in err and "Traceback" not in err
-    assert len(err.strip().splitlines()) == 1
-
-
-def test_missing_outdir_exit_2(tmp_path, capsys, monkeypatch):
-    outdir = tmp_path / "nonexistent"
-    monkeypatch.setenv("TILEDAG_OUTDIR", str(outdir))
-    assert main(["chol-cp", "--t", "3", "--out", "x.csv"]) == 2
-    err = capsys.readouterr().err
-    assert str(outdir / "x.csv") in err and "Traceback" not in err
     assert len(err.strip().splitlines()) == 1
 
 

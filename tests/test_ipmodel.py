@@ -445,15 +445,21 @@ def test_uncapacitated_optimum_matches_solver(p, q, T, optimum):
     assert _milp_optimum(emit_ip(p, q, T)) == optimum
 
 
+def _moved(model, times, var, other):
+    """The rows that an assignment breaks once action var is moved to
+    finish with action other."""
+    assert times[var] != times[other]
+    ok, violated = check_feasible(model, complete_assignment(model, {**times, var: times[other]}))
+    assert not ok
+    return violated
+
+
 def _overlap_violations(p, q, var, other):
     """The rows that a valid flat-tree schedule breaks once action var is
     moved to finish with action other."""
     g, s = _schedule(p, q, "flattree", 1000)
     model = emit_ip(p, q, s.makespan // 2 + 4)
-    times = schedule_to_assignment(g, s)
-    assert times[var] != times[other]
-    times[var] = times[other]
-    return _violated(model, complete_assignment(model, times))
+    return {v.name for v in _moved(model, schedule_to_assignment(g, s), var, other)}
 
 
 def test_pair_updates_sharing_a_row_overlap_rejected():
@@ -464,6 +470,36 @@ def test_pair_updates_sharing_a_row_overlap_rejected():
 
 def test_zeroings_sharing_a_pivot_overlap_rejected():
     assert _overlap_violations(3, 1, "z_3_1_1", "z_2_1_1") == {"c1d1_b_3_1_2_1"}
+
+
+def test_every_overlap_of_a_shared_row_or_pivot_rejected():
+    # in list schedules of four trees, move each performed pair update to
+    # finish with another of its (column, panel) that shares a row, and each
+    # zeroing with another of its column that shares the pivot: a row of the
+    # disjunction's group must break, so no lost disjunction passes unseen
+    moves = 0
+    for p in range(1, 6):
+        for q in range(1, p + 1):
+            for algo in ("flattree", "greedy", "binarytree", "fibonacci"):
+                g, s = _schedule(p, q, algo, 3)
+                model = emit_ip(p, q, s.makespan // 2 + 4)
+                times = schedule_to_assignment(g, s)
+                done = [(v, tuple(map(int, v.split("_")[1:]))) for v in times
+                        if v[:2] in ("y_", "z_")]
+                for var, (i, j, *col) in done:
+                    for other, (h, o, *ocol) in done:
+                        if var[0] != other[0] or col != ocol or var == other:
+                            continue
+                        if var[0] == "y" and {i, j} & {h, o}:
+                            group = "1c-iii"
+                        elif var[0] == "z" and j == o:
+                            group = "1d-case1"
+                        else:
+                            continue
+                        violated = _moved(model, times, var, other)
+                        assert any(v.group == group for v in violated), (algo, var, other)
+                        moves += 1
+    assert moves == 862
 
 
 def test_pair_update_before_its_zeroing_ends_rejected():

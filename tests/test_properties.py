@@ -26,7 +26,7 @@ from tiledag import (  # noqa: E402
     build_from_trace, check_schedule, list_schedule,
 )
 from tiledag.taskgraph import EXPLICIT  # noqa: E402
-from test_qr_coarse import interleaved_list  # noqa: E402
+from test_qr_coarse import interleaved_list, normalized  # noqa: E402
 
 WM = WeightModel({GEMM: 6, SYRK: 3, TRSM: 2, POTRF: 1, COPY: 0})
 TILES = st.sampled_from([TileRef("A", i, 0) for i in range(4)])
@@ -179,7 +179,7 @@ def elim_lists(draw):
                                 ElimEntry(3, 1, 1), ElimEntry(3, 2, 2)]))
 def test_normalized_stays_valid_and_keeps_steps(elim):
     elim.validate()
-    norm = elim.normalized()
+    norm = normalized(elim)
     norm.validate()
     assert all(e.i > e.piv for e in norm)
     assert [e.step for e in norm.with_steps()] == [e.step for e in elim.with_steps()]

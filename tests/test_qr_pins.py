@@ -19,7 +19,7 @@ import hashlib
 
 from tiledag import (
     GEQRT, TSMQR, TSQRT, TTMQR, TTQRT, UNMQR,
-    WeightModel, build_tree, coarse_cp_oracle, coarse_schedule, eager_coarse,
+    CoarseTable, WeightModel, build_tree, coarse_cp_oracle, coarse_schedule,
     grasap_build, zeroed_table_csv,
 )
 
@@ -50,9 +50,10 @@ def _digest(pmax):
         for q in range(1, p + 1):
             for algo in ("sameh-kuck", "fibonacci", "greedy"):
                 table, elim = coarse_schedule(p, q, algo)
-                put(p, q, algo, table.algo, sorted(table.steps.items()), table.cp(),
+                # algo twice: the digest was taken when tables carried their scheme
+                put(p, q, algo, algo, sorted(table.steps.items()), table.cp(),
                     table.to_csv(), list(elim), elim.to_csv(),
-                    eager_coarse(elim).to_csv(), coarse_cp_oracle(p, q, algo))
+                    CoarseTable.of(elim.with_steps()).to_csv(), coarse_cp_oracle(p, q, algo))
             for algo, family, kw in _trees(p, q):
                 for weights in (None, SKEWED):
                     for keep_trace in (False, True):

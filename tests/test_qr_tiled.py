@@ -7,12 +7,12 @@ import pytest
 
 from tiledag import (
     GEQRT, TSMQR, TSQRT, TTMQR, TTQRT, UNMQR,
-    ElimEntry, EliminationList, QrBuild, WeightModel, annotate_cp,
-    asap_times, build_from_trace, build_tree, coarse_schedule, eager_coarse,
-    fibonacci_cp_bounds, fibonacci_x, flattree_cp_composed, flattree_cp_oracle,
-    grasap_build, plasmatree_list, tiled_build, tiled_translation, total_weight,
-    verify_weight,
+    CoarseTable, ElimEntry, EliminationList, QrBuild, WeightModel, annotate_cp,
+    asap_times, build_from_trace, build_tree, coarse_schedule, fibonacci_cp_bounds,
+    fibonacci_x, flattree_cp_oracle, grasap_build, plasmatree_list, tiled_build,
+    total_weight, verify_weight,
 )
+from tiledag.qr import sk_coarse_closed_form
 
 # Tiled zeroed-time tables for 15 x 6 (rows 2..15).
 T23 = {
@@ -116,6 +116,14 @@ def test_elim_weight_identity():
             assert elim_weight(q, k) == ts_bundle == tt_bundle == 10 + 18 * (q - k)
 
 
+def flattree_cp_composed(p, q):
+    """FlatTree's cp composed from the Sameh-Kuck coarse closed form: the
+    translation theorem up to column q-1, then the last column's steps."""
+    c1 = sk_coarse_closed_form(p, q - 1)
+    c2 = sk_coarse_closed_form(p, q)
+    return 10 * (q - 1) + 6 * c1 + 4 + 2 * (c2 - c1)
+
+
 def test_flattree_closed_form():
     assert flattree_cp_oracle(15, 6) == 164
     assert flattree_cp_oracle(40, 1) == 82
@@ -152,6 +160,17 @@ def test_fibonacci_bounds():
         assert 10 + 6 * x + 4 <= cp < 20 + 6 * (x + 2)
 
 
+def tiled_translation(i, k, coarse):
+    """The translation theorem: every TTMQR update of the elimination of
+    tile (i,k) completes at 10k + 6*coarse(i,k).  Valid for all but the
+    last column."""
+    if k >= coarse.q:
+        raise ValueError("translation excludes the last column (need k <= q-1)")
+    if not (i > k >= 1):
+        raise ValueError("need a sub-diagonal tile")
+    return 10 * k + 6 * coarse(i, k)
+
+
 def ttmqr_finishes(build):
     """(i, k, finish) of every TTMQR update of the elimination of tile
     (i, k) in a TT build, timed over its trace."""
@@ -165,7 +184,7 @@ def test_translation_theorem_eager():
         for q in range(2, p + 1):
             for algo in ("sameh-kuck", "fibonacci", "greedy"):
                 table, elim = coarse_schedule(p, q, algo)
-                eager = eager_coarse(elim)
+                eager = CoarseTable.of(elim.with_steps())
                 for i, k, fin in ttmqr_finishes(tiled_build(elim)):
                     assert fin == tiled_translation(i, k, eager), (algo, p, q, i, k)
 
@@ -181,7 +200,7 @@ def test_translation_theorem_scheduled_tables():
                 for i, k, fin in ttmqr_finishes(tiled_build(elim)):
                     assert fin == tiled_translation(i, k, table)
     table, elim = coarse_schedule(15, 6, "fibonacci")
-    eager = eager_coarse(elim)
+    eager = CoarseTable.of(elim.with_steps())
     for i, k, fin in ttmqr_finishes(tiled_build(elim)):
         want = tiled_translation(i, k, eager)
         assert fin == want
@@ -203,7 +222,7 @@ def test_cp_bracket_corollaries():
         for q in range(2, p + 1):
             for algo in ("sameh-kuck", "fibonacci", "greedy"):
                 _, elim = coarse_schedule(p, q, algo)
-                eager = eager_coarse(elim)
+                eager = CoarseTable.of(elim.with_steps())
                 cp = tiled_build(elim, keep_trace=False).cp
                 cmax = lambda k: max(eager(i, k) for i in range(k + 1, p + 1))
                 lo = 10 * (q - 1) + 6 * cmax(q - 1)

@@ -338,6 +338,30 @@ def test_no_unused_imports():
     assert found == []
 
 
+def test_every_export_has_a_caller_outside_the_tests():
+    # each name tiledag exports is read, as a name or an attribute, by the
+    # package itself, the demos or the benchmark; a name only the tests call
+    # belongs in the test module that uses it
+    import tiledag
+    root = Path(__file__).parents[1]
+    package = Path(tiledag.__file__).parent
+    init = ast.parse((package / "__init__.py").read_text())
+    exported = {a.asname or a.name for node in init.body
+                if isinstance(node, ast.ImportFrom) for a in node.names}
+    read = set()
+    for top in (package, root / "demos", root / "perfbench"):
+        for path in sorted(top.rglob("*.py")):
+            if path.name != "__init__.py":
+                for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                        read.add(node.id)
+                    elif isinstance(node, ast.Attribute):
+                        read.add(node.attr)
+    # tiled_build is the validating entry point for lists built outside the
+    # package (README); `qr-tiled --elim FILE` is to give it a caller
+    assert sorted(exported - read - {"tiled_build"}) == []
+
+
 def test_random_policy_spread():
     g = chol_graph(5)
     ann = annotate_cp(g, WC)
