@@ -22,7 +22,9 @@ for n, (label, key_in, key_out) in enumerate(
          ("step 3", "step3-in", "step3-out")]):
     cin = trace_cp(inversion_steps(CholInvConfig(t))[n], wu)
     cout = trace_cp(inversion_steps(CholInvConfig(t, out_of_place=True))[n], wu)
-    assert cin == chol_cp_oracle(t, key_in) and cout == chol_cp_oracle(t, key_out)
+    want = chol_cp_oracle(t, key_in), chol_cp_oracle(t, key_out)
+    if (cin, cout) != want:
+        raise SystemExit(f"{label}: cp {(cin, cout)} != closed forms {want}")
     print(f"{label:14s} {cin:9d} {cout:13d}")
 
 for pipelined in (False, True):

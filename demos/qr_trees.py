@@ -11,14 +11,16 @@ p, q = 15, 6
 print(f"coarse-grain time steps, {p}x{q}:")
 for algo in ("sameh-kuck", "fibonacci", "greedy"):
     table, elim = coarse_schedule(p, q, algo)
-    print(f"  {algo:11s} cp = {table.cp():3d} (oracle {coarse_cp_oracle(p, q, algo)})")
+    oracle = "" if algo == "greedy" else f" (oracle {coarse_cp_oracle(p, q, algo)})"
+    print(f"  {algo:11s} cp = {table.cp():3d}{oracle}")
 
 print(f"\ntiled critical paths, {p}x{q} (weights 4/2/6/6):")
 for algo, kw in (("flattree", {}), ("fibonacci", {}), ("greedy", {}),
                  ("binarytree", {}), ("plasmatree", {"bs": 5}),
                  ("asap", {}), ("grasap", {})):
     b = build_tree(p, q, algo, **kw)
-    assert verify_weight(b)
+    if not verify_weight(b):
+        raise SystemExit(f"{algo}: total weight {b.total_weight} != {total_weight(p, q)}")
     extra = ""
     if algo == "flattree":
         extra = f" (closed form {flattree_cp_oracle(p, q)})"

@@ -5,7 +5,7 @@ multiplication across recursion depths."""
 import math
 
 from tiledag import (
-    StrassenParams, WeightModel, gemm_flops, gen_strassen, gen_tiled_gemm,
+    StrassenParams, WeightModel, gen_strassen, gen_tiled_gemm,
     r_min, strassen_flops, strassen_task_count, trace_cp,
 )
 
@@ -17,7 +17,8 @@ for p in (4, 8, 16, 32):
     for r in range(0, int(math.log2(p)) + 1):
         params = StrassenParams(p, r, n_b)
         trace, temps = gen_strassen(params)
-        assert len(trace) == strassen_task_count(p, r)
+        if len(trace) != strassen_task_count(p, r):
+            raise SystemExit(f"p={p} r={r}: {len(trace)} tasks != {strassen_task_count(p, r)}")
         cp = trace_cp(trace, wu)
         print(f"{p:5d} {r:2d} {len(trace):9d} {strassen_flops(params) / 1e9:10.3g} "
               f"{cp:5d} {temps:10d}")
@@ -28,7 +29,7 @@ print(f"{'p':>5s} {'r_min':>5s} {'Gflop(SW)':>10s} {'Gflop(GEMM)':>11s} {'ratio'
 for p in (4, 16, 64, 256, 1024):
     rm = r_min(p)
     sw = strassen_flops(StrassenParams(p, rm, n_b))
-    ge = gemm_flops(p, n_b)
+    ge = strassen_flops(StrassenParams(p, 0, n_b))
     print(f"{p:5d} {rm:5d} {sw / 1e9:10.3g} {ge / 1e9:11.3g} {sw / ge:6.3f}")
 
 print("\nplain tiled product for comparison (ascending-k chains):")

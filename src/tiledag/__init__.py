@@ -23,7 +23,7 @@ from .sched import (
     list_schedule, lost_area, lower_bound_factor, sync_chol_graph,
 )
 from .strassen import (
-    StrassenParams, gemm_flops, gen_strassen, gen_tiled_gemm, r_min,
+    StrassenParams, gen_strassen, gen_tiled_gemm, r_min,
     strassen_cp, strassen_flops, strassen_task_count, temp_tile_count,
 )
 from .ipmodel import (

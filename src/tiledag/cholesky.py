@@ -14,8 +14,7 @@ from dataclasses import dataclass
 from itertools import chain
 
 from .taskgraph import (
-    BARRIER, COPY, GEMM, LAUUM, POTRF, SYRK, TRMM, TRSM, TRTRI,
-    Task, _tile, trace_of,
+    BARRIER, COPY, GEMM, LAUUM, POTRF, SYRK, TRMM, TRSM, TRTRI, _tile, trace_of,
 )
 
 ASC = "U"   # ascending innermost GEMM loop
@@ -117,8 +116,7 @@ def gen_chol_fact(t: int, variant: str = "right") -> list:
         raise ValueError("t must be >= 1")
     if variant not in _FACT_ORDERS:
         raise ValueError(f"unknown variant {variant!r}")
-    return [Task(n, kind, idx, *FACT_TILES[kind](*idx))
-            for n, (kind, idx) in enumerate(_FACT_ORDERS[variant](t))]
+    return trace_of(_with_tiles(_FACT_ORDERS[variant](t)))
 
 
 def _copies(t, dst):

@@ -236,18 +236,19 @@ def coarse_schedule(p, q, algo):
 
 
 def coarse_cp_oracle(p, q, algo):
-    """Closed-form coarse critical paths (Greedy has none and is read off
-    the constructed table)."""
+    """Closed-form coarse critical paths.  Sameh-Kuck: p+q-2, and 2p-3 for
+    p=q>1.  Fibonacci: x+2q-2 with x = fibonacci_x(p), and x+2q-4 for
+    p=q>1 (0 at 1x1).  Greedy has no closed form, so it raises."""
     _check_shape(p, q)
     if algo == "sameh-kuck":
-        return sk_coarse_closed_form(p, q)
+        return 2 * p - 3 if p == q > 1 else p + q - 2
     if algo == "fibonacci":
         x = fibonacci_x(p)
         if p == q:
             return x + 2 * q - 4 if q > 1 else 0
         return x + 2 * q - 2
     if algo == "greedy":
-        return coarse_schedule(p, q, "greedy")[0].cp()
+        raise ValueError("greedy has no closed-form coarse critical path")
     raise ValueError(f"unknown coarse algorithm {algo!r}")
 
 
@@ -674,7 +675,15 @@ def total_weight(p, q):
     return 6 * p * q * q - 2 * q ** 3
 
 
+_QR_TABLE = WeightModel.qr_tt().table
+
+
 def verify_weight(build: QrBuild):
+    """Whether the build moves total_weight(p, q) weight units.  That sum is
+    stated for the default QR weights, so any other table raises."""
+    if build.weights.table != _QR_TABLE:
+        raise ValueError(f"total_weight is stated for the default QR weights, "
+                         f"not for weight model {build.weights.name!r}")
     return build.total_weight == total_weight(build.p, build.q)
 
 
@@ -685,16 +694,6 @@ def flattree_cp_oracle(p, q):
     if p == q:
         return 22 * p - 24
     return 6 * p + 16 * q - 22
-
-
-def sk_coarse_closed_form(p, q):
-    """coarse(p,q) of Sameh-Kuck: 0 for q<1 and p=q=1, p+q-2 for p>q,
-    2p-3 for p=q>1."""
-    if q < 1 or (p == q == 1):
-        return 0
-    if p == q:
-        return 2 * p - 3
-    return p + q - 2
 
 
 def fibonacci_cp_bounds(p, q):

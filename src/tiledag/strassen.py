@@ -174,11 +174,6 @@ def strassen_flops(params: StrassenParams):
     return params.m * gemms + params.a * geadds
 
 
-def gemm_flops(p, n_b=200):
-    m = 2 * n_b ** 3 - n_b ** 2
-    return m * p ** 3
-
-
 def r_min(p):
     """Recursion level minimizing the task count (at least one level, as
     zero recursion is the plain tiled product)."""

@@ -20,7 +20,7 @@ from tiledag import (
     emit_ip, gen_chol_fact, gen_chol_inversion, gen_strassen,
     gen_tiled_gemm, inversion_steps, list_schedule, lost_area, r_min,
     schedule_to_assignment, strassen_flops, strassen_task_count,
-    StrassenParams, gemm_flops, tiled_build, trace_cp, verify_weight,
+    StrassenParams, tiled_build, trace_cp, verify_weight,
 )
 from test_qr_tiled import flattree_cp_composed, tiled_translation
 
@@ -396,7 +396,7 @@ def test_criterion_14_strassen():
         assert r_min(p) == want
     for p, (sw, ge) in GFLOP_TABLE.items():
         fsw = strassen_flops(StrassenParams(p, r_min(p))) / 1e9
-        fge = gemm_flops(p) / 1e9
+        fge = strassen_flops(StrassenParams(p, 0)) / 1e9
         assert abs(_trunc3(fsw) - sw) / sw < 0.005, p
         assert abs(_trunc3(fge) - ge) / ge < 0.005, p
     report(14, "Strassen task counts, r_min and Gflop columns (0.5%, values "

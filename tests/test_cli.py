@@ -204,7 +204,7 @@ def _cp_plus_1(build):
 
 
 def _greedy_last_step_plus_5(schemes):
-    # the coarse cp oracle reads Greedy's own table back, so it moves too
+    # Greedy's cp has no closed form; its re-execution catches the move
     def greedy(p, q):
         entries = schemes["greedy"](p, q)
         return entries[:-1] + [entries[-1]._replace(step=entries[-1].step + 5)]

@@ -50,10 +50,13 @@ def _digest(pmax):
         for q in range(1, p + 1):
             for algo in ("sameh-kuck", "fibonacci", "greedy"):
                 table, elim = coarse_schedule(p, q, algo)
-                # algo twice: the digest was taken when tables carried their scheme
+                # algo twice: the digest was taken when tables carried their
+                # scheme.  Greedy has no cp oracle; its slot holds the table's
+                # cp, as it did then
+                oracle = table.cp() if algo == "greedy" else coarse_cp_oracle(p, q, algo)
                 put(p, q, algo, algo, sorted(table.steps.items()), table.cp(),
                     table.to_csv(), list(elim), elim.to_csv(),
-                    CoarseTable.of(elim.with_steps()).to_csv(), coarse_cp_oracle(p, q, algo))
+                    CoarseTable.of(elim.with_steps()).to_csv(), oracle)
             for algo, family, kw in _trees(p, q):
                 for weights in (None, SKEWED):
                     for keep_trace in (False, True):

@@ -8,11 +8,10 @@ import pytest
 from tiledag import (
     GEQRT, TSMQR, TSQRT, TTMQR, TTQRT, UNMQR,
     CoarseTable, ElimEntry, EliminationList, QrBuild, WeightModel, annotate_cp,
-    asap_times, build_from_trace, build_tree, coarse_schedule, fibonacci_cp_bounds,
-    fibonacci_x, flattree_cp_oracle, grasap_build, plasmatree_list, tiled_build,
-    total_weight, verify_weight,
+    asap_times, build_from_trace, build_tree, coarse_cp_oracle, coarse_schedule,
+    fibonacci_cp_bounds, fibonacci_x, flattree_cp_oracle, grasap_build, plasmatree_list,
+    t_seq, tiled_build, total_weight, verify_weight,
 )
-from tiledag.qr import sk_coarse_closed_form
 
 # Tiled zeroed-time tables for 15 x 6 (rows 2..15).
 T23 = {
@@ -100,6 +99,13 @@ def test_total_weight_formula_and_conservation():
                 for family in (("TT", "TS") if algo not in ("asap", "grasap") else ("TT",)):
                     assert verify_weight(build_tree(p, q, algo, family=family,
                                                     keep_trace=False)), (p, q, algo, family)
+    # the sum is stated for the QR table, whichever model object holds it
+    assert verify_weight(build_tree(6, 4, "greedy", weights=WeightModel(WeightModel.QR)))
+    skewed = WeightModel({GEQRT: 3, UNMQR: 5, TTQRT: 1, TTMQR: 7, TSQRT: 2, TSMQR: 11})
+    b = build_tree(6, 4, "greedy", weights=skewed)
+    assert b.total_weight == 410 == t_seq(b.trace, skewed)
+    with pytest.raises(ValueError, match="weight model 'custom'"):
+        verify_weight(b)
 
 
 def elim_weight(q, k):
@@ -119,8 +125,8 @@ def test_elim_weight_identity():
 def flattree_cp_composed(p, q):
     """FlatTree's cp composed from the Sameh-Kuck coarse closed form: the
     translation theorem up to column q-1, then the last column's steps."""
-    c1 = sk_coarse_closed_form(p, q - 1)
-    c2 = sk_coarse_closed_form(p, q)
+    c1 = coarse_cp_oracle(p, q - 1, "sameh-kuck") if q > 1 else 0
+    c2 = coarse_cp_oracle(p, q, "sameh-kuck")
     return 10 * (q - 1) + 6 * c1 + 4 + 2 * (c2 - c1)
 
 
@@ -246,10 +252,12 @@ def test_ts_graph_structure_and_cp():
 
 
 def test_plasmatree_degenerate_domains():
+    # the two FlatTree builders agree entry for entry, steps included
+    for p in range(1, 31):
+        for q in range(1, p + 1):
+            pt = sorted(plasmatree_list(p, q, p), key=lambda e: (e.step, e.k, e.i))
+            assert pt == coarse_schedule(p, q, "sameh-kuck")[1].entries, (p, q)
     for p, q in ((6, 3), (9, 4)):
-        pt = sorted((e.i, e.piv, e.k) for e in plasmatree_list(p, q, p))
-        ft = sorted((e.i, e.piv, e.k) for e in coarse_schedule(p, q, "sameh-kuck")[1])
-        assert pt == ft
         b1 = build_tree(p, q, "plasmatree", bs=1, keep_trace=False)
         b2 = build_tree(p, q, "binarytree", keep_trace=False)
         assert b1.cp == b2.cp and b1.zeroed == b2.zeroed
