@@ -1,28 +1,32 @@
 """Acceptance suite: one test per criterion, each printing a PASS line
 with the scope it verified.  Three reference cells are provably
 irreproducible (see the strict xfail tests alongside criteria 11 and 12);
-everything else is exact.
+everything else is exact.  The reference tables are read from
+tiledag.golden, the one copy that --check and the benchmark read too.
 
 Run as:  pytest tests/test_acceptance.py -v -s
 """
 
+import itertools
 import math
 import random
-from decimal import ROUND_HALF_UP, Decimal
 from fractions import Fraction
 
 import pytest
 
 from tiledag import (
-    CholInvConfig, WeightModel, alap_profile, annotate_cp, asap_times,
+    CholInvConfig, WeightModel, alap_profile, annotate_cp,
     bounds_table, build_from_trace, build_tree, check_feasible,
-    CoarseTable, check_schedule, coarse_schedule, complete_assignment,
-    emit_ip, gen_chol_fact, gen_chol_inversion, gen_strassen,
-    gen_tiled_gemm, inversion_steps, list_schedule, lost_area, r_min,
-    schedule_to_assignment, strassen_flops, strassen_task_count,
+    CoarseTable, check_schedule, chol_cp_oracle, coarse_cp_oracle, coarse_schedule,
+    complete_assignment, emit_ip, flattree_cp_oracle, gen_chol_fact, gen_chol_inversion,
+    gen_strassen, gen_tiled_gemm, golden, inversion_steps, list_schedule, r_min,
+    schedule_to_assignment, strassen_flops, strassen_task_count, Task, TileRef,
     StrassenParams, tiled_build, trace_cp, verify_weight,
 )
-from test_qr_tiled import flattree_cp_composed, tiled_translation
+from tiledag.cli import _fmt2
+from test_qr_coarse import validate_coarse
+from test_qr_tiled import tiled_translation, ttmqr_finishes
+from test_strassen import trunc3
 
 WU = WeightModel.unit()
 WC = WeightModel.cholesky()
@@ -33,131 +37,84 @@ def report(n, text):
     print(f"ACCEPTANCE {n}: PASS — {text}")
 
 
-def _fmt2(x):
-    f = Fraction(x)
-    return str((Decimal(f.numerator) / Decimal(f.denominator))
-               .quantize(Decimal("0.01"), ROUND_HALF_UP))
-
-
 def test_criterion_01_cholesky_weighted_cp():
     for t in range(2, 51):
-        assert trace_cp(gen_chol_fact(t, "right"), WC) == 9 * t - 10, t
-    report(1, "weighted Cholesky cp equals 9t-10 for t=2..50, exact")
+        for variant in ("right", "left", "bordered") if t <= 20 else ("right",):
+            assert trace_cp(gen_chol_fact(t, variant), WC) == 9 * t - 10, (t, variant)
+    report(1, "weighted Cholesky cp equals 9t-10 for t=2..50 (right-looking) and "
+              "t=2..20 (right, left and bordered), exact")
 
 
 def test_criterion_02_bounds_table():
     g = build_from_trace(gen_chol_fact(5, "right"))
     prof = alap_profile(g, WC)
-    assert [(p, lost_area(prof, p)) for p in range(1, 6)] == \
-        [(1, 0), (2, 4), (3, 11), (4, 24), (5, 45)]
-    want = [("125.00", "1.00", "1.00"), ("64.50", "1.94", "0.97"),
-            ("45.33", "2.76", "0.92"), ("37.25", "3.36", "0.84"),
-            ("35.00", "3.57", "0.71"), ("35.00", "3.57", "0.60"),
-            ("35.00", "3.57", "0.51"), ("35.00", "3.57", "0.45"),
-            ("35.00", "3.57", "0.40"), ("35.00", "3.57", "0.36")]
-    for p, (wt, ws, we) in enumerate(want, start=1):
-        la = lost_area(prof, p)
-        t_p = max(Fraction(prof.makespan), Fraction(prof.t_seq + la, p))
-        s_p = Fraction(prof.t_seq) / t_p
-        assert (_fmt2(t_p), _fmt2(s_p), _fmt2(s_p / p)) == (wt, ws, we), p
+    assert prof.t_seq == 125 and prof.makespan == 35
+    rows = bounds_table(g, WC, golden.CHOL_BOUNDS_T5)
+    for row, (la, t_p, s_p, e_p) in zip(rows, golden.CHOL_BOUNDS_T5.values()):
+        if la is not None:
+            assert row.lost_area == la, row.p
+        assert row.t_alap == max(prof.makespan, Fraction(prof.t_seq + row.lost_area, row.p))
+        assert (_fmt2(row.t_alap), _fmt2(row.speedup), _fmt2(row.efficiency)) == \
+            (t_p, s_p, e_p), row.p
+    assert rows[1].speedup == Fraction(250, 129)
     report(2, "t=5 bound table matches to 2 decimals for p=1..10; "
               "Lost-Area pairs exact")
 
 
 def test_criterion_03_inversion_cp_table():
     for t in range(2, 31):
-        cin = [trace_cp(s, WU) for s in inversion_steps(CholInvConfig(t))]
-        cout = [trace_cp(s, WU) for s in inversion_steps(CholInvConfig(t, out_of_place=True))]
-        assert cin == [3 * t - 2, 3 * t - 3, 3 * t - 2], t
-        assert cout == [3 * t - 2, 2 * t - 1, t], t
-        assert trace_cp(gen_chol_inversion(CholInvConfig(t)), WU) == 9 * t - 9, t
-        assert trace_cp(gen_chol_inversion(
-            CholInvConfig(t, out_of_place=True)), WU) == 5 * t - 2, t
+        for out, side in ((False, "in"), (True, "out")):
+            cfg = CholInvConfig(t, out_of_place=out)
+            assert [trace_cp(s, WU) for s in inversion_steps(cfg)] == \
+                [chol_cp_oracle(t, w) for w in ("step1", f"step2-{side}", f"step3-{side}")], \
+                (t, side)
+            assert trace_cp(gen_chol_inversion(cfg), WU) == chol_cp_oracle(t, f"pipe-{side}"), \
+                (t, side)
+            if t <= 10:
+                cfg = CholInvConfig(t, out_of_place=out, pipelined=False)
+                assert trace_cp(gen_chol_inversion(cfg), WU) == \
+                    chol_cp_oracle(t, f"nopipe-{side}"), (t, side)
         uuu = inversion_steps(CholInvConfig(t, loop_dirs=("U", "U", "U")))[1]
-        assert trace_cp(uuu, WU) == t * t - 2 * t + 3, t
-    report(3, "per-step, pipelined and ascending-loop inversion cps exact "
-              "for t=2..30")
-
-
-COARSE_15x6 = {
-    "sameh-kuck": [[1], [2, 3], [3, 4, 5], [4, 5, 6, 7], [5, 6, 7, 8, 9],
-                   [6, 7, 8, 9, 10, 11], [7, 8, 9, 10, 11, 12],
-                   [8, 9, 10, 11, 12, 13], [9, 10, 11, 12, 13, 14],
-                   [10, 11, 12, 13, 14, 15], [11, 12, 13, 14, 15, 16],
-                   [12, 13, 14, 15, 16, 17], [13, 14, 15, 16, 17, 18],
-                   [14, 15, 16, 17, 18, 19]],
-    "fibonacci": [[5], [4, 7], [4, 6, 9], [3, 6, 8, 11], [3, 5, 8, 10, 13],
-                  [3, 5, 7, 10, 12, 15], [2, 5, 7, 9, 12, 14],
-                  [2, 4, 7, 9, 11, 14], [2, 4, 6, 9, 11, 13],
-                  [2, 4, 6, 8, 11, 13], [1, 4, 6, 8, 10, 13],
-                  [1, 3, 6, 8, 10, 12], [1, 3, 5, 8, 10, 12],
-                  [1, 3, 5, 7, 10, 12]],
-    "greedy": [[4], [3, 6], [3, 5, 8], [2, 5, 7, 10], [2, 4, 7, 9, 12],
-               [2, 4, 6, 9, 11, 14], [2, 4, 6, 8, 10, 13],
-               [1, 3, 5, 8, 10, 12], [1, 3, 5, 7, 9, 11],
-               [1, 3, 5, 7, 9, 11], [1, 3, 4, 6, 8, 10],
-               [1, 2, 4, 6, 8, 10], [1, 2, 4, 5, 7, 9], [1, 2, 3, 5, 6, 8]],
-}
+        assert trace_cp(uuu, WU) == chol_cp_oracle(t, "trtri-uuu-in"), t
+    report(3, "per-step, pipelined and ascending-loop inversion cps exact for "
+              "t=2..30, unpipelined for t=2..10")
 
 
 def test_criterion_04_coarse_tables():
-    for algo, gold in COARSE_15x6.items():
+    for algo in golden.COARSE_15x6:
         table, elim = coarse_schedule(15, 6, algo)
         elim.validate()
-        for r, row in enumerate(gold, start=2):
-            got = [table(r, k) for k in range(1, min(r - 1, 6) + 1)]
-            assert got == row, (algo, r)
+        validate_coarse(table, elim, algo)
+        cells = golden.coarse_table_cells(algo)
+        assert {cell: table(*cell) for cell in cells} == cells, algo
     report(4, "coarse 15x6 tables for Sameh-Kuck, Fibonacci, Greedy "
               "cell-for-cell")
 
 
-TILED_15x6 = {
-    "flattree": [[6], [8, 28], [10, 34, 50], [12, 40, 56, 72], [14, 46, 62, 78, 94],
-                 [16, 52, 68, 84, 100, 116], [18, 58, 74, 90, 106, 122],
-                 [20, 64, 80, 96, 112, 128], [22, 70, 86, 102, 118, 134],
-                 [24, 76, 92, 108, 124, 140], [26, 82, 98, 114, 130, 146],
-                 [28, 88, 104, 120, 136, 152], [30, 94, 110, 126, 142, 158],
-                 [32, 100, 116, 132, 148, 164]],
-    "fibonacci": [[14], [12, 48], [12, 46, 70], [10, 42, 68, 92],
-                  [10, 40, 64, 90, 114], [10, 40, 62, 86, 112, 136],
-                  [8, 36, 62, 84, 108, 134], [8, 34, 58, 84, 106, 130],
-                  [8, 34, 56, 80, 106, 128], [8, 34, 56, 78, 102, 128],
-                  [6, 28, 56, 78, 100, 122], [6, 28, 50, 78, 100, 122],
-                  [6, 28, 44, 72, 100, 122], [6, 22, 44, 60, 94, 116]],
-    "greedy": [[12], [10, 42], [10, 40, 64], [8, 36, 62, 86], [8, 34, 56, 84, 106],
-               [8, 34, 56, 78, 102, 128], [8, 30, 52, 78, 100, 122],
-               [6, 28, 50, 72, 100, 118], [6, 28, 50, 72, 94, 116],
-               [6, 28, 50, 68, 94, 116], [6, 28, 44, 66, 88, 110],
-               [6, 22, 44, 66, 88, 110], [6, 22, 44, 60, 82, 104],
-               [6, 22, 38, 60, 76, 98]],
-    "binarytree": [[6], [8, 28], [6, 36, 56], [10, 34, 70, 90],
-                   [6, 44, 68, 104, 124], [8, 28, 78, 102, 138, 158],
-                   [6, 42, 62, 112, 136, 172], [12, 40, 76, 96, 146, 170],
-                   [6, 46, 74, 110, 130, 180], [8, 28, 80, 108, 144, 164],
-                   [6, 36, 56, 114, 142, 178], [10, 34, 64, 84, 148, 176],
-                   [6, 38, 62, 92, 112, 182], [8, 28, 66, 90, 114, 134]],
-    "plasmatree5": [[6], [8, 28], [10, 34, 50], [12, 40, 56, 72],
-                    [14, 46, 62, 78, 94], [6, 54, 74, 90, 106, 122],
-                    [8, 28, 82, 102, 118, 134], [10, 34, 50, 110, 130, 146],
-                    [12, 40, 56, 72, 138, 158], [16, 52, 68, 84, 100, 166],
-                    [6, 56, 80, 96, 112, 128], [8, 28, 84, 108, 124, 140],
-                    [10, 34, 50, 112, 136, 152], [12, 40, 56, 72, 140, 164]],
-}
-
-
 def test_criterion_05_tiled_tables():
-    for name, gold in TILED_15x6.items():
-        algo, bs = (name, None) if name != "plasmatree5" else ("plasmatree", 5)
+    for key in golden.TILED_15x6:
+        algo, bs = key if isinstance(key, tuple) else (key, None)
         b = build_tree(15, 6, algo, bs=bs)
-        for r, row in enumerate(gold, start=2):
-            got = [b.zeroed.get((r, k)) for k in range(1, min(r - 1, 6) + 1)]
-            assert got == row, (name, r)
+        cells = golden.tiled_table_cells(key)
+        assert {cell: b.zeroed.get(cell) for cell in cells} == cells, key
+        assert verify_weight(b), key
+        if algo == "flattree":
+            assert b.cp == cells[(15, 6)]
     report(5, "tiled zeroed-time 15x6 tables for FlatTree, Fibonacci, Greedy, "
               "BinaryTree, PlasmaTree(5) cell-for-cell")
 
 
+def flattree_cp_composed(p, q):
+    """FlatTree's cp composed from the Sameh-Kuck coarse closed form: the
+    translation theorem up to column q-1, then the last column's steps."""
+    c1 = coarse_cp_oracle(p, q - 1, "sameh-kuck") if q > 1 else 0
+    c2 = coarse_cp_oracle(p, q, "sameh-kuck")
+    return 10 * (q - 1) + 6 * c1 + 4 + 2 * (c2 - c1)
+
+
 def test_criterion_06_flattree_closed_form():
-    from tiledag import flattree_cp_oracle
+    assert flattree_cp_oracle(40, 1) == 82
+    assert build_tree(4, 4, "flattree").cp == flattree_cp_oracle(4, 4) == 64
     for p in range(2, 31):
         for q in range(1, p + 1):
             cp = build_tree(p, q, "flattree", keep_trace=False).cp
@@ -173,12 +130,8 @@ def test_criterion_07_translation_theorem():
                 coarse = CoarseTable.of(elim.with_steps())
                 if algo != "fibonacci":
                     assert coarse.steps == table.steps, (algo, p, q)
-                b = tiled_build(elim)
-                fins, _ = asap_times(b.trace, WQ)
-                for t in b.trace:
-                    if t.kind == "TTMQR":
-                        i, _, k, _ = t.indices
-                        assert fins[t.id] == tiled_translation(i, k, coarse), (algo, p, q, i, k)
+                for i, k, fin in ttmqr_finishes(tiled_build(elim)):
+                    assert fin == tiled_translation(i, k, coarse), (algo, p, q, i, k)
     report(7, "TTMQR completion = 10k + 6*coarse(i,k) for k<=q-1, all three "
               "coarse algorithms, 2<=q<=p<=20 (dependence-driven steps, which "
               "equal the scheduled tables for Sameh-Kuck and Greedy)")
@@ -200,26 +153,12 @@ def test_criterion_08_flop_conservation():
               "family, 1<=q<=p<=12, exact")
 
 
-GREEDY40 = [16, 54, 74, 104, 126, 148, 170, 192, 214, 236, 258, 280, 302, 324,
-            346, 368, 390, 412, 432, 454, 476, 498, 520, 542, 564, 586, 608,
-            630, 652, 668, 684, 700, 716, 732, 748, 764, 780, 796, 812, 826]
-FIB40 = [22, 72, 94, 116, 138, 160, 182, 204, 226, 248, 270, 292, 314, 336,
-         358, 380, 402, 424, 446, 468, 490, 512, 534, 556, 578, 600, 622, 644,
-         666, 688, 710, 732, 754, 776, 798, 820, 842, 862, 878, 892]
-PT40 = [(1, 16), (3, 60), (5, 98), (5, 132), (5, 166), (10, 198), (10, 226),
-        (10, 254), (10, 282), (10, 310), (20, 336), (20, 358), (20, 380),
-        (20, 402), (20, 424), (20, 446), (20, 468), (20, 490), (20, 512),
-        (20, 534), (20, 554), (20, 570), (20, 586), (20, 602), (20, 618),
-        (20, 634), (20, 650), (20, 666), (20, 682), (20, 698), (20, 714),
-        (20, 730), (20, 746), (20, 762), (20, 778), (20, 794), (20, 810),
-        (20, 826), (20, 842), (20, 856)]
-
-
 def test_criterion_09_p40_theoretical_table():
     for q in range(1, 41):
-        assert build_tree(40, q, "greedy", keep_trace=False).cp == GREEDY40[q - 1], q
-        assert build_tree(40, q, "fibonacci", keep_trace=False).cp == FIB40[q - 1], q
-        bs, want = PT40[q - 1]
+        assert build_tree(40, q, "greedy", keep_trace=False).cp == golden.GREEDY_CP_P40[q - 1], q
+        assert build_tree(40, q, "fibonacci", keep_trace=False).cp == \
+            golden.FIBONACCI_CP_P40[q - 1], q
+        bs, want = golden.PLASMATREE_CP_P40[q - 1]
         assert build_tree(40, q, "plasmatree", bs=bs, keep_trace=False).cp == want, q
     report(9, "p=40 table: Greedy, Fibonacci and PlasmaTree (reference BS) "
               "columns for q=1..40, exact")
@@ -234,29 +173,27 @@ GREEDY_15x3 = {1: [12, 10, 10, 8, 8, 8, 8, 6, 6, 6, 6, 6, 6, 6],
 
 
 def test_criterion_10_greedy_asap_grasap():
-    a3 = build_tree(15, 3, "asap")
-    g3 = build_tree(15, 3, "greedy")
-    for k in range(1, 4):
-        assert [a3.zeroed[(i, k)] for i in range(k + 1, 16)] == ASAP_15x3[k]
-        assert [g3.zeroed[(i, k)] for i in range(k + 1, 16)] == GREEDY_15x3[k]
-    a2 = build_tree(15, 2, "asap")
-    g2 = build_tree(15, 2, "greedy")
-    for k in (1, 2):
-        assert [a2.zeroed[(i, k)] for i in range(k + 1, 16)] == ASAP_15x3[k]
-        assert [g2.zeroed[(i, k)] for i in range(k + 1, 16)] == GREEDY_15x3[k]
-    for (p, q), (cg, ca) in {(32, 16): (360, 402), (32, 32): (650, 656),
-                             (64, 64): (1342, 1354), (128, 128): (2732, 2756)}.items():
+    for q in (2, 3):
+        a, g = build_tree(15, q, "asap"), build_tree(15, q, "greedy")
+        for k in range(1, q + 1):
+            assert [a.zeroed[(i, k)] for i in range(k + 1, 16)] == ASAP_15x3[k], (q, k)
+            assert [g.zeroed[(i, k)] for i in range(k + 1, 16)] == GREEDY_15x3[k], (q, k)
+    for (p, q), (cg, ca) in {(16, 16): (310, 310), (32, 16): (360, 402), (32, 32): (650, 656),
+                             (64, 16): (374, 588), (64, 64): (1342, 1354),
+                             (128, 128): (2732, 2756)}.items():
         assert build_tree(p, q, "greedy", keep_trace=False).cp == cg, (p, q)
         assert build_tree(p, q, "asap", keep_trace=False).cp == ca, (p, q)
     assert build_tree(20, 6, "grasap", keep_trace=False).cp == 134
     assert build_tree(20, 6, "greedy", keep_trace=False).cp == 136
+    assert build_tree(5, 5, "grasap", keep_trace=False).cp <= 80
     for p in range(1, 41):
         for q in range(1, p + 1):
             diff = build_tree(p, q, "greedy", keep_trace=False).cp - \
                 build_tree(p, q, "grasap", keep_trace=False).cp
             assert diff in (0, 2), (p, q, diff)
-    report(10, "Asap/Greedy 15x2 and 15x3 tables, the four cp pairs, 20x6 "
-               "(134 vs 136), and GrASAP-Greedy difference in {0,2} for p<=40")
+    report(10, "Asap/Greedy 15x2 and 15x3 tables, the six cp pairs, 20x6 "
+               "(134 vs 136), 5x5 GrASAP <= 80, and GrASAP-Greedy difference "
+               "in {0,2} for p<=40")
 
 
 T51 = {
@@ -340,8 +277,7 @@ def test_criterion_12_literal_values():
 
 
 def test_criterion_13_cp_not_optimal_toy():
-    from tiledag import Task, TileRef
-    import itertools
+    # A,B,C,D weights 3,3,1,1 with C before D: MaxCP gives 5, optimum is 4
     trace = [Task(0, "GEMM", ("A",), [], [TileRef("X", 0, 0)]),
              Task(1, "GEMM", ("B",), [], [TileRef("X", 1, 1)]),
              Task(2, "POTRF", ("C",), [], [TileRef("X", 2, 2)]),
@@ -357,14 +293,17 @@ def test_criterion_13_cp_not_optimal_toy():
 
     wm = Toy()
     g = build_from_trace(trace)
+    ann = annotate_cp(g, wm)
+    assert [ann.priority[i] for i in range(4)] == [3, 3, 2, 1]
     assert list_schedule(g, wm, 2, "max").makespan == 5
+    # exhaustive search over priority orders certifies the optimum of 4
     best = 10 ** 9
     for perm in itertools.permutations(range(4)):
         class Forced:
             priority = {tid: -perm.index(tid) for tid in range(4)}
             cp_length = 0
         best = min(best, list_schedule(g, wm, 2, "max", annotation=Forced).makespan)
-    assert best == 4
+    assert best == 4 == max(ann.cp_length, math.ceil(8 / 2))
     report(13, "MaxCP schedules the toy DAG in 5; exhaustive search finds 4")
 
 
@@ -380,12 +319,6 @@ GFLOP_TABLE = {4: (8.96e-1, 1.02e0), 8: (7.15e0, 8.18e0), 16: (5.72e1, 6.55e1),
                256: (1.57e5, 2.68e5), 512: (1.09e6, 2.14e6), 1024: (7.69e6, 1.71e7)}
 
 
-def _trunc3(x):
-    e = math.floor(math.log10(abs(x)))
-    f = 10 ** (e - 2)
-    return math.floor(x / f) * f
-
-
 def test_criterion_14_strassen():
     for (p, r), want in STRASSEN_COUNTS.items():
         assert strassen_task_count(p, r) == want
@@ -397,8 +330,8 @@ def test_criterion_14_strassen():
     for p, (sw, ge) in GFLOP_TABLE.items():
         fsw = strassen_flops(StrassenParams(p, r_min(p))) / 1e9
         fge = strassen_flops(StrassenParams(p, 0)) / 1e9
-        assert abs(_trunc3(fsw) - sw) / sw < 0.005, p
-        assert abs(_trunc3(fge) - ge) / ge < 0.005, p
+        assert abs(trunc3(fsw) - sw) / sw < 0.005, p
+        assert abs(trunc3(fge) - ge) / ge < 0.005, p
     report(14, "Strassen task counts, r_min and Gflop columns (0.5%, values "
                "truncated to 3 significant digits per the reference convention)")
 

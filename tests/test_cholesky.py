@@ -34,12 +34,6 @@ def test_lower_triangular_references_only():
             assert tile.row >= tile.col
 
 
-def test_weighted_cp_9t_minus_10():
-    for t in range(2, 21):
-        for variant in ("right", "left", "bordered"):
-            assert trace_cp(gen_chol_fact(t, variant), WC) == 9 * t - 10
-
-
 def test_variant_cp_ordering_unit():
     for t in range(3, 12):
         r = trace_cp(gen_chol_fact(t, "right"), WU)
@@ -56,25 +50,6 @@ def test_t1_single_potrf():
     trace = gen_chol_fact(1)
     assert len(trace) == 1 and trace[0].kind == "POTRF"
     assert trace_cp(trace, WC) == 1
-
-
-def test_inversion_table_small():
-    for t in (2, 3, 4, 6, 10, 12):
-        cps_in = [trace_cp(s, WU) for s in inversion_steps(CholInvConfig(t))]
-        cps_out = [trace_cp(s, WU) for s in inversion_steps(CholInvConfig(t, out_of_place=True))]
-        assert cps_in == [3 * t - 2, 3 * t - 3, 3 * t - 2]
-        assert cps_out == [3 * t - 2, 2 * t - 1, t]
-
-
-def test_pipelining_gains():
-    for t in (2, 4, 7, 10):
-        pi = trace_cp(gen_chol_inversion(CholInvConfig(t)), WU)
-        po = trace_cp(gen_chol_inversion(CholInvConfig(t, out_of_place=True)), WU)
-        ni = trace_cp(gen_chol_inversion(CholInvConfig(t, pipelined=False)), WU)
-        no = trace_cp(gen_chol_inversion(CholInvConfig(t, out_of_place=True, pipelined=False)), WU)
-        assert (pi, ni) == (9 * t - 9, 9 * t - 7)
-        assert (po, no) == (5 * t - 2, 6 * t - 3)
-        assert pi <= ni and po <= no
 
 
 def test_ascending_loop_penalty():

@@ -1,8 +1,9 @@
-"""The coarse schemes and elimination lists, with the thesis's reference
-results that only these tests use, kept here as oracles: the coarse model's
-dependency and sweep-order relations (validate_coarse), the normalization
-of reverse eliminations (normalized) and the column calculus of one Asap
-column (ColumnIter, optiter, column_asap_free, is_iterate)."""
+"""The coarse schemes and elimination lists, with the test-side oracles
+they are checked against: the coarse model's dependency and sweep-order
+relations (validate_coarse), the normalization of reverse eliminations
+(normalized) and the column calculus of one Asap column (ColumnIter,
+optiter, column_asap_free, is_iterate).  The reference 15x6 tables are
+checked in test_acceptance.py, against tiledag.golden."""
 
 import random
 from dataclasses import dataclass
@@ -17,21 +18,6 @@ from tiledag import (
     fibonacci_x, flattree_cp_oracle, grasap_build, plasmatree_list, tiled_build,
     total_weight,
 )
-
-# Reference coarse time-step tables for a 15 x 6 matrix, rows 2..15.
-SK_15x6 = [[1], [2, 3], [3, 4, 5], [4, 5, 6, 7], [5, 6, 7, 8, 9],
-           [6, 7, 8, 9, 10, 11], [7, 8, 9, 10, 11, 12], [8, 9, 10, 11, 12, 13],
-           [9, 10, 11, 12, 13, 14], [10, 11, 12, 13, 14, 15],
-           [11, 12, 13, 14, 15, 16], [12, 13, 14, 15, 16, 17],
-           [13, 14, 15, 16, 17, 18], [14, 15, 16, 17, 18, 19]]
-FIB_15x6 = [[5], [4, 7], [4, 6, 9], [3, 6, 8, 11], [3, 5, 8, 10, 13],
-            [3, 5, 7, 10, 12, 15], [2, 5, 7, 9, 12, 14], [2, 4, 7, 9, 11, 14],
-            [2, 4, 6, 9, 11, 13], [2, 4, 6, 8, 11, 13], [1, 4, 6, 8, 10, 13],
-            [1, 3, 6, 8, 10, 12], [1, 3, 5, 8, 10, 12], [1, 3, 5, 7, 10, 12]]
-GRE_15x6 = [[4], [3, 6], [3, 5, 8], [2, 5, 7, 10], [2, 4, 7, 9, 12],
-            [2, 4, 6, 9, 11, 14], [2, 4, 6, 8, 10, 13], [1, 3, 5, 8, 10, 12],
-            [1, 3, 5, 7, 9, 11], [1, 3, 5, 7, 9, 11], [1, 3, 4, 6, 8, 10],
-            [1, 2, 4, 6, 8, 10], [1, 2, 4, 5, 7, 9], [1, 2, 3, 5, 6, 8]]
 
 
 def validate_coarse(table, elim, algo):
@@ -54,26 +40,6 @@ def validate_coarse(table, elim, algo):
             ok = all(a >= b for a, b in zip(col, col[1:]))
         if not ok:
             raise ValueError(f"column {k} violates the {algo} sweep order")
-
-
-@pytest.mark.parametrize("algo,gold", [
-    ("sameh-kuck", SK_15x6), ("fibonacci", FIB_15x6), ("greedy", GRE_15x6)])
-def test_table_15x6(algo, gold):
-    table, elim = coarse_schedule(15, 6, algo)
-    elim.validate()
-    validate_coarse(table, elim, algo)
-    for r, row in enumerate(gold, start=2):
-        got = [table(r, k) for k in range(1, min(r - 1, 6) + 1)]
-        assert got == row, (algo, r)
-
-
-def test_spec_cells():
-    sk = coarse_schedule(15, 6, "sameh-kuck")[0]
-    assert sk(3, 1) == 2 and sk(15, 6) == 19
-    fib = coarse_schedule(15, 6, "fibonacci")[0]
-    assert fib(2, 1) == 5 and fib(15, 6) == 12
-    gre = coarse_schedule(15, 6, "greedy")[0]
-    assert gre(15, 6) == 8 and gre(2, 1) == 4
 
 
 def test_oracles():

@@ -1,5 +1,4 @@
 import ast
-import itertools
 import math
 import os
 import random
@@ -30,42 +29,6 @@ def test_serialization_p1():
     s = list_schedule(g, WC, 1)
     assert s.makespan == sum(WC.of(t) for t in g.tasks)
     check_schedule(g, WC, s)
-
-
-def test_cp_toy_nonoptimal():
-    # A,B,C,D weights 3,3,1,1 with C before D: MaxCP gives 5, optimum is 4
-    trace = [
-        Task(0, "GEMM", ("A",), [], [TileRef("X", 0, 0)]),
-        Task(1, "GEMM", ("B",), [], [TileRef("X", 1, 1)]),
-        Task(2, "POTRF", ("C",), [], [TileRef("X", 2, 2)]),
-        Task(3, "POTRF", ("D",), [TileRef("X", 2, 2)], [TileRef("X", 3, 3)]),
-    ]
-
-    class Toy(WeightModel):
-        def __init__(self):
-            self.name = "toy"
-            self.table = {}
-
-        def of(self, task):
-            return {"A": 3, "B": 3, "C": 1, "D": 1}[task.indices[0]]
-
-    wm = Toy()
-    g = build_from_trace(trace)
-    ann = annotate_cp(g, wm)
-    assert [ann.priority[i] for i in range(4)] == [3, 3, 2, 1]
-    assert list_schedule(g, wm, 2, "max").makespan == 5
-    # exhaustive search over priority orders certifies the optimum of 4
-    best = min(_forced_order_makespan(g, wm, 2, perm)
-               for perm in itertools.permutations(range(4)))
-    assert best == 4 == max(ann.cp_length, math.ceil(8 / 2))
-
-
-def _forced_order_makespan(graph, wm, p, perm):
-    class Forced:
-        priority = {tid: -perm.index(tid) for tid in range(len(graph.tasks))}
-        cp_length = 0
-
-    return list_schedule(graph, wm, p, "max", annotation=Forced).makespan
 
 
 def test_policies_and_determinism():
@@ -164,19 +127,6 @@ def test_check_schedule_accepts_zero_weight_tasks_sharing_a_start():
     assert _checked({0: (0, 0), 1: (1, 6), 2: (0, 3), 3: (0, 3)})
 
 
-def test_lost_area_pairs_and_table42():
-    g = chol_graph(5)
-    prof = alap_profile(g, WC)
-    assert prof.t_seq == 125 and prof.makespan == 35
-    assert [(p, lost_area(prof, p)) for p in range(1, 6)] == \
-        [(1, 0), (2, 4), (3, 11), (4, 24), (5, 45)]
-    rows = bounds_table(g, WC, range(1, 11))
-    t_vals = [float(r.t_alap) for r in rows]
-    assert t_vals[:5] == [125.0, 64.5, pytest.approx(45.3333, abs=1e-3), 37.25, 35.0]
-    assert all(v == 35.0 for v in t_vals[4:])
-    assert rows[1].speedup == Fraction(125, Fraction(129, 2)) == Fraction(250, 129)
-
-
 def test_lost_area_singleton():
     trace = [Task(0, "GEQRT", (), [], [TileRef("A", 0, 0)])]
     g = build_from_trace(trace)
@@ -229,26 +179,6 @@ def test_makespan_vs_bounds():
         ms = list_schedule(g, WC, p, "max", annotation=ann).makespan
         assert ms >= row.t_roof >= ann.cp_length
         assert ms >= Fraction(tseq, p)
-
-
-def gamma_ub(gamma_seq, total_flops, cp, procs) -> Fraction:
-    """Roofline-style upper bound on performance:
-    gamma_seq * T / max(T/P, cp)."""
-    if procs < 1:
-        raise ValueError("need p >= 1")
-    t = Fraction(total_flops)
-    denom = max(t / procs, Fraction(cp))
-    return Fraction(gamma_seq) * t / denom
-
-
-def test_gamma_ub():
-    assert gamma_ub(10, 1000, 50, 4) == Fraction(10 * 1000, 250)
-    # compute-bound regime: T/P >= cp gives gamma_seq * P
-    assert gamma_ub(7, 800, 100, 4) == 7 * 4
-    assert gamma_ub(7, 800, 300, 4) == Fraction(7 * 800, 300)
-    for procs in (0, -1):
-        with pytest.raises(ValueError, match="need p >= 1"):
-            gamma_ub(1, 10, 2, procs)
 
 
 def test_sync_grouped_serial():

@@ -63,15 +63,11 @@ def test_phase_structure():
                 assert byid[v].kind == "GEADD"
 
 
-def strassen_weight_model(n_b=200) -> WeightModel:
-    """Durations proportional to flops, normalized so the cheapest task
-    (the tile add) weighs 1: GEMM = 2 n_b - 1, GEADD = 1."""
-    return WeightModel({GEMM: 2 * n_b - 1, GEADD: 1})
-
-
 # (1, 0) and (0, 1) isolate the GEMM chain and the GEADD levels, so a
 # closed form that is exact under both and under (1, 5) has both terms right.
-CP_MODELS = [WU, strassen_weight_model(200), WeightModel({GEMM: 1, GEADD: 5}),
+# (399, 1) makes durations proportional to flops at n_b = 200, normalized so
+# the cheapest task (the tile add) weighs 1: GEMM = 2 n_b - 1, GEADD = 1.
+CP_MODELS = [WU, WeightModel({GEMM: 399, GEADD: 1}), WeightModel({GEMM: 1, GEADD: 5}),
              WeightModel({GEMM: 1, GEADD: 0}), WeightModel({GEMM: 0, GEADD: 1})]
 
 
@@ -111,11 +107,6 @@ def test_task_count_minimized_at_r_min():
         counts = [strassen_task_count(p, r) for r in levels]
         best = counts.index(min(counts)) + 1
         assert best == min(r_min(p), len(counts))
-
-
-def test_weight_model():
-    wm = strassen_weight_model(200)
-    assert wm["GEMM"] == 399 and wm["GEADD"] == 1
 
 
 def test_parameter_validation():
