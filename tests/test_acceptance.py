@@ -10,22 +10,21 @@ Run as:  pytest tests/test_acceptance.py -v -s
 import itertools
 import math
 import random
-from fractions import Fraction
 
 import pytest
 
 from tiledag import (
-    CholInvConfig, WeightModel, alap_profile, annotate_cp,
+    CholInvConfig, WeightModel, annotate_cp,
     bounds_table, build_from_trace, build_tree, check_feasible,
-    CoarseTable, check_schedule, chol_cp_oracle, coarse_cp_oracle, coarse_schedule,
+    CoarseTable, check_schedule, chol_cp_oracle, coarse_schedule,
     complete_assignment, emit_ip, flattree_cp_oracle, gen_chol_fact, gen_chol_inversion,
     gen_strassen, gen_tiled_gemm, golden, inversion_steps, list_schedule, r_min,
-    schedule_to_assignment, strassen_flops, strassen_task_count, Task, TileRef,
+    schedule_to_assignment, strassen_flops, strassen_task_count,
     StrassenParams, tiled_build, trace_cp, verify_weight,
 )
 from tiledag.cli import _fmt2
-from test_qr_coarse import validate_coarse
 from test_qr_tiled import tiled_translation, ttmqr_finishes
+from test_sched import toy_dag
 from test_strassen import trunc3
 
 WU = WeightModel.unit()
@@ -39,56 +38,42 @@ def report(n, text):
 
 def test_criterion_01_cholesky_weighted_cp():
     for t in range(2, 51):
-        for variant in ("right", "left", "bordered") if t <= 20 else ("right",):
-            assert trace_cp(gen_chol_fact(t, variant), WC) == 9 * t - 10, (t, variant)
-    report(1, "weighted Cholesky cp equals 9t-10 for t=2..50 (right-looking) and "
-              "t=2..20 (right, left and bordered), exact")
+        assert trace_cp(gen_chol_fact(t, "right"), WC) == 9 * t - 10, t
+    report(1, "weighted Cholesky cp equals 9t-10 for t=2..50, exact (the left "
+              "and bordered orders for t=2..20 in test_weighted_cp_9t_minus_10)")
 
 
 def test_criterion_02_bounds_table():
     g = build_from_trace(gen_chol_fact(5, "right"))
-    prof = alap_profile(g, WC)
-    assert prof.t_seq == 125 and prof.makespan == 35
     rows = bounds_table(g, WC, golden.CHOL_BOUNDS_T5)
-    for row, (la, t_p, s_p, e_p) in zip(rows, golden.CHOL_BOUNDS_T5.values()):
-        if la is not None:
-            assert row.lost_area == la, row.p
-        assert row.t_alap == max(prof.makespan, Fraction(prof.t_seq + row.lost_area, row.p))
+    for row, (_, t_p, s_p, e_p) in zip(rows, golden.CHOL_BOUNDS_T5.values()):
         assert (_fmt2(row.t_alap), _fmt2(row.speedup), _fmt2(row.efficiency)) == \
             (t_p, s_p, e_p), row.p
-    assert rows[1].speedup == Fraction(250, 129)
-    report(2, "t=5 bound table matches to 2 decimals for p=1..10; "
-              "Lost-Area pairs exact")
+    report(2, "t=5 bound table matches to 2 decimals for p=1..10 (its exact "
+              "Lost-Area pairs in test_lost_area_pairs_and_table42)")
 
 
 def test_criterion_03_inversion_cp_table():
     for t in range(2, 31):
         for out, side in ((False, "in"), (True, "out")):
             cfg = CholInvConfig(t, out_of_place=out)
-            assert [trace_cp(s, WU) for s in inversion_steps(cfg)] == \
-                [chol_cp_oracle(t, w) for w in ("step1", f"step2-{side}", f"step3-{side}")], \
-                (t, side)
             assert trace_cp(gen_chol_inversion(cfg), WU) == chol_cp_oracle(t, f"pipe-{side}"), \
                 (t, side)
-            if t <= 10:
-                cfg = CholInvConfig(t, out_of_place=out, pipelined=False)
-                assert trace_cp(gen_chol_inversion(cfg), WU) == \
-                    chol_cp_oracle(t, f"nopipe-{side}"), (t, side)
         uuu = inversion_steps(CholInvConfig(t, loop_dirs=("U", "U", "U")))[1]
         assert trace_cp(uuu, WU) == chol_cp_oracle(t, "trtri-uuu-in"), t
-    report(3, "per-step, pipelined and ascending-loop inversion cps exact for "
-              "t=2..30, unpipelined for t=2..10")
+    report(3, "pipelined and ascending-loop inversion cps exact for t=2..30 "
+              "(per-step cps in test_inversion_table_small, unpipelined in "
+              "test_pipelining_gains)")
 
 
 def test_criterion_04_coarse_tables():
     for algo in golden.COARSE_15x6:
         table, elim = coarse_schedule(15, 6, algo)
         elim.validate()
-        validate_coarse(table, elim, algo)
         cells = golden.coarse_table_cells(algo)
         assert {cell: table(*cell) for cell in cells} == cells, algo
     report(4, "coarse 15x6 tables for Sameh-Kuck, Fibonacci, Greedy "
-              "cell-for-cell")
+              "cell-for-cell (their coarse-model relations in test_table_15x6)")
 
 
 def test_criterion_05_tiled_tables():
@@ -97,44 +82,32 @@ def test_criterion_05_tiled_tables():
         b = build_tree(15, 6, algo, bs=bs)
         cells = golden.tiled_table_cells(key)
         assert {cell: b.zeroed.get(cell) for cell in cells} == cells, key
-        assert verify_weight(b), key
-        if algo == "flattree":
-            assert b.cp == cells[(15, 6)]
     report(5, "tiled zeroed-time 15x6 tables for FlatTree, Fibonacci, Greedy, "
-              "BinaryTree, PlasmaTree(5) cell-for-cell")
-
-
-def flattree_cp_composed(p, q):
-    """FlatTree's cp composed from the Sameh-Kuck coarse closed form: the
-    translation theorem up to column q-1, then the last column's steps."""
-    c1 = coarse_cp_oracle(p, q - 1, "sameh-kuck") if q > 1 else 0
-    c2 = coarse_cp_oracle(p, q, "sameh-kuck")
-    return 10 * (q - 1) + 6 * c1 + 4 + 2 * (c2 - c1)
+              "BinaryTree, PlasmaTree(5) cell-for-cell (their weight in "
+              "test_zeroed_tables_15x6)")
 
 
 def test_criterion_06_flattree_closed_form():
-    assert flattree_cp_oracle(40, 1) == 82
-    assert build_tree(4, 4, "flattree").cp == flattree_cp_oracle(4, 4) == 64
     for p in range(2, 31):
         for q in range(1, p + 1):
             cp = build_tree(p, q, "flattree", keep_trace=False).cp
-            assert cp == flattree_cp_oracle(p, q) == flattree_cp_composed(p, q), (p, q)
-    report(6, "FlatTree cp equals the piecewise closed form for 2<=q<=p<=30, exact")
+            assert cp == flattree_cp_oracle(p, q), (p, q)
+    report(6, "FlatTree cp equals the piecewise closed form for 2<=q<=p<=30, exact "
+              "(the form's derivation in test_flattree_closed_form)")
 
 
 def test_criterion_07_translation_theorem():
     for p in range(2, 21):
         for q in range(2, p + 1):
-            for algo in ("sameh-kuck", "fibonacci", "greedy"):
+            for algo in ("sameh-kuck", "greedy"):
                 table, elim = coarse_schedule(p, q, algo)
-                coarse = CoarseTable.of(elim.with_steps())
-                if algo != "fibonacci":
-                    assert coarse.steps == table.steps, (algo, p, q)
+                assert CoarseTable.of(elim.with_steps()).steps == table.steps, (algo, p, q)
                 for i, k, fin in ttmqr_finishes(tiled_build(elim)):
-                    assert fin == tiled_translation(i, k, coarse), (algo, p, q, i, k)
-    report(7, "TTMQR completion = 10k + 6*coarse(i,k) for k<=q-1, all three "
-              "coarse algorithms, 2<=q<=p<=20 (dependence-driven steps, which "
-              "equal the scheduled tables for Sameh-Kuck and Greedy)")
+                    assert fin == tiled_translation(i, k, table), (algo, p, q, i, k)
+    report(7, "TTMQR completion = 10k + 6*coarse(i,k) for k<=q-1, Sameh-Kuck "
+              "and Greedy, 2<=q<=p<=20 (their scheduled tables equal their "
+              "dependence-driven steps; Fibonacci's eager steps in "
+              "test_translation_theorem_eager)")
 
 
 def test_criterion_08_flop_conservation():
@@ -164,36 +137,16 @@ def test_criterion_09_p40_theoretical_table():
               "columns for q=1..40, exact")
 
 
-ASAP_15x3 = {1: [12, 10, 10, 8, 8, 8, 8, 6, 6, 6, 6, 6, 6, 6],
-             2: [40, 36, 34, 32, 30, 28, 28, 26, 24, 24, 22, 22, 22],
-             3: [86, 80, 74, 68, 62, 56, 50, 46, 44, 44, 40, 38]}
-GREEDY_15x3 = {1: [12, 10, 10, 8, 8, 8, 8, 6, 6, 6, 6, 6, 6, 6],
-               2: [42, 40, 36, 34, 34, 30, 28, 28, 28, 28, 22, 22, 22],
-               3: [64, 62, 56, 56, 52, 50, 50, 50, 44, 44, 44, 38]}
-
-
 def test_criterion_10_greedy_asap_grasap():
-    for q in (2, 3):
-        a, g = build_tree(15, q, "asap"), build_tree(15, q, "greedy")
-        for k in range(1, q + 1):
-            assert [a.zeroed[(i, k)] for i in range(k + 1, 16)] == ASAP_15x3[k], (q, k)
-            assert [g.zeroed[(i, k)] for i in range(k + 1, 16)] == GREEDY_15x3[k], (q, k)
-    for (p, q), (cg, ca) in {(16, 16): (310, 310), (32, 16): (360, 402), (32, 32): (650, 656),
-                             (64, 16): (374, 588), (64, 64): (1342, 1354),
-                             (128, 128): (2732, 2756)}.items():
-        assert build_tree(p, q, "greedy", keep_trace=False).cp == cg, (p, q)
-        assert build_tree(p, q, "asap", keep_trace=False).cp == ca, (p, q)
-    assert build_tree(20, 6, "grasap", keep_trace=False).cp == 134
-    assert build_tree(20, 6, "greedy", keep_trace=False).cp == 136
-    assert build_tree(5, 5, "grasap", keep_trace=False).cp <= 80
     for p in range(1, 41):
         for q in range(1, p + 1):
             diff = build_tree(p, q, "greedy", keep_trace=False).cp - \
                 build_tree(p, q, "grasap", keep_trace=False).cp
             assert diff in (0, 2), (p, q, diff)
-    report(10, "Asap/Greedy 15x2 and 15x3 tables, the six cp pairs, 20x6 "
-               "(134 vs 136), 5x5 GrASAP <= 80, and GrASAP-Greedy difference "
-               "in {0,2} for p<=40")
+    report(10, "GrASAP-Greedy difference in {0,2} for p<=40 (the Asap/Greedy "
+               "15x2 and 15x3 tables, the six cp pairs and 20x6's 134 vs 136 in "
+               "test_asap_spec_values, test_asap_vs_greedy_cp_pairs and "
+               "test_grasap_values)")
 
 
 T51 = {
@@ -277,24 +230,7 @@ def test_criterion_12_literal_values():
 
 
 def test_criterion_13_cp_not_optimal_toy():
-    # A,B,C,D weights 3,3,1,1 with C before D: MaxCP gives 5, optimum is 4
-    trace = [Task(0, "GEMM", ("A",), [], [TileRef("X", 0, 0)]),
-             Task(1, "GEMM", ("B",), [], [TileRef("X", 1, 1)]),
-             Task(2, "POTRF", ("C",), [], [TileRef("X", 2, 2)]),
-             Task(3, "POTRF", ("D",), [TileRef("X", 2, 2)], [TileRef("X", 3, 3)])]
-
-    class Toy(WeightModel):
-        def __init__(self):
-            self.name = "toy"
-            self.table = {}
-
-        def of(self, task):
-            return {"A": 3, "B": 3, "C": 1, "D": 1}[task.indices[0]]
-
-    wm = Toy()
-    g = build_from_trace(trace)
-    ann = annotate_cp(g, wm)
-    assert [ann.priority[i] for i in range(4)] == [3, 3, 2, 1]
+    g, wm = toy_dag()
     assert list_schedule(g, wm, 2, "max").makespan == 5
     # exhaustive search over priority orders certifies the optimum of 4
     best = 10 ** 9
@@ -303,7 +239,7 @@ def test_criterion_13_cp_not_optimal_toy():
             priority = {tid: -perm.index(tid) for tid in range(4)}
             cp_length = 0
         best = min(best, list_schedule(g, wm, 2, "max", annotation=Forced).makespan)
-    assert best == 4 == max(ann.cp_length, math.ceil(8 / 2))
+    assert best == 4
     report(13, "MaxCP schedules the toy DAG in 5; exhaustive search finds 4")
 
 

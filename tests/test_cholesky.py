@@ -34,6 +34,13 @@ def test_lower_triangular_references_only():
             assert tile.row >= tile.col
 
 
+def test_weighted_cp_9t_minus_10():
+    # the right-looking order is criterion 1's, for t <= 50
+    for t in range(2, 21):
+        for variant in ("left", "bordered"):
+            assert trace_cp(gen_chol_fact(t, variant), WC) == 9 * t - 10, (t, variant)
+
+
 def test_variant_cp_ordering_unit():
     for t in range(3, 12):
         r = trace_cp(gen_chol_fact(t, "right"), WU)
@@ -50,6 +57,26 @@ def test_t1_single_potrf():
     trace = gen_chol_fact(1)
     assert len(trace) == 1 and trace[0].kind == "POTRF"
     assert trace_cp(trace, WC) == 1
+
+
+def test_inversion_table_small():
+    for t in range(2, 31):
+        for out, side in ((False, "in"), (True, "out")):
+            cfg = CholInvConfig(t, out_of_place=out)
+            assert [trace_cp(s, WU) for s in inversion_steps(cfg)] == \
+                [chol_cp_oracle(t, w) for w in ("step1", f"step2-{side}", f"step3-{side}")], \
+                (t, side)
+
+
+def test_pipelining_gains():
+    # the pipelined cps themselves are criterion 3's, for t <= 30
+    for t in range(2, 11):
+        for out, side in ((False, "in"), (True, "out")):
+            piped = trace_cp(gen_chol_inversion(CholInvConfig(t, out_of_place=out)), WU)
+            serial = trace_cp(gen_chol_inversion(
+                CholInvConfig(t, out_of_place=out, pipelined=False)), WU)
+            assert serial == chol_cp_oracle(t, f"nopipe-{side}"), (t, side)
+            assert piped < serial, (t, side)
 
 
 def test_ascending_loop_penalty():

@@ -2,8 +2,8 @@
 they are checked against: the coarse model's dependency and sweep-order
 relations (validate_coarse), the normalization of reverse eliminations
 (normalized) and the column calculus of one Asap column (ColumnIter,
-optiter, column_asap_free, is_iterate).  The reference 15x6 tables are
-checked in test_acceptance.py, against tiledag.golden."""
+optiter, column_asap_free, is_iterate).  The 15x6 tables' values are
+criterion 4's in test_acceptance.py, read from tiledag.golden."""
 
 import random
 from dataclasses import dataclass
@@ -15,7 +15,7 @@ from tiledag import (
     GEQRT, TTMQR, TTQRT, UNMQR,
     CoarseTable, ElimEntry, EliminationList, QrBuild, WeightModel, binary_tree_list,
     build_tree, coarse_cp_oracle, coarse_schedule, emit_ip, fibonacci_cp_bounds,
-    fibonacci_x, flattree_cp_oracle, grasap_build, plasmatree_list, tiled_build,
+    fibonacci_x, flattree_cp_oracle, golden, grasap_build, plasmatree_list, tiled_build,
     total_weight,
 )
 
@@ -40,6 +40,22 @@ def validate_coarse(table, elim, algo):
             ok = all(a >= b for a, b in zip(col, col[1:]))
         if not ok:
             raise ValueError(f"column {k} violates the {algo} sweep order")
+
+
+@pytest.mark.parametrize("algo,gold", [(algo, golden.coarse_table_cells(algo))
+                                       for algo in ("sameh-kuck", "fibonacci", "greedy")])
+def test_table_15x6(algo, gold):
+    # the built table equals gold by criterion 4; here gold is a valid
+    # coarse schedule of the scheme's own elimination list
+    _, elim = coarse_schedule(15, 6, algo)
+    elim.validate()
+    validate_coarse(CoarseTable(15, 6, gold), elim, algo)
+
+
+def test_spec_cells():
+    # Greedy has no closed form; the other two tables peak at theirs
+    for algo in ("sameh-kuck", "fibonacci"):
+        assert max(golden.coarse_table_cells(algo).values()) == coarse_cp_oracle(15, 6, algo)
 
 
 def test_oracles():

@@ -8,10 +8,34 @@ import pytest
 from tiledag import (
     GEQRT, TSMQR, TSQRT, TTMQR, TTQRT, UNMQR,
     CoarseTable, ElimEntry, EliminationList, QrBuild, WeightModel, annotate_cp,
-    asap_times, build_from_trace, build_tree, coarse_schedule, fibonacci_cp_bounds,
-    fibonacci_x, grasap_build, plasmatree_list, t_seq, tiled_build, total_weight,
-    verify_weight,
+    asap_times, build_from_trace, build_tree, coarse_cp_oracle, coarse_schedule,
+    fibonacci_cp_bounds, fibonacci_x, flattree_cp_oracle, golden, grasap_build,
+    plasmatree_list, t_seq, tiled_build, total_weight, verify_weight,
 )
+
+# Asap/Greedy zeroed times on 15 x 3 (reference comparison columns).
+GREEDY_15x3 = {1: [12, 10, 10, 8, 8, 8, 8, 6, 6, 6, 6, 6, 6, 6],
+               2: [42, 40, 36, 34, 34, 30, 28, 28, 28, 28, 22, 22, 22],
+               3: [64, 62, 56, 56, 52, 50, 50, 50, 44, 44, 44, 38]}
+ASAP_15x3 = {1: [12, 10, 10, 8, 8, 8, 8, 6, 6, 6, 6, 6, 6, 6],
+             2: [40, 36, 34, 32, 30, 28, 28, 26, 24, 24, 22, 22, 22],
+             3: [86, 80, 74, 68, 62, 56, 50, 46, 44, 44, 40, 38]}
+
+
+@pytest.mark.parametrize("key", list(golden.TILED_15x6),
+                         ids=lambda key: "".join(map(str, key)) if isinstance(key, tuple) else key)
+def test_zeroed_tables_15x6(key):
+    # the cell values are criterion 5's; here each scheme zeroes exactly
+    # the reference cells and conserves the total weight doing so
+    algo, bs = key if isinstance(key, tuple) else (key, None)
+    b = build_tree(15, 6, algo, bs=bs)
+    assert set(b.zeroed) == set(golden.tiled_table_cells(key))
+    assert verify_weight(b)
+
+
+def test_flattree_cp_and_spec_cells():
+    b = build_tree(15, 6, "flattree")
+    assert b.cp == golden.tiled_table_cells("flattree")[(15, 6)] == flattree_cp_oracle(15, 6)
 
 
 def test_single_tile():
@@ -37,6 +61,23 @@ def test_total_weight_formula_and_conservation():
     assert b.total_weight == 410 == t_seq(b.trace, skewed)
     with pytest.raises(ValueError, match="weight model 'custom'"):
         verify_weight(b)
+
+
+def flattree_cp_composed(p, q):
+    """FlatTree's cp composed from the Sameh-Kuck coarse closed form: the
+    translation theorem up to column q-1, then the last column's steps."""
+    c1 = coarse_cp_oracle(p, q - 1, "sameh-kuck") if q > 1 else 0
+    c2 = coarse_cp_oracle(p, q, "sameh-kuck")
+    return 10 * (q - 1) + 6 * c1 + 4 + 2 * (c2 - c1)
+
+
+def test_flattree_closed_form():
+    # the built cps against the closed form are criterion 6's
+    assert flattree_cp_oracle(40, 1) == 82
+    assert flattree_cp_oracle(4, 4) == 64
+    for p in range(2, 31):
+        for q in range(1, p + 1):
+            assert flattree_cp_oracle(p, q) == flattree_cp_composed(p, q), (p, q)
 
 
 def test_fibonacci_bounds():
@@ -81,6 +122,17 @@ def ttmqr_finishes(build):
     fins, _ = asap_times(build.trace, WeightModel.qr_tt())
     return [(t.indices[0], t.indices[2], fins[t.id])
             for t in build.trace if t.kind == TTMQR]
+
+
+def test_translation_theorem_eager():
+    # Fibonacci's scheduled table carries slack, so its TTMQRs translate
+    # its dependence-driven steps; criterion 7 holds the busy algorithms
+    for p in range(2, 21):
+        for q in range(2, p + 1):
+            _, elim = coarse_schedule(p, q, "fibonacci")
+            eager = CoarseTable.of(elim.with_steps())
+            for i, k, fin in ttmqr_finishes(tiled_build(elim)):
+                assert fin == tiled_translation(i, k, eager), (p, q, i, k)
 
 
 def test_translation_theorem_scheduled_tables():
@@ -163,6 +215,29 @@ def test_plasmatree_list_is_a_prefix_of_the_square_list():
             for q in range(1, p + 1):
                 part = plasmatree_list(p, q, bs).entries
                 assert part == full[:len(part)] == [e for e in full if e.k <= q], (p, q, bs)
+
+
+def test_asap_spec_values():
+    for q in (2, 3):
+        a, g = build_tree(15, q, "asap"), build_tree(15, q, "greedy")
+        for k in range(1, q + 1):
+            assert [a.zeroed[(i, k)] for i in range(k + 1, 16)] == ASAP_15x3[k], (q, k)
+            assert [g.zeroed[(i, k)] for i in range(k + 1, 16)] == GREEDY_15x3[k], (q, k)
+
+
+def test_asap_vs_greedy_cp_pairs():
+    for (p, q), (cg, ca) in {(16, 16): (310, 310), (32, 16): (360, 402), (32, 32): (650, 656),
+                             (64, 16): (374, 588), (64, 64): (1342, 1354),
+                             (128, 128): (2732, 2756)}.items():
+        assert build_tree(p, q, "greedy", keep_trace=False).cp == cg, (p, q)
+        assert build_tree(p, q, "asap", keep_trace=False).cp == ca, (p, q)
+
+
+def test_grasap_values():
+    # the GrASAP-Greedy difference over p <= 40 is criterion 10's
+    assert build_tree(20, 6, "grasap", keep_trace=False).cp == 134
+    assert build_tree(20, 6, "greedy", keep_trace=False).cp == 136
+    assert build_tree(5, 5, "grasap", keep_trace=False).cp <= 80
 
 
 def test_grasap_i_parameter():

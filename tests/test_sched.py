@@ -12,7 +12,7 @@ import pytest
 from tiledag import (
     Schedule, Task, TaskGraph, TileRef, WeightModel, alap_profile, alpha_min,
     annotate_cp, bounds_table, build_from_trace, build_tree, check_schedule,
-    gen_chol_fact, list_schedule, lost_area, lower_bound_factor,
+    gen_chol_fact, golden, list_schedule, lost_area, lower_bound_factor,
     sync_chol_graph,
 )
 
@@ -29,6 +29,34 @@ def test_serialization_p1():
     s = list_schedule(g, WC, 1)
     assert s.makespan == sum(WC.of(t) for t in g.tasks)
     check_schedule(g, WC, s)
+
+
+def toy_dag():
+    """A,B,C,D weights 3,3,1,1 with C before D: MaxCP gives 5, optimum is 4."""
+    trace = [
+        Task(0, "GEMM", ("A",), [], [TileRef("X", 0, 0)]),
+        Task(1, "GEMM", ("B",), [], [TileRef("X", 1, 1)]),
+        Task(2, "POTRF", ("C",), [], [TileRef("X", 2, 2)]),
+        Task(3, "POTRF", ("D",), [TileRef("X", 2, 2)], [TileRef("X", 3, 3)]),
+    ]
+
+    class Toy(WeightModel):
+        def __init__(self):
+            self.name = "toy"
+            self.table = {}
+
+        def of(self, task):
+            return {"A": 3, "B": 3, "C": 1, "D": 1}[task.indices[0]]
+
+    return build_from_trace(trace), Toy()
+
+
+def test_cp_toy_nonoptimal():
+    # the makespans, MaxCP's 5 and the optimum's 4, are criterion 13's
+    g, wm = toy_dag()
+    ann = annotate_cp(g, wm)
+    assert [ann.priority[i] for i in range(4)] == [3, 3, 2, 1]
+    assert max(ann.cp_length, math.ceil(8 / 2)) == 4
 
 
 def test_policies_and_determinism():
@@ -125,6 +153,18 @@ def test_check_schedule_rejects_zero_weight_task_before_0():
 def test_check_schedule_accepts_zero_weight_tasks_sharing_a_start():
     assert _checked({0: (0, 0), 1: (0, 6), 2: (0, 6), 3: (0, 6)})
     assert _checked({0: (0, 0), 1: (1, 6), 2: (0, 3), 3: (0, 3)})
+
+
+def test_lost_area_pairs_and_table42():
+    g = chol_graph(5)
+    prof = alap_profile(g, WC)
+    assert prof.t_seq == 125 and prof.makespan == 35
+    rows = bounds_table(g, WC, golden.CHOL_BOUNDS_T5)
+    for row, (la, *_) in zip(rows, golden.CHOL_BOUNDS_T5.values()):
+        if la is not None:
+            assert row.lost_area == lost_area(prof, row.p) == la, row.p
+        assert row.t_alap == max(prof.makespan, Fraction(prof.t_seq + row.lost_area, row.p))
+    assert rows[1].speedup == Fraction(250, 129)
 
 
 def test_lost_area_singleton():
