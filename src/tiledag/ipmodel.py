@@ -128,11 +128,17 @@ class IPModel:
         self.q = q
         self.T = horizon
         self.capacity = capacity
-        self.w = {t: "w_%s_%s_%s" % t for t in self.w_tuples()}
-        self.x = {t: "x_%s_%s" % t for t in self.x_tuples()}
-        self.y = {t: "y_%s_%s_%s_%s" % t for t in self.y_tuples()}
+        self.w = {(i, k, l): "w_%s_%s_%s" % (i, k, l)
+                  for k in range(2, q + 1) for l in range(1, k) for i in range(l, p + 1)}
+        self.x = {(i, k): "x_%s_%s" % (i, k)
+                  for k in range(1, q + 1) for i in range(k, p + 1)}
+        self.y = {(i, j, k, l): "y_%s_%s_%s_%s" % (i, j, k, l)
+                  for k in range(2, q + 1) for l in range(1, k)
+                  for i in range(l, p + 1) for j in range(l, p + 1) if i != j}
         self.yhat = {t: "yhat_%s_%s_%s_%s" % t for t in self.y}
-        self.z = {t: "z_%s_%s_%s" % t for t in self.z_tuples()}
+        self.z = {(i, j, k): "z_%s_%s_%s" % (i, j, k)
+                  for k in range(1, q + 1) for i in range(k, p + 1) for j in range(k, p + 1)
+                  if i != j}
         self.zhat = {t: "zhat_%s_%s_%s" % t for t in self.z}
         self.int_vars = dict.fromkeys(       # name -> upper bound
             [*self.w.values(), *self.x.values(), *self.y.values(), *self.z.values(),
@@ -141,34 +147,6 @@ class IPModel:
         self.aux = {}
         self.constraints = []
         self._build()
-
-    # -- variable domains ---------------------------------------------------
-
-    def w_tuples(self):
-        for k in range(2, self.q + 1):
-            for l in range(1, k):
-                for i in range(l, self.p + 1):
-                    yield i, k, l
-
-    def x_tuples(self):
-        for k in range(1, self.q + 1):
-            for i in range(k, self.p + 1):
-                yield i, k
-
-    def y_tuples(self):
-        for k in range(2, self.q + 1):
-            for l in range(1, k):
-                for i in range(l, self.p + 1):
-                    for j in range(l, self.p + 1):
-                        if i != j:
-                            yield i, j, k, l
-
-    def z_tuples(self):
-        for k in range(1, self.q + 1):
-            for i in range(k, self.p + 1):
-                for j in range(k, self.p + 1):
-                    if i != j:
-                        yield i, j, k
 
     # -- construction --------------------------------------------------------
 

@@ -90,7 +90,8 @@ class WeightModel:
     """Maps kernel kinds to integer durations.
 
     One weight unit is n_b^3/3 flops for the Cholesky and QR models.
-    BARRIER always weighs 0; COPY weighs 0 in the unit and Cholesky models
+    BARRIER always weighs 0, and a table that gives it another weight is
+    refused; COPY weighs 0 in the unit and Cholesky models
     (the reference critical-path counts include copies in neither).
 
     The table is read-only, and a model (one that overrides `of` too) must
@@ -115,13 +116,15 @@ class WeightModel:
                 raise ValueError(f"unknown kernel kind {kind!r}")
             if isinstance(w, bool) or not isinstance(w, int) or w < 0:
                 raise ValueError(f"weight of {kind} must be a nonnegative integer")
+            if kind == BARRIER and w:
+                raise ValueError(f"weight of {BARRIER} must be 0, not {w}")
         table[BARRIER] = 0
         self.name = name
         self.table = MappingProxyType(table)
 
     @classmethod
     def unit(cls):
-        return cls({k: 0 if k == COPY else 1 for k in ALL_KINDS}, "unit")
+        return cls({k: 0 if k in (COPY, BARRIER) else 1 for k in ALL_KINDS}, "unit")
 
     @classmethod
     def cholesky(cls):

@@ -8,6 +8,7 @@ from tiledag import (
     CholInvConfig, WeightModel, build_from_trace, chol_cp_oracle,
     gen_chol_fact, gen_chol_inversion, inversion_steps, t_seq, trace_cp,
 )
+from test_taskgraph import _rows
 
 WU = WeightModel.unit()
 WC = WeightModel.cholesky()
@@ -80,14 +81,12 @@ def test_pipelining_gains():
 
 
 def test_ascending_loop_penalty():
-    for t in (4, 6, 9):
-        s2 = inversion_steps(CholInvConfig(t, loop_dirs=("U", "U", "U")))[1]
-        assert trace_cp(s2, WU) == t * t - 2 * t + 3
-        s2o = inversion_steps(CholInvConfig(t, out_of_place=True, loop_dirs=("U", "U", "U")))[1]
-        assert trace_cp(s2o, WU) == (t * t - t) // 2 + 2
-    # t=6 example in a single call
-    sub = inversion_steps(CholInvConfig(6, loop_dirs=("U", "U", "U")))[1]
-    assert trace_cp(sub, WU) == 27
+    # step 2 with every loop ascending; the pipelined cps are criterion 3's
+    for t in range(2, 31):
+        for out, side in ((False, "in"), (True, "out")):
+            cfg = CholInvConfig(t, out_of_place=out, loop_dirs=("U", "U", "U"))
+            assert trace_cp(inversion_steps(cfg)[1], WU) == \
+                chol_cp_oracle(t, f"trtri-uuu-{side}"), (t, side)
 
 
 def test_step3_war_example():
@@ -161,11 +160,6 @@ CHOL_TRACE_SHA256 = {
     ("inversion", True, True):
         "1f7aa919fbe90bd61cbd1d6ceb614fba93483180fcd6bc3028d8bdc150faa0f3",
 }
-
-
-def _rows(trace):
-    return [(t.id, t.kind, t.indices, tuple(map(tuple, t.reads)),
-             tuple(map(tuple, t.writes))) for t in trace]
 
 
 def _pinned_traces(key):

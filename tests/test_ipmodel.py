@@ -6,7 +6,7 @@ from math import comb
 import pytest
 
 from tiledag import (
-    WeightModel, build_from_trace, build_tree, check_feasible,
+    WeightModel, build_from_trace, build_tree, check_feasible, check_schedule,
     complete_assignment, emit_ip, list_schedule, parse_assignment,
     schedule_to_assignment,
 )
@@ -24,14 +24,20 @@ def _schedule(p, q, algo, procs):
 
 
 def test_simulator_schedules_feasible():
-    for (p, q) in ((1, 1), (2, 2), (3, 2), (4, 3), (5, 5)):
-        for algo in ("flattree", "greedy", "grasap"):
-            for procs in (1, 2, 5):
-                g, s = _schedule(p, q, algo, procs)
-                model = emit_ip(p, q, s.makespan // 2 + 4)
-                assign = complete_assignment(model, schedule_to_assignment(g, s))
-                ok, violated = check_feasible(model, assign)
-                assert ok, (p, q, algo, procs, [(v.group, v.name) for v in violated[:5]])
+    # every simulator schedule on p,q <= 5 under capacity = procs; the
+    # capacitated rows are the uncapacitated rows plus the capacity block
+    # (test_capacity_block_closed_forms), so the uncapacitated model holds too
+    for p in range(1, 6):
+        for q in range(1, p + 1):
+            for algo in ("flattree", "greedy", "fibonacci", "grasap"):
+                g = build_from_trace(build_tree(p, q, algo).trace)
+                for procs in (1, 2, 4, 5):
+                    s = list_schedule(g, WQ, procs, "max")
+                    check_schedule(g, WQ, s)
+                    model = emit_ip(p, q, s.makespan // 2 + 4, capacity=procs)
+                    assign = complete_assignment(model, schedule_to_assignment(g, s))
+                    ok, violated = check_feasible(model, assign)
+                    assert ok, (p, q, algo, procs, [(v.group, v.name) for v in violated[:5]])
 
 
 def test_feasible_with_capacity():
@@ -62,13 +68,6 @@ def test_mutation_violates_1biii():
     ok, violated = check_feasible(model, assign)
     assert not ok
     assert "1b-iii" in {v.group for v in violated}
-
-
-def test_trivial_1x1():
-    g, s = _schedule(1, 1, "flattree", 1)
-    model = emit_ip(1, 1, 4)
-    ok, _ = check_feasible(model, complete_assignment(model, schedule_to_assignment(g, s)))
-    assert ok
 
 
 def test_emission_deterministic_and_fixings():
@@ -355,8 +354,7 @@ def test_capacity_two_pulses_violate_capone():
 
 def test_capacity_pulse_on_unperformed_action_violates_capone():
     model, _, assign = _p1_case()
-    var = next(f"z_{i}_{j}_{k}" for i, j, k in model.z_tuples()
-               if f"zhat_{i}_{j}_{k}" not in assign)
+    var = next(name for t, name in model.z.items() if model.zhat[t] not in assign)
     assign[f"at_{var}_{model.T}"] = 1
     assert f"capone_{var}" in _violated(model, assign)
 

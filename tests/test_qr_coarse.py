@@ -223,18 +223,6 @@ def normalized(elim):
     return EliminationList(elim.p, elim.q, entries)
 
 
-def test_normalization_validity_everywhere():
-    rng = random.Random(2)
-    for _ in range(120):
-        p = rng.randint(2, 8)
-        q = rng.randint(1, p)
-        lst = interleaved_list(p, q, rng.choice)
-        lst.validate()
-        norm = normalized(lst)
-        norm.validate()
-        assert all(e.i > e.piv for e in norm)
-
-
 def test_normalization_preserves_cp_symmetric_histories():
     # reverse eliminations confined to the last column exchange rows with
     # identical update histories; the weighted cp is then provably intact
@@ -249,17 +237,6 @@ def test_normalization_preserves_cp_symmetric_histories():
         assert c1 == c2
 
 
-def test_normalization_preserves_coarse_step_multiset():
-    rng = random.Random(9)
-    for _ in range(80):
-        p = rng.randint(2, 8)
-        q = rng.randint(1, p)
-        lst = _random_list(p, q, rng)
-        a = sorted(e.step for e in lst.with_steps())
-        b = sorted(e.step for e in normalized(lst).with_steps())
-        assert a == b
-
-
 def test_csv_round_trip():
     _, elim = coarse_schedule(6, 3, "greedy")
     text = elim.to_csv()
@@ -271,8 +248,9 @@ def test_csv_round_trip():
 
 def test_eager_coarse_matches_busy_algorithms():
     # the busy schemes' tables equal their lists' dependence-driven
-    # re-execution, each elimination one step after its rows' last use
-    for p in (4, 8, 13):
+    # re-execution, each elimination one step after its rows' last use;
+    # criterion 7 translates these tables to TTMQR finishes
+    for p in range(2, 21):
         for q in range(1, p + 1):
             for algo in ("sameh-kuck", "greedy"):
                 table, elim = coarse_schedule(p, q, algo)

@@ -22,10 +22,7 @@ from tiledag import (
     CoarseTable, WeightModel, build_tree, coarse_cp_oracle, coarse_schedule,
     grasap_build, zeroed_table_csv,
 )
-
-SKEWED = WeightModel({GEQRT: 3, UNMQR: 5, TTQRT: 1, TTMQR: 7, TSQRT: 2, TSMQR: 11})
-# GEQRT, UNMQR and TSMQR take no time, so finishes tie across rows
-ZERO_FACTOR = WeightModel({GEQRT: 0, UNMQR: 0, TTQRT: 2, TTMQR: 6, TSQRT: 6, TSMQR: 0})
+from test_qr_tiled import SKEWED, ZERO_FACTOR
 
 
 def _trees(p, q):

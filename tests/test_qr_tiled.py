@@ -12,6 +12,8 @@ from tiledag import (
     fibonacci_cp_bounds, fibonacci_x, flattree_cp_oracle, golden, grasap_build,
     plasmatree_list, t_seq, tiled_build, total_weight, verify_weight,
 )
+from test_qr_coarse import interleaved_list
+from test_taskgraph import _rows
 
 # Asap/Greedy zeroed times on 15 x 3 (reference comparison columns).
 GREEDY_15x3 = {1: [12, 10, 10, 8, 8, 8, 8, 6, 6, 6, 6, 6, 6, 6],
@@ -136,15 +138,9 @@ def test_translation_theorem_eager():
 
 
 def test_translation_theorem_scheduled_tables():
-    # the busy algorithms' scheduled tables equal their dependence-driven
-    # steps, so the translation holds against them directly; Fibonacci's
-    # shifted pattern carries slack and only its eager steps translate
-    for algo in ("sameh-kuck", "greedy"):
-        for p in (4, 9, 15):
-            for q in range(2, p + 1):
-                table, elim = coarse_schedule(p, q, algo)
-                for i, k, fin in ttmqr_finishes(tiled_build(elim)):
-                    assert fin == tiled_translation(i, k, table)
+    # the busy algorithms' scheduled tables translate directly (criterion
+    # 7); Fibonacci's shifted pattern carries slack and only its eager steps
+    # translate, bounded by its scheduled table
     table, elim = coarse_schedule(15, 6, "fibonacci")
     eager = CoarseTable.of(elim.with_steps())
     for i, k, fin in ttmqr_finishes(tiled_build(elim)):
@@ -249,28 +245,6 @@ def test_grasap_i_parameter():
         build_tree(4, 3, "grasap", grasap_i=5)
 
 
-def test_builder_times_match_hazard_graph():
-    w = WeightModel.qr_tt()
-    for p, q, algo in ((5, 3, "greedy"), (6, 4, "flattree"), (7, 3, "asap"),
-                       (6, 3, "binarytree"), (5, 5, "grasap")):
-        b = build_tree(p, q, algo)
-        fins, cp = asap_times(b.trace, w)
-        g = build_from_trace(b.trace)
-        ann = annotate_cp(g, w)
-        assert cp == ann.cp_length == b.cp
-        for t in b.trace:
-            assert fins[t.id] == ann.earliest[t.id] + w.of(t)
-
-
-def test_ts_times_match_hazard_graph():
-    w = WeightModel.qr_tt()
-    for p, q in ((5, 3), (6, 4)):
-        b = build_tree(p, q, "greedy", family="TS", weights=w)
-        g = build_from_trace(b.trace)
-        ann = annotate_cp(g, w)
-        assert ann.cp_length == b.cp
-
-
 def test_tiled_build_entry_point():
     _, elim = coarse_schedule(4, 3, "greedy")
     trace = tiled_build(elim, "TT").trace
@@ -278,26 +252,6 @@ def test_tiled_build_entry_point():
     bad = type(elim)(4, 3, elim.entries[:2])
     with pytest.raises(ValueError, match="incomplete"):
         tiled_build(bad, "TT")
-
-
-def random_elim_list(p, q, rng):
-    """A random valid elimination list: any ready target below the column's
-    diagonal against any other ready row, so reverse eliminations (pivot
-    below target) and ex-pivot targets occur."""
-    qq = min(p, q)
-    ready = [[] for _ in range(qq + 2)]
-    ready[1] = list(range(1, p + 1))
-    entries = []
-    while True:
-        cols = [k for k in range(1, qq + 1) if len(ready[k]) >= 2]
-        if not cols:
-            return EliminationList(p, q, entries)
-        k = rng.choice(cols)
-        i = rng.choice([r for r in ready[k] if r > k])
-        piv = rng.choice([r for r in ready[k] if r != i])
-        ready[k].remove(i)
-        ready[k + 1].append(i)
-        entries.append(ElimEntry(i, piv, k))
 
 
 def chain_list(p, q, flat=()):
@@ -327,7 +281,7 @@ def grasap_cases():
 # distinct weights, so that a kernel timed with another's weight shows
 SKEWED = WeightModel({GEQRT: 3, UNMQR: 5, TTQRT: 1, TTMQR: 7, TSQRT: 2, TSMQR: 11})
 TT_ONLY = WeightModel({GEQRT: 4, UNMQR: 6, TTQRT: 2, TTMQR: 6})
-# only the pair kernels and TSQRT take time, so many finishes tie
+# GEQRT, UNMQR and TSMQR take no time, so finishes tie across rows
 ZERO_FACTOR = WeightModel({GEQRT: 0, UNMQR: 0, TTQRT: 2, TTMQR: 6, TSQRT: 6, TSMQR: 0})
 FACTOR_ONLY = WeightModel({GEQRT: 4, TTQRT: 2})
 
@@ -340,7 +294,7 @@ def _engine_cases():
         for n in ns:
             p = rng.randint(pmin, pmax)
             q = rng.randint(1, p)
-            elim = random_elim_list(p, q, rng)
+            elim = interleaved_list(p, q, rng.choice)
             elim.validate()
             for family in ("TT", "TS"):
                 w = models[n % len(models)]
@@ -397,11 +351,13 @@ def test_engine_trace_free_matches_traced_and_hazard_graph():
         assert Counter(t.kind for t in full.trace) == +Counter(full.counts), name
         w = w or WeightModel.qr_tt()
         fins, _ = asap_times(full.trace, w)
+        ann = annotate_cp(build_from_trace(full.trace), w)
         for t in full.trace:
+            assert fins[t.id] == ann.earliest[t.id] + w.of(t), (name, t)
             if t.kind in (TTQRT, TSQRT):
                 i, _, k = t.indices
                 assert fins[t.id] == full.zeroed[(i, k)], (name, t)
-        assert full.cp == annotate_cp(build_from_trace(full.trace), w).cp_length, name
+        assert full.cp == ann.cp_length, name
 
 
 def test_asap_columns_fire_the_moment_two_triangles_are_ready():
@@ -500,7 +456,7 @@ TRACE_SHA256 = {
 def _pinned_build(p, q, algo, family):
     if algo == "random":
         # a seed whose list makes ex-pivots targets, where TS falls back to TT
-        return QrBuild(p, q, family).run_list(random_elim_list(p, q, random.Random(2)))
+        return QrBuild(p, q, family).run_list(interleaved_list(p, q, random.Random(2).choice))
     return build_tree(p, q, algo, family=family, bs=3 if algo == "plasmatree" else None)
 
 
@@ -510,7 +466,5 @@ def test_trace_identity(p, q, algo, family):
     if algo == "random":
         assert build.counts[TSQRT] and build.counts[TTQRT]
     trace = build.trace
-    rows = [(t.id, t.kind, t.indices, tuple(map(tuple, t.reads)),
-             tuple(map(tuple, t.writes))) for t in trace]
-    digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+    digest = hashlib.sha256(repr(_rows(trace)).encode()).hexdigest()
     assert digest == TRACE_SHA256[(p, q, algo, family)]

@@ -9,6 +9,7 @@ from tiledag import (
     gen_strassen, gen_tiled_gemm, r_min, strassen_cp, strassen_flops,
     strassen_task_count, temp_tile_count, trace_cp,
 )
+from test_taskgraph import _rows
 
 WU = WeightModel.unit()
 
@@ -142,11 +143,6 @@ STRASSEN_TRACE_SHA256 = {
     16: "a529e60b5f40d60ee68ff2313fa6909c2b01cc0930c2e876177e020705c9459d",
     "tiled_gemm": "7c208c261899468db8f6b006b1dcf03ea69eab499e60a730b2774b5e0e6eeef6",
 }
-
-
-def _rows(trace):
-    return [(t.id, t.kind, t.indices, tuple(map(tuple, t.reads)),
-             tuple(map(tuple, t.writes))) for t in trace]
 
 
 def _pinned_traces(key):
