@@ -110,12 +110,15 @@ def test_singleton_and_cycle():
         TaskGraph([T(0), T(1), T(2)], [(1, 2, "RAW"), (0, 1, "RAW"), (1, 0, "RAW")])
 
 
-def test_duplicate_task_ids_rejected():
-    # a trace's ids reach the same check through build_from_trace
+def test_duplicate_and_decreasing_ids_rejected():
+    # a trace's ids reach TaskGraph's check through build_from_trace
     with pytest.raises(ValueError, match=r"strictly increasing \(got 0 after 0\)"):
         build_from_trace([T(0), T(0)])
     with pytest.raises(ValueError, match=r"strictly increasing \(got 0 after 1\)"):
         build_from_trace([T(1), T(0)])
+
+
+def test_duplicate_task_ids_rejected():
     with pytest.raises(ValueError, match=r"strictly increasing \(got 1 after 1\)"):
         TaskGraph([T(0), T(1), T(1)], [])
     assert len(TaskGraph([T(0), T(2), T(5)], [])) == 3
